@@ -20,6 +20,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import qlinalg
 from .errors import (
     CapacityError,
@@ -284,28 +286,56 @@ def _genotype_of_members(members: Sequence[tuple[int, ...]], level: int, r: int)
     return Genotype(level, mask)
 
 
-def _iter_cube(k: int) -> Iterator[tuple[int, ...]]:
-    return product((0, 1), repeat=k)
+@lru_cache(maxsize=None)
+def _cube(k: int) -> tuple[list[CubePoint], np.ndarray]:
+    """All 2^k cube points in lexicographic order, as tuples and as int64 rows."""
+    if k > MAX_CELL_AMBIENT_DIM:
+        raise CapacityError(f"cell enumeration guard: ambient dim {k} > {MAX_CELL_AMBIENT_DIM}")
+    cube = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    cube.flags.writeable = False
+    return list(product((0, 1), repeat=k)), cube
+
+
+@lru_cache(maxsize=MAX_FLAG_ORDER + 1)
+def _partition(flag: Flag, i: int) -> tuple[tuple[Cell, ...], np.ndarray, np.ndarray]:
+    """Level-i cells, the cell id of each point, and each cell's least point.
+
+    Points are given by their index in the lexicographic order of _cube.  Two
+    points share a cell iff M p == M q for M = coset_matrix(V_i); numbering
+    the distinct keys by first occurrence sorts the cells by least member.
+    """
+    k = flag.ambient_dim
+    points, cube = _cube(k)
+    mat = qlinalg.coset_matrix(flag.spaces[i])
+    # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
+    if k * max(abs(x) for row in mat for x in row) >= 1 << 62:
+        raise CapacityError(f"cell enumeration guard: level-{i} coset keys overflow int64")
+    keys = np.ascontiguousarray(cube @ np.array(mat, dtype=np.int64).T)
+    # one opaque k*8-byte item per point; np.unique groups these several
+    # times faster than int rows with axis=0
+    rows = keys.view(np.dtype((np.void, keys.itemsize * k))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse.reshape(-1)]
+    least = first[order]
+    members = [points[n] for n in np.argsort(ids, kind="stable").tolist()]
+    cells = []
+    start = 0
+    for end in np.cumsum(np.bincount(ids)).tolist():
+        pts = tuple(members[start:end])
+        gen = _genotype_of_members(pts, i, flag.order) if flag.kind == "binary" else None
+        cells.append(Cell(i, pts, gen))
+        start = end
+    ids.flags.writeable = False
+    least.flags.writeable = False
+    return tuple(cells), ids, least
 
 
 def cells_at_level(flag: Flag, i: int) -> list[Cell]:
     """The partition of {0,1}^k into cells of level i, sorted by least member."""
-    k = flag.ambient_dim
-    if k > MAX_CELL_AMBIENT_DIM:
-        raise CapacityError(f"cell enumeration guard: ambient dim {k} > {MAX_CELL_AMBIENT_DIM}")
-    W = flag.spaces[i]
-    groups: dict = {}
-    for p in _iter_cube(k):
-        groups.setdefault(qlinalg.coset_key(W, p), []).append(p)
-    cells = []
-    is_binary = flag.kind == "binary"
-    r = flag.order
-    for pts in groups.values():
-        pts = tuple(sorted(pts))
-        gen = _genotype_of_members(pts, i, r) if is_binary else None
-        cells.append(Cell(i, pts, gen))
-    cells.sort(key=lambda c: c.members[0])
-    return cells
+    return list(_partition(flag, i)[0])
 
 
 def genotype_of(cell: Cell) -> Genotype:
@@ -339,14 +369,15 @@ class CellTree:
 
 @lru_cache(maxsize=32)
 def cell_tree(flag: Flag) -> CellTree:
+    # The cells come through the public cells_at_level, which the benchmark
+    # tracer counts; the point ids come from the same cached _partition.
     levels = [tuple(cells_at_level(flag, i)) for i in range(flag.order + 1)]
     child_ids: list[tuple] = [()]
     for i in range(1, flag.order + 1):
-        W = flag.spaces[i]
+        # the parent of a level-(i-1) cell is the level-i cell of its least point
+        parents = _partition(flag, i)[1][_partition(flag, i - 1)[2]]
         by_parent: list[list[int]] = [[] for _ in levels[i]]
-        parent_key = {qlinalg.coset_key(W, c.members[0]): j for j, c in enumerate(levels[i])}
-        for j, c in enumerate(levels[i - 1]):
-            pj = parent_key[qlinalg.coset_key(W, c.members[0])]
+        for j, pj in enumerate(parents.tolist()):
             by_parent[pj].append(j)
         child_ids.append(tuple(tuple(lst) for lst in by_parent))
     return CellTree(flag, tuple(levels), tuple(child_ids))

@@ -150,8 +150,13 @@ def coset_key(W: Subspace, v: Sequence) -> tuple[tuple[int, ...], int]:
     arithmetic is integer (projective scaling), which keeps this fast on the
     hot paths (coset grouping of cube points).
     """
-    vec = as_vector(v, W.ambient_dim)
-    nums, den = _scaled_ints(vec)
+    nums = list(v)
+    if all(type(x) is int for x in nums):
+        if len(nums) != W.ambient_dim:
+            raise DimensionMismatchError(f"expected dimension {W.ambient_dim}, got {len(nums)}")
+        den = 1
+    else:
+        nums, den = _scaled_ints(as_vector(nums, W.ambient_dim))
     for row in W.basis:
         p = next(i for i, x in enumerate(row) if x != 0)
         if nums[p] == 0:
@@ -167,6 +172,30 @@ def coset_key(W: Subspace, v: Sequence) -> tuple[tuple[int, ...], int]:
             nums = [n // g for n in nums]
             den //= g
     return tuple(nums), den
+
+
+def coset_matrix(W: Subspace) -> list[list[int]]:
+    """Integer k x k matrix M with M v == L * reduce(v) for every v in Q^k.
+
+    reduce(v) is the coset representative of coset_key (v with zeros at W's
+    pivot coordinates) and L the lcm of the basis rows' leading entries.
+    Because the basis rows are mutually reduced, reduce(v) is v minus
+    (v_p / lead) * row for each row with pivot p, which is linear in v; so
+    u and v lie in the same W-coset iff M u == M v.  The rows of M at the
+    pivot coordinates are zero.
+    """
+    k = W.ambient_dim
+    pivots = W._pivots()
+    leads = [row[p] for row, p in zip(W.basis, pivots)]
+    lcm = 1
+    for lead in leads:
+        lcm = lcm * lead // gcd(lcm, lead)
+    mat = [[lcm if c == j else 0 for j in range(k)] for c in range(k)]
+    for row, p, lead in zip(W.basis, pivots, leads):
+        scale = lcm // lead
+        for c in range(k):
+            mat[c][p] -= scale * row[c]
+    return mat
 
 
 def contains(W: Subspace, v: Sequence) -> bool:

@@ -26,6 +26,7 @@ scalar equation with a rapidly convergent series, solved here by bisection.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import exp, log, log1p
@@ -55,7 +56,11 @@ def f_cell_direct(tree_or_flag, cell: Cell, rhos: Sequence[float]) -> float:
     if cell.level >= 2 and len(rhos) < cell.level - 1:
         raise ValueError(f"need {cell.level - 1} rho values for a level-{cell.level} cell")
 
-    idx_of = {c.members[0]: j for j, c in enumerate(tree.levels[cell.level])}
+    # levels are sorted by least member
+    cells = tree.levels[cell.level]
+    idx = bisect_left(cells, cell.members[0], key=lambda c: c.members[0])
+    if idx == len(cells) or cells[idx].members[0] != cell.members[0]:
+        raise KeyError(cell.members[0])
     memo: dict = {}
 
     def rec(level: int, idx: int) -> float:
@@ -69,7 +74,7 @@ def f_cell_direct(tree_or_flag, cell: Cell, rhos: Sequence[float]) -> float:
             memo[key] = val
         return val
 
-    return rec(cell.level, idx_of[cell.members[0]])
+    return rec(cell.level, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from cubeflags import flags
 from cubeflags.errors import CapacityError, InvalidChildError
 from cubeflags.flags import (
+    Flag,
     Genotype,
     apply_automorphism,
     automorphism_generators,
@@ -21,13 +24,14 @@ from cubeflags.flags import (
     enumerate_subflags,
     format_flag_text,
     genotype_of,
+    make_flag,
     mt_flag,
     parse_flag_text,
     permute_subspace,
     permute_vector,
     point_to_string,
 )
-from cubeflags.qlinalg import contains, cube_points
+from cubeflags.qlinalg import Subspace, contains, coset_key, cube_points, ones, span
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,68 @@ def test_level0_leaf_count():
     for r in (1, 2, 3):
         f = binary_flag(r)
         assert len(cells_at_level(f, 0)) == 2**f.ambient_dim - 1
+
+
+def _reference_partition(flag):
+    """Cells and child links by the per-point route: group the cube by
+    coset_key at every level; a cell's parent is the group one level up that
+    holds its least member."""
+    levels, group_of = [], []
+    for W in flag.spaces:
+        groups = {}
+        for p in product((0, 1), repeat=flag.ambient_dim):
+            groups.setdefault(coset_key(W, p), []).append(p)
+        cells = sorted(tuple(pts) for pts in groups.values())
+        levels.append(cells)
+        group_of.append({p: j for j, pts in enumerate(cells) for p in pts})
+    child_ids = [()]
+    for i in range(1, flag.order + 1):
+        by_parent = [[] for _ in levels[i]]
+        for j, pts in enumerate(levels[i - 1]):
+            by_parent[group_of[i][pts[0]]].append(j)
+        child_ids.append(tuple(tuple(lst) for lst in by_parent))
+    return levels, tuple(child_ids)
+
+
+def _random_custom_flag(rnd):
+    k = rnd.randint(2, 9)
+    gens = [ones(k)]
+    spaces = [span(gens, k)]
+    for _ in range(rnd.randint(1, 3)):
+        gens += [tuple(rnd.randint(0, 1) for _ in range(k)) for _ in range(rnd.randint(1, 2))]
+        spaces.append(span(gens, k))
+    return make_flag(spaces, "custom")
+
+
+def test_partition_and_tree_match_per_point_reference():
+    rnd = random.Random(20261017)
+    cases = [binary_flag(r) for r in (1, 2, 3)] + [mt_flag(r) for r in (2, 3, 4)]
+    cases.append(parse_flag_text((Path(__file__).parents[1] / "perfbench" / "mt4_q12.flag").read_text()))
+    cases += [_random_custom_flag(rnd) for _ in range(20)]
+    # basis rows with leading entry 2, so the coset matrix scales by an lcm > 1
+    pts = [(1, 1, 0, 0, 1, 0), (1, 0, 1, 0, 1, 0), (1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 1, 0),
+           (1, 0, 0, 1, 0, 1)]
+    lead2 = [span([ones(6)]), span([ones(6), pts[0]]), span([ones(6)] + pts)]
+    assert lead2[2].basis[0][0] == 2
+    cases.append(make_flag(lead2, "custom"))
+    for f in cases:
+        levels, child_ids = _reference_partition(f)
+        for i in range(f.order + 1):
+            assert [c.members for c in cells_at_level(f, i)] == levels[i]
+        assert cell_tree(f).child_ids == child_ids
+
+
+def test_partition_guards_raise_capacity_error():
+    # beyond the ambient-dimension cap, before the cube is built
+    k = flags.MAX_CELL_AMBIENT_DIM + 1
+    with pytest.raises(CapacityError):
+        cells_at_level(Flag(k, (span([ones(k)]),), "custom", True), 0)
+    # coset keys must fit int64: k * max|M| < 2^62 for M = coset_matrix(V_i)
+    v0 = span([ones(2)])
+    fits = Flag(2, (v0, Subspace(2, ((1, (1 << 61) - 1),))), "custom", True)
+    assert [c.members for c in cells_at_level(fits, 1)] == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
+    with pytest.raises(CapacityError):
+        cells_at_level(Flag(2, (v0, Subspace(2, ((1, 1 << 61),))), "custom", True), 1)
 
 
 # ---------------------------------------------------------------------------

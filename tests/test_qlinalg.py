@@ -8,6 +8,7 @@ from cubeflags.qlinalg import (
     contains,
     contains_subspace,
     coset_key,
+    coset_matrix,
     cube_points,
     ones,
     span,
@@ -146,6 +147,50 @@ def test_coset_key_partitions():
             same = coset_key(W, p) == coset_key(W, q)
             diff = tuple(a - b for a, b in zip(p, q))
             assert same == contains(W, diff)
+
+
+def _random_rational_subspace(rnd, k):
+    gens = [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 7)) for _ in range(k)]
+            for _ in range(rnd.randint(0, k))]
+    return span(gens, k)
+
+
+def _random_int_vector(rnd, k):
+    return tuple(rnd.choice((rnd.randint(-5, 5), rnd.randint(-(10**30), 10**30))) for _ in range(k))
+
+
+def test_coset_key_int_and_fraction_inputs_agree():
+    rnd = random.Random(20261017)
+    for _ in range(300):
+        k = rnd.randint(1, 6)
+        W = _random_rational_subspace(rnd, k)
+        v = _random_int_vector(rnd, k)
+        nums, den = coset_key(W, v)
+        assert (nums, den) == coset_key(W, [Fraction(x) for x in v])
+        assert den > 0 and all(type(n) is int for n in nums)
+
+
+def test_coset_key_int_path_checks_dimension():
+    W = span([(1, 1, 0)])
+    with pytest.raises(DimensionMismatchError):
+        coset_key(W, (1, 0))
+    with pytest.raises(DimensionMismatchError):
+        coset_key(W, (1, 0, 0, 1))
+
+
+def test_coset_matrix_separates_cosets():
+    # M u == M v iff u and v share a coset, i.e. iff their coset keys agree
+    rnd = random.Random(7)
+    for _ in range(200):
+        k = rnd.randint(1, 6)
+        W = _random_rational_subspace(rnd, k)
+        mat = coset_matrix(W)
+        u = _random_int_vector(rnd, k)
+        w = rnd.choice(W.basis) if W.basis else (0,) * k
+        for v in (_random_int_vector(rnd, k), tuple(a + 3 * b for a, b in zip(u, w))):
+            mu = [sum(m * x for m, x in zip(row, u)) for row in mat]
+            mv = [sum(m * x for m, x in zip(row, v)) for row in mat]
+            assert (mu == mv) == (coset_key(W, u) == coset_key(W, v))
 
 
 def test_subspace_equality_is_structural():
