@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 capacity/guard/numeric-bound error,
 3 certificate failure (check command only).  All floating point output is
 printed at 16 significant digits, and every JSON document carries a schema
 field, so identical (command, seed) invocations are byte-identical across
-runs and worker counts.
+runs.  Every computation runs serially; --workers is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -13,15 +13,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from . import flags as flags_mod
 from . import optmeas, rho, simlab
-from .errors import CapacityError, CubeflagsError, NumericInstabilityError
-
-ENV_WORKERS = "CUBEFLAGS_WORKERS"
+from .errors import CubeflagsError
 
 
 class UsageError(Exception):
@@ -96,14 +93,6 @@ def _load_config(path: Optional[str]) -> dict:
     return out
 
 
-def _resolve_workers(args, config: dict) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    if "workers" in config:
-        return int(config["workers"])
-    return int(os.environ.get(ENV_WORKERS, "1"))
-
-
 def _build_flag(args) -> flags_mod.Flag:
     if args.flag == "binary":
         return flags_mod.binary_flag(args.order)
@@ -126,7 +115,8 @@ def build_parser() -> _Parser:
         ),
     )
     p.add_argument("--config", help="key=value preset file (flags override)")
-    p.add_argument("--workers", type=int, default=None, help=f"worker count (env {ENV_WORKERS})")
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: every computation runs serially")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser(
@@ -221,7 +211,7 @@ def build_parser() -> _Parser:
     return p
 
 
-def _cmd_rho_table(args, workers: int) -> int:
+def _cmd_rho_table(args, config: dict) -> int:
     sol, _ = rho.solve_rho_chain(args.max_j)
     rows = [
         {"j": j, "rho_j": _fmt(x), "residual": _fmt(res)}
@@ -234,7 +224,7 @@ def _cmd_rho_table(args, workers: int) -> int:
     return 0
 
 
-def _cmd_rho_limit(args, workers: int) -> int:
+def _cmd_rho_limit(args, config: dict) -> int:
     res = rho.rho_limit(args.tol)
     if args.json:
         _emit_json(
@@ -252,7 +242,7 @@ def _cmd_rho_limit(args, workers: int) -> int:
     return 0
 
 
-def _cmd_theta(args, workers: int) -> int:
+def _cmd_theta(args, config: dict) -> int:
     table_j = min(max(args.r - 1, 1), 13)
     sol, _ = rho.solve_rho_chain(table_j)
     lim = rho.rho_limit()
@@ -274,28 +264,28 @@ def _cmd_theta(args, workers: int) -> int:
     return 0
 
 
-def _cmd_eta(args, workers: int) -> int:
+def _cmd_eta(args, config: dict) -> int:
     print(_fmt(rho.eta(rho.rho_limit().value)))
     return 0
 
 
-def _cmd_constants(args, workers: int) -> int:
+def _cmd_constants(args, config: dict) -> int:
     _emit_json(rho.constants().to_json_dict(), args.out)
     return 0
 
 
-def _cmd_check(args, workers: int, config: dict) -> int:
+def _cmd_check(args, config: dict) -> int:
     flag = _build_flag(args)
     eps = list(optmeas.PERTURB_EPSILONS)
     if args.perturb:
         eps.extend(args.perturb)
     cap = int(config.get("subflag_cap", flags_mod.SUBFLAG_SPACE_CAP))
-    _system, cert = optmeas.certify_system(flag, eps_list=eps, workers=workers, cap=cap)
+    _system, cert = optmeas.certify_system(flag, eps_list=eps, cap=cap)
     _emit_json(cert.to_json_dict(), args.out)
     return 0 if cert.ok else 3
 
 
-def _cmd_measures(args, workers: int) -> int:
+def _cmd_measures(args, config: dict) -> int:
     flag = _build_flag(args)
     data = optmeas.optimal_measure(flag)
     optmeas.optimal_parameters(data)
@@ -303,17 +293,15 @@ def _cmd_measures(args, workers: int) -> int:
     return 0
 
 
-def _cmd_tree(args, workers: int) -> int:
+def _cmd_tree(args, config: dict) -> int:
     flag = _build_flag(args)
     _emit_json(flags_mod.tree_json_dict(flag), args.out)
     return 0
 
 
-def _cmd_simulate(args, workers: int) -> int:
+def _cmd_simulate(args, config: dict) -> int:
     if args.experiment == "equal-sums":
-        est = simlab.equal_sums_probability(
-            args.D, args.c, args.k, args.trials, args.seed, workers
-        )
+        est = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
         doc = {
             "schema": "cubeflags.equalsums.v1",
             "D": est.D,
@@ -328,7 +316,7 @@ def _cmd_simulate(args, workers: int) -> int:
             "note": "qualitative; no finite-D agreement with asymptotic thresholds is claimed",
         }
         if args.out:
-            rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed, workers)
+            rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
             _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
         if args.json:
             _emit_json(doc, None)
@@ -354,10 +342,10 @@ def _cmd_simulate(args, workers: int) -> int:
             print(f"multiplicity {res.k_max} from {succ} successful windows; common sum {res.witness_sum}")
         return 0
     if args.experiment == "delta-int":
-        stats = simlab.sample_delta_integer(args.X, args.samples, args.seed, workers)
+        stats = simlab.sample_delta_integer(args.X, args.samples, args.seed)
     elif args.experiment == "delta-perm":
-        stats = simlab.sample_delta_perm(args.n, args.samples, args.seed, workers)
-    elif args.experiment == "delta-poly":
+        stats = simlab.sample_delta_perm(args.n, args.samples, args.seed)
+    else:  # delta-poly
         d_range = None
         if args.dmin is not None and args.dmax is not None:
             d_range = (args.dmin, args.dmax)
@@ -369,11 +357,7 @@ def _cmd_simulate(args, workers: int) -> int:
                     "pass --dmin/--dmax for a nonvacuous simulation",
                     file=sys.stderr,
                 )
-        stats = simlab.sample_delta_poly(
-            args.q, args.n, args.model, args.samples, args.seed, workers, d_range
-        )
-    else:
-        raise UsageError(f"unknown experiment {args.experiment!r}")
+        stats = simlab.sample_delta_poly(args.q, args.n, args.model, args.samples, args.seed, d_range)
     rows = [
         {"trial": i, "param": str(s.param), "delta": s.delta}
         for i, s in enumerate(stats.samples)
@@ -396,44 +380,28 @@ def _cmd_simulate(args, workers: int) -> int:
     return 0
 
 
+_COMMANDS = {
+    "rho-table": _cmd_rho_table,
+    "rho-limit": _cmd_rho_limit,
+    "theta": _cmd_theta,
+    "eta": _cmd_eta,
+    "constants": _cmd_constants,
+    "check": _cmd_check,
+    "measures": _cmd_measures,
+    "tree": _cmd_tree,
+    "simulate": _cmd_simulate,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        workers = _resolve_workers(args, config)
-        if args.command == "rho-table":
-            return _cmd_rho_table(args, workers)
-        if args.command == "rho-limit":
-            return _cmd_rho_limit(args, workers)
-        if args.command == "theta":
-            return _cmd_theta(args, workers)
-        if args.command == "eta":
-            return _cmd_eta(args, workers)
-        if args.command == "constants":
-            return _cmd_constants(args, workers)
-        if args.command == "check":
-            return _cmd_check(args, workers, config)
-        if args.command == "measures":
-            return _cmd_measures(args, workers)
-        if args.command == "tree":
-            return _cmd_tree(args, workers)
-        if args.command == "simulate":
-            return _cmd_simulate(args, workers)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (CapacityError, NumericInstabilityError) as exc:
+        return _COMMANDS[args.command](args, _load_config(args.config))
+    except CubeflagsError as exc:  # first: DimensionMismatchError is also a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CubeflagsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

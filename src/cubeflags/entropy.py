@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -207,13 +206,11 @@ def _label_subflag(sf: Subflag) -> tuple[str, Optional[int]]:
     return ("dims=" + ",".join(str(W.dim) for W in sf.spaces), None)
 
 
-def check_entropy_condition(
-    system: System, workers: int = 1, cap: int = 10**6
-) -> EReport:
+def check_entropy_condition(system: System, cap: int = 10**6) -> EReport:
     """Evaluate e over the enumerated subflags plus all basic subflags.
 
-    Entries are sorted by their deterministic enumeration id, so the report
-    does not depend on worker scheduling; argmin ties break to the lowest id.
+    Entries carry their deterministic enumeration id; argmin ties break to
+    the lowest id.
     """
     flag = system.flag
     subflags = list(enumerate_subflags(flag, cap))
@@ -224,18 +221,13 @@ def check_entropy_condition(
             subflags.append(b)
             known.add(b.spaces)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda sf: e_value(system, sf), subflags))
-    else:
-        values = [e_value(system, sf) for sf in subflags]
-
     e_full = math.fsum(
         system.thresholds[j - 1] * (flag.spaces[j].dim - flag.spaces[j - 1].dim)
         for j in range(1, flag.order + 1)
     )
     entries = []
-    for idx, (sf, val) in enumerate(zip(subflags, values)):
+    for idx, sf in enumerate(subflags):
+        val = e_value(system, sf)
         label, basic_m = _label_subflag(sf)
         entries.append(
             EEntry(idx, label, sf.dims(), val, val - e_full, sf.is_full(), basic_m)

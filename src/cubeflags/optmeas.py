@@ -23,7 +23,7 @@ never claim more than their enumeration universe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log
 from typing import Optional, Sequence
 
@@ -257,26 +257,29 @@ class GapCheck:
 
 @dataclass
 class Certificate:
-    """Full verification record for a flag's extremal system."""
+    """Full verification record for a flag's extremal system.
+
+    The defaults describe a record in which no check ran and none passed.
+    """
 
     flag_kind: str
     order: int
     ambient_dim: int
     rho: tuple[float, ...]
-    c_star: tuple[float, ...]
-    ereport: Optional[EReport]
-    basic_slacks: dict
-    basic_tight_ok: bool
-    nonbasic_min_slack: Optional[float]
-    nonbasic_ok: bool
-    gap_checks: list
-    gap_ok: bool
-    invariant_intermediate: Optional[dict]
-    perturbed: dict  # eps -> {"min_slack":..., "ok":...}
-    perturbed_ok: bool
-    universe: str
-    failures: list
-    ok: bool
+    c_star: tuple[float, ...] = ()
+    ereport: Optional[EReport] = None
+    basic_slacks: dict = field(default_factory=dict)
+    basic_tight_ok: bool = False
+    nonbasic_min_slack: Optional[float] = None
+    nonbasic_ok: bool = False
+    gap_checks: list = field(default_factory=list)
+    gap_ok: bool = False
+    invariant_intermediate: Optional[dict] = None
+    perturbed: dict = field(default_factory=dict)  # eps -> {"min_slack":..., "ok":...}
+    perturbed_ok: bool = False
+    universe: str = ""
+    failures: list = field(default_factory=list)
+    ok: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,7 +319,6 @@ def certify_system(
     flag: Flag,
     sol: Optional[RhoSolution] = None,
     eps_list: Sequence[float] = PERTURB_EPSILONS,
-    workers: int = 1,
     cap: int = 10**6,
 ) -> tuple[Optional[System], Certificate]:
     """Build the extremal system for a flag and verify everything checkable.
@@ -337,33 +339,14 @@ def certify_system(
         system = System(flag, c_star, data.restrictions)
     except DegenerateParametersError as exc:
         failures.append(f"optimal parameters do not exist: {exc}")
-        cert = Certificate(
-            flag_kind=flag.kind,
-            order=flag.order,
-            ambient_dim=flag.ambient_dim,
-            rho=sol.rhos,
-            c_star=(),
-            ereport=None,
-            basic_slacks={},
-            basic_tight_ok=False,
-            nonbasic_min_slack=None,
-            nonbasic_ok=False,
-            gap_checks=[],
-            gap_ok=False,
-            invariant_intermediate=None,
-            perturbed={},
-            perturbed_ok=False,
-            universe="",
-            failures=failures,
-            ok=False,
-        )
-        return None, cert
+        return None, Certificate(flag.kind, flag.order, flag.ambient_dim, sol.rhos,
+                                 failures=failures)
 
     r = flag.order
     d = [W.dim for W in flag.spaces]
     H = entropy_matrix(data)
 
-    report = check_entropy_condition(system, workers=workers, cap=cap)
+    report = check_entropy_condition(system, cap=cap)
 
     basic_slacks = {
         e.basic_m: e.slack for e in report.entries if e.basic_m is not None
@@ -439,9 +422,7 @@ def certify_system(
             # the shift exceeds c_{r+1}: this epsilon is too coarse here
             perturbed[eps] = {"min_slack": None, "ok": None, "infeasible": True}
             return None
-        rep = check_entropy_condition(
-            System(flag, c_tilde, data.restrictions), workers=workers, cap=cap
-        )
+        rep = check_entropy_condition(System(flag, c_tilde, data.restrictions), cap=cap)
         ok = rep.min_slack > 0.0
         perturbed[eps] = {"min_slack": rep.min_slack, "ok": ok}
         return ok

@@ -156,6 +156,44 @@ def _check_crude_bounds(row: list, i: int):
             )
 
 
+def _a_step(x: float, left: float, up: float, up2: float) -> float:
+    """L[i][j] from left = L[i][j-1], up = L[i-1][j-1], up2 = L[i-1][j-2]."""
+    t = 2.0 * left
+    return t + log1p(exp(x * up - t) - exp(2.0 * x * up2 - t))
+
+
+def _bisect(phi, a: float, b: float, width: float, what: str) -> float:
+    """Root of the monotone phi on [a, b] by bisection.
+
+    Stops once the bracket is at most width wide or float resolution is
+    exhausted, and returns its midpoint; an exact zero of phi (endpoints
+    included) is returned as is.  When phi(a) and phi(b) have one sign, or
+    are both zero, it raises NumericInstabilityError naming the equation.
+    """
+    fa, fb = phi(a), phi(b)
+    if (fa > 0) - (fa < 0) == (fb > 0) - (fb < 0):
+        raise NumericInstabilityError(
+            f"no root in ({a:g},{b:g}) for {what}: phi({a:g})={fa}, phi({b:g})={fb}"
+        )
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    neg = fa < 0
+    while b - a > width:
+        m = 0.5 * (a + b)
+        if m == a or m == b:  # float resolution exhausted
+            break
+        fm = phi(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0) == neg:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def extend_a_row(table: LogATable, i: int, x: float, ncols: Optional[int] = None) -> list:
     """Compute row i in the log domain from row i-1 with candidate rho_{i-1} = x.
 
@@ -173,10 +211,7 @@ def extend_a_row(table: LogATable, i: int, x: float, ncols: Optional[int] = None
         ncols = len(prev)  # the longest row the stored prefix supports
     row = [None, LOG2, log(2.0 + 2.0**x)]
     for j in range(3, ncols + 1):
-        t = 2.0 * row[j - 1]
-        u = x * prev[j - 1] - t
-        v = 2.0 * x * prev[j - 2] - t
-        row.append(t + log1p(exp(u) - exp(v)))
+        row.append(_a_step(x, row[j - 1], prev[j - 1], prev[j - 2]))
     _check_crude_bounds(row, i)
     return row
 
@@ -196,25 +231,7 @@ def solve_rho_j(j: int, table: LogATable) -> tuple[float, float]:
         row = extend_a_row(table, j + 1, x, ncols=j + 2)
         return row[j + 2] - x * target - pow2j
 
-    a, b = 0.0, 1.0
-    fa, fb = phi(a), phi(b)
-    if fa == 0.0:
-        a = b = 0.0
-    elif fb == 0.0:
-        a = b = 1.0
-    elif (fa < 0) == (fb < 0):
-        raise NumericInstabilityError(f"no sign change for rho_{j}: phi(0)={fa}, phi(1)={fb}")
-    while b - a > BISECT_WIDTH:
-        m = 0.5 * (a + b)
-        fm = phi(m)
-        if fm == 0.0:
-            a = b = m
-            break
-        if (fm < 0) == (fa < 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    x = 0.5 * (a + b)
+    x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, f"the rho_{j} equation")
     residual = abs(phi(x))
     table.rows[j + 1] = extend_a_row(table, j + 1, x, ncols=j + 3)
     table.rho[j + 1] = x
@@ -232,9 +249,9 @@ class RhoSolution:
     def __post_init__(self):
         for x in self.rhos:
             if not 0.0 < x < 1.0:
-                raise ValueError(f"rho value {x} outside (0,1)")
+                raise NumericInstabilityError(f"rho value {x} outside (0,1)")
         if any(x > self.rhos[0] + 1e-12 for x in self.rhos):
-            raise ValueError("rho_j must not exceed rho_1")
+            raise NumericInstabilityError(f"rho_j must not exceed rho_1: {self.rhos}")
 
     def padded(self, n: int, limit: Optional[float] = None) -> tuple[float, ...]:
         """First n rho values, reusing the limit beyond the solved range."""
@@ -253,7 +270,6 @@ def solve_rho_chain(max_j: int) -> tuple[RhoSolution, LogATable]:
         # row j must extend to column j+1 before solving equation j
         need = j + 1
         if len(table.rows[j]) - 1 < need:
-            row = table.rows[j]
             if j == 1:
                 table.ensure_row1(need)
             else:
@@ -280,21 +296,7 @@ def solve_rho_chain_genotype(max_j: int) -> RhoSolution:
         def phi(x: float) -> float:
             return log(F_genotype(nxt, rhos + [x])) - x * log_fj - pow2j
 
-        a, b = 0.0, 1.0
-        fa, fb = phi(a), phi(b)
-        if (fa < 0) == (fb < 0):
-            raise NumericInstabilityError(f"no sign change for rho_{j} (genotype route)")
-        while b - a > BISECT_WIDTH:
-            m = 0.5 * (a + b)
-            fm = phi(m)
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
-        x = 0.5 * (a + b)
+        x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, f"the rho_{j} equation (genotype route)")
         rhos.append(x)
         residuals.append(abs(phi(x)))
     return RhoSolution(tuple(rhos), tuple(residuals), "genotype")
@@ -314,23 +316,7 @@ def solve_flag_rhos(flag: Flag) -> RhoSolution:
         def phi(x: float) -> float:
             return log(f_cell_direct(tree, gamma_j1, rhos + [x])) - x * log_fj - d
 
-        a, b = 0.0, 1.0
-        fa, fb = phi(a), phi(b)
-        if (fa < 0) == (fb < 0):
-            raise NumericInstabilityError(
-                f"no root in (0,1) for equation {j}: phi(0)={fa}, phi(1)={fb}"
-            )
-        while b - a > BISECT_WIDTH:
-            m = 0.5 * (a + b)
-            fm = phi(m)
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
-        x = 0.5 * (a + b)
+        x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, f"equation {j}")
         rhos.append(x)
         residuals.append(abs(phi(x)))
     return RhoSolution(tuple(rhos), tuple(residuals), "genotype")
@@ -364,10 +350,8 @@ def _limit_series_gap(rho: float, nterms: int) -> tuple[float, int, float]:
     """1/(1 - rho/2) - [log 2 + series]; returns (gap, terms, tail bound)."""
     ell = [None, LOG2, log(2.0 + 2.0**rho)]
     for j in range(3, nterms + 2):
-        t = 2.0 * ell[j - 1]
-        u = rho * ell[j - 1] - t
-        v = 2.0 * rho * ell[j - 2] - t
-        ell.append(t + log1p(exp(u) - exp(v)))
+        # the limit row is its own predecessor
+        ell.append(_a_step(rho, ell[j - 1], ell[j - 1], ell[j - 2]))
     s = LOG2
     used = 0
     tail = 0.0
@@ -389,24 +373,9 @@ def rho_limit(tolerance: float = 1e-15, max_terms: int = LIMIT_SERIES_TERMS) -> 
     The series is truncated once a term vanishes to double precision (always
     long before max_terms; term j is of order (2/3)^(2^(j-1))).
     """
-    a, b = 0.1, 0.9
-    fa, _, _ = _limit_series_gap(a, max_terms)
-    fb, _, _ = _limit_series_gap(b, max_terms)
-    if (fa < 0) == (fb < 0):
-        raise NumericInstabilityError("limit equation has no sign change on [0.1, 0.9]")
-    while b - a > tolerance:
-        m = 0.5 * (a + b)
-        if m == a or m == b:  # float resolution exhausted
-            break
-        fm, _, _ = _limit_series_gap(m, max_terms)
-        if fm == 0.0:
-            a = b = m
-            break
-        if (fm < 0) == (fa < 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    x = 0.5 * (a + b)
+    x = _bisect(
+        lambda r: _limit_series_gap(r, max_terms)[0], 0.1, 0.9, tolerance, "the limit equation"
+    )
     gap, used, tail = _limit_series_gap(x, max_terms)
     return RhoLimitResult(x, used, tail, abs(gap))
 

@@ -5,8 +5,8 @@ and polynomials over finite fields.
 Reproducibility contract: every sampler takes a numpy Generator produced by
 substream(seed, trial), a counter-based Philox stream keyed by the mixed
 (seed, trial index) entropy.  Results therefore depend only on (seed, trial)
-and never on execution order or worker count; aggregation is restricted to
-order-independent reductions over trial-indexed rows.
+and never on execution order; aggregation is restricted to order-independent
+reductions over trial-indexed rows.
 
 Subset sums are exact integers end to end: the incremental census uses
 Python ints, and the vectorized census uses int64, which is exact for the
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, log
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,14 +40,6 @@ RANDOMIZED_SAMPLES = 20000
 def substream(seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial RNG: Philox keyed by SeedSequence([seed, trial])."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, trial])))
-
-
-def run_indexed(fn: Callable[[int], object], n: int, workers: int = 1) -> list:
-    """fn(0..n-1), preserving index order regardless of worker count."""
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +250,14 @@ def equal_sums_trial(D: float, c: float, k: int, seed: int, trial: int) -> tuple
     return res.k_max >= k, False, len(A)
 
 
-def equal_sums_probability(
-    D: float, c: float, k: int, trials: int, seed: int, workers: int = 1
-) -> EqualSumsEstimate:
+def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -> EqualSumsEstimate:
     """Fraction of trials in which A /\\ [D^c, D] has k equal subset sums.
 
     The estimate is monotone nonincreasing in c up to CI width; no finite-D
     agreement with the asymptotic thresholds is claimed (convergence in D is
     slow), so treat sweeps over c as qualitative.
     """
-    rows = run_indexed(lambda t: equal_sums_trial(D, c, k, seed, t), trials, workers)
+    rows = [equal_sums_trial(D, c, k, seed, t) for t in range(trials)]
     successes = sum(1 for ok, _, _ in rows if ok)
     inexact = sum(1 for _, ex, _ in rows if not ex)
     lo, hi = wilson_ci(successes, trials)
@@ -277,9 +267,7 @@ def equal_sums_probability(
     )
 
 
-def equal_sums_rows(
-    D: float, c: float, k: int, trials: int, seed: int, workers: int = 1
-) -> list[dict]:
+def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> list[dict]:
     """Per-trial census rows (trial, set_size, k_max, exact) for CSV export."""
 
     def one(t: int) -> dict:
@@ -297,7 +285,7 @@ def equal_sums_rows(
             "exact": int(res.exact),
         }
 
-    return run_indexed(one, trials, workers)
+    return [one(t) for t in range(trials)]
 
 
 def amplify_demo(
@@ -503,13 +491,15 @@ class DeltaStats:
 
     @staticmethod
     def from_samples(kind: str, samples: Sequence[DeltaSample]) -> "DeltaStats":
+        if not samples:
+            raise ValueError("samples must be >= 1")
         deltas = [s.delta for s in samples]
         return DeltaStats(
             kind, tuple(samples), sum(deltas) / len(deltas), max(deltas)
         )
 
 
-def sample_delta_integer(X: int, samples: int, seed: int, workers: int = 1) -> DeltaStats:
+def sample_delta_integer(X: int, samples: int, seed: int) -> DeltaStats:
     """delta on uniform random integers in [1, X]."""
     if X > 1 << 50:
         raise ValueError("X must be <= 2^50")
@@ -519,7 +509,7 @@ def sample_delta_integer(X: int, samples: int, seed: int, workers: int = 1) -> D
         n = int(rng.integers(1, X + 1))
         return delta_integer(n)
 
-    return DeltaStats.from_samples("integer", run_indexed(one, samples, workers))
+    return DeltaStats.from_samples("integer", [one(t) for t in range(samples)])
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +579,12 @@ def delta_perm_bruteforce(cycle_type: Sequence[int]) -> int:
     return max(census.values())
 
 
-def sample_delta_perm(n: int, samples: int, seed: int, workers: int = 1) -> DeltaStats:
+def sample_delta_perm(n: int, samples: int, seed: int) -> DeltaStats:
     def one(t: int) -> DeltaSample:
         rng = substream(seed, t)
         return delta_perm(sample_cycle_type(n, rng))
 
-    return DeltaStats.from_samples("permutation", run_indexed(one, samples, workers))
+    return DeltaStats.from_samples("permutation", [one(t) for t in range(samples)])
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +616,8 @@ def _prime_power_base(q: int) -> int:
     return next(iter(f))
 
 
+# sample_poly_degrees asks for every degree of its window once per sample
+@lru_cache(maxsize=4096)
 def irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducible degree-d polynomials over F_q (exact)."""
     if not 2 <= q <= MAX_POLY_Q:
@@ -709,11 +701,10 @@ def sample_delta_poly(
     model: str,
     samples: int,
     seed: int,
-    workers: int = 1,
     d_range: Optional[tuple[int, int]] = None,
 ) -> DeltaStats:
     def one(t: int) -> DeltaSample:
         rng = substream(seed, t)
         return delta_poly(sample_poly_degrees(q, n, model, rng, d_range))
 
-    return DeltaStats.from_samples("polynomial", run_indexed(one, samples, workers))
+    return DeltaStats.from_samples("polynomial", [one(t) for t in range(samples)])

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from cubeflags.cli import main
 
 TABLE = [
@@ -230,6 +232,29 @@ def test_simulate_delta_poly(capsys):
     )
     doc = json.loads(out)
     assert code == 0 and doc["kind"] == "polynomial"
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [("delta-int", "--X", "1000"), ("delta-perm", "--n", "10"),
+     ("delta-poly", "--dmin", "2", "--dmax", "5")],
+    ids=lambda e: e[0],
+)
+def test_simulate_delta_zero_samples_usage_error(capsys, experiment):
+    code, _, err = run(capsys, "simulate", *experiment, "--samples", "0")
+    assert code == 1
+    assert err.startswith("usage error:")
+
+
+def test_rho_invariant_violation_is_numeric_error(capsys, tmp_path):
+    # a well-formed chain in Q^6 (dims 1, 3, 4, 5) whose solved
+    # rho_2 = 0.3310... exceeds rho_1 = 0.2972...: a numeric fault, exit 2
+    flag_file = tmp_path / "rising.flag"
+    flag_file.write_text("110011 110101\n110011 110101 100010\n110011 110101 100010 011010\n")
+    code, out, err = run(capsys, "check", "--flag", "file", "--file", str(flag_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: rho_j must not exceed rho_1")
 
 
 def test_config_file_and_override(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from cubeflags import rho
 from cubeflags.errors import CapacityError, NumericInstabilityError
-from cubeflags.flags import Genotype, binary_flag, cell_tree, mt_flag
+from cubeflags.flags import Genotype, binary_flag, cell_tree, mt_flag, parse_flag_text
 from cubeflags.rho import (
     F_genotype,
     LogATable,
@@ -257,6 +257,23 @@ def test_rho_limit_value():
     assert abs(res.value - RHO_LIMIT_REF) < 1e-13
     assert res.residual < 1e-12
     assert res.tail_bound < 1e-300 or res.tail_bound == 0.0
+
+
+def test_rho_limit_zero_tolerance_terminates():
+    # the limit equation has an exact float zero, which ends the bisection
+    assert rho_limit(0.0).value == rho_limit().value
+
+
+def test_bisect_stops_at_float_resolution():
+    # a step with no exact zero: width 0 ends only when no float is between a and b
+    x = rho._bisect(lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0, 0.0, "a step")
+    assert abs(x - 0.3) <= math.ulp(0.3)
+
+
+def test_flag_equation_without_sign_change_raises():
+    flag = parse_flag_text("1011\n1011 1001 0110\n1011 1001 0110 1001 0000\n")
+    with pytest.raises(NumericInstabilityError, match=r"no root in \(0,1\) for equation 2"):
+        solve_flag_rhos(flag)
 
 
 def test_rho13_close_to_limit():

@@ -145,11 +145,9 @@ def test_equal_sums_probability_small_c_smoke():
     assert est.ci_low <= est.estimate <= est.ci_high
 
 
-def test_equal_sums_rows_deterministic_across_workers():
-    rows1 = S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3, workers=1)
-    rows4 = S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3, workers=4)
-    rows8 = S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3, workers=8)
-    assert rows1 == rows4 == rows8
+def test_equal_sums_rows_deterministic():
+    rows = S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3)
+    assert rows == S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3)
 
 
 def test_amplify_product_construction():
@@ -237,7 +235,7 @@ def test_sample_delta_integer():
     stats = S.sample_delta_integer(10**6, 50, seed=4)
     assert len(stats.samples) == 50
     assert stats.max_delta >= 1
-    again = S.sample_delta_integer(10**6, 50, seed=4, workers=4)
+    again = S.sample_delta_integer(10**6, 50, seed=4)
     assert stats == again
 
 
@@ -420,6 +418,6 @@ def test_delta_poly_product():
 
 def test_sample_delta_poly_deterministic():
     a = S.sample_delta_poly(2, 2000, "poisson", 30, seed=2, d_range=(2, 40))
-    b = S.sample_delta_poly(2, 2000, "poisson", 30, seed=2, workers=4, d_range=(2, 40))
+    b = S.sample_delta_poly(2, 2000, "poisson", 30, seed=2, d_range=(2, 40))
     assert a == b
     assert all(s.delta >= 1 for s in a.samples)
