@@ -76,6 +76,10 @@ def _emit_rows(rows: list[dict], header: list[str], fmt: str, out: Optional[str]
         sys.stdout.write(text)
 
 
+# workers is accepted and ignored, like --workers
+_CONFIG_KEYS = ("subflag_cap", "workers")
+
+
 def _load_config(path: Optional[str]) -> dict:
     """key=value presets ('#' comments); command-line flags override."""
     if not path:
@@ -89,6 +93,8 @@ def _load_config(path: Optional[str]) -> dict:
             if "=" not in line:
                 raise UsageError(f"bad config line: {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}")
             out[key] = val
     return out
 
@@ -347,7 +353,10 @@ def _cmd_simulate(args, config: dict) -> int:
         stats = simlab.sample_delta_perm(args.n, args.samples, args.seed)
     else:  # delta-poly
         d_range = None
-        if args.dmin is not None and args.dmax is not None:
+        if (args.dmin is None) != (args.dmax is None):
+            missing = "--dmax" if args.dmax is None else "--dmin"
+            raise UsageError(f"--dmin and --dmax go together: {missing} is missing")
+        if args.dmin is not None:
             d_range = (args.dmin, args.dmax)
         else:
             lo, hi = simlab.lemma_degree_range(args.n)

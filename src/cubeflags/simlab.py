@@ -8,10 +8,11 @@ substream(seed, trial), a counter-based Philox stream keyed by the mixed
 and never on execution order; aggregation is restricted to order-independent
 reductions over trial-indexed rows.
 
-Subset sums are exact integers end to end: the incremental census uses
-Python ints, and the vectorized census uses int64, which is exact for the
-guarded domain (elements <= 2^50, at most 26 of them).  No modular hashing
-is involved, so a reported collision is a real collision.
+Subset sums are exact integers end to end: every census holds them as
+int64, which is exact for the guarded domain (elements <= 2^50, at most 26
+of them for the exact censuses, at most 62 for the vectorized randomized
+search; beyond 62 the randomized search uses Python ints).  No modular
+hashing is involved, so a reported collision is a real collision.
 """
 
 from __future__ import annotations
@@ -101,6 +102,19 @@ class MultiplicityResult:
     detail: Optional[dict] = None
 
 
+def _distinct_values(A: Sequence[int]) -> list[int]:
+    """The distinct elements of A in ascending order, checked against 2^50."""
+    values = sorted(set(int(a) for a in A))
+    if any(not 1 <= v <= MAX_ELEMENT for v in values):
+        raise ValueError("elements must be positive and <= 2^50")
+    return values
+
+
+def _exact_guard(n: int) -> None:
+    if n > EXACT_SUBSET_LIMIT:
+        raise CapacityError(f"exact census guard: |A| = {n} > {EXACT_SUBSET_LIMIT}")
+
+
 def _census_sums(values: Sequence[int]) -> np.ndarray:
     """All 2^n subset sums as int64; index bit i selects values[i]."""
     sums = np.zeros(1, dtype=np.int64)
@@ -130,15 +144,13 @@ def max_subset_sum_multiplicity(
 
     exact mode enumerates all 2^n subset sums (n <= 26) and returns the true
     maximum with up to k_max witnesses; randomized mode draws subsets
-    uniformly at random (deduplicated), giving a lower-bound witness.
+    uniformly at random (deduplicated), giving a lower-bound witness.  Ties
+    go to the least sum, and witnesses are listed by ascending subset mask.
     """
-    values = sorted(set(int(a) for a in A))
+    values = _distinct_values(A)
     n = len(values)
-    if any(not 1 <= v <= MAX_ELEMENT for v in values):
-        raise ValueError("elements must be positive and <= 2^50")
     if mode == "exact":
-        if n > EXACT_SUBSET_LIMIT:
-            raise CapacityError(f"exact census guard: |A| = {n} > {EXACT_SUBSET_LIMIT}")
+        _exact_guard(n)
         sums = _census_sums(values)
         uniq, counts = np.unique(sums, return_counts=True)
         k_max = int(counts.max())
@@ -150,19 +162,26 @@ def max_subset_sum_multiplicity(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("randomized mode needs an rng")
-    by_sum: dict[int, set] = {}
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if n <= 62:
-        masks = rng.integers(0, 1 << n, size=samples, dtype=np.uint64)
-        masks = [int(m) for m in masks]
-    else:
-        words = (n + 31) // 32
-        draws = rng.integers(0, 1 << 32, size=(samples, words), dtype=np.uint64)
-        masks = []
-        for row in draws:
-            m = 0
-            for w, word in enumerate(row):
-                m |= int(word) << (32 * w)
-            masks.append(m & ((1 << n) - 1))
+        masks = np.unique(rng.integers(0, 1 << n, size=samples, dtype=np.uint64))
+        bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        # exact: at most 62 terms of at most 2^50 each
+        sums = bits.astype(np.int64) @ np.array(values, dtype=np.int64)
+        uniq, inverse, counts = np.unique(sums, return_inverse=True, return_counts=True)
+        best = int(np.argmax(counts))  # first maximum: the least sum
+        witnesses = tuple(tuple(np.flatnonzero(row).tolist()) for row in bits[inverse == best])
+        return MultiplicityResult(int(counts[best]), int(uniq[best]), witnesses, False)
+    words = (n + 31) // 32
+    draws = rng.integers(0, 1 << 32, size=(samples, words), dtype=np.uint64)
+    masks = []
+    for row in draws:
+        m = 0
+        for w, word in enumerate(row):
+            m |= int(word) << (32 * w)
+        masks.append(m & ((1 << n) - 1))
+    by_sum: dict[int, set] = {}
     for m in masks:
         s = 0
         mm = m
@@ -186,26 +205,27 @@ def max_subset_sum_multiplicity(
 def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
     """Exact decision: do k distinct subsets of A share a sum?
 
-    Early-exits on the k-th repeat, which makes collision-rich sets cheap;
-    a full 2^n walk happens only for sets that are nearly sum-distinct.
+    Holds the subset sums of the elements seen so far as one sorted int64
+    array (8 bytes per sum).  Each element merges in the shifted copy of the
+    array, and the walk stops at the first level with k equal neighbours,
+    which makes collision-rich sets cheap; a full 2^n walk happens only for
+    sets that are nearly sum-distinct.
     """
-    values = sorted(set(int(a) for a in A))
-    if len(values) > EXACT_SUBSET_LIMIT:
-        raise CapacityError(f"exact census guard: |A| = {len(values)} > {EXACT_SUBSET_LIMIT}")
+    values = _distinct_values(A)
+    _exact_guard(len(values))
     if k <= 1:
         return True
-    counts = {0: 1}
-    sums = [0]
+    sums = np.zeros(1, dtype=np.int64)
     for a in values:
-        fresh = []
-        for s in sums:
-            t = s + a
-            c = counts.get(t, 0) + 1
-            if c >= k:
-                return True
-            counts[t] = c
-            fresh.append(t)
-        sums.extend(fresh)
+        m = len(sums)
+        merged = np.empty(2 * m, dtype=np.int64)
+        merged[:m] = sums
+        np.add(sums, a, out=merged[m:])
+        sums = merged  # drops the old array before the sort takes its buffer
+        # two sorted runs: the stable sort (timsort for int64) merges them in O(m)
+        sums.sort(kind="stable")
+        if 2 * m >= k and (sums[k - 1:] == sums[:1 - k]).any():
+            return True
     return False
 
 

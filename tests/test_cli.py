@@ -246,6 +246,16 @@ def test_simulate_delta_zero_samples_usage_error(capsys, experiment):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize(
+    "given, missing", [(("--dmin", "2"), "--dmax"), (("--dmax", "40"), "--dmin")]
+)
+def test_simulate_delta_poly_half_window_usage_error(capsys, given, missing):
+    code, out, err = run(capsys, "simulate", "delta-poly", *given, "--samples", "3")
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: --dmin and --dmax go together: {missing} is missing\n"
+
+
 def test_rho_invariant_violation_is_numeric_error(capsys, tmp_path):
     # a well-formed chain in Q^6 (dims 1, 3, 4, 5) whose solved
     # rho_2 = 0.3310... exceeds rho_1 = 0.2972...: a numeric fault, exit 2
@@ -267,6 +277,16 @@ def test_config_file_and_override(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["trials"] == 10
+
+
+def test_config_unknown_key_usage_error(capsys, tmp_path):
+    # a misspelt subflag_cap must not run silently with the default cap
+    cfg = tmp_path / "cfg"
+    cfg.write_text("subflag_cpa = 1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "check", "--flag", "binary", "--order", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: unknown config key 'subflag_cpa'\n"
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -1,6 +1,11 @@
 import math
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cubeflags import simlab as S
@@ -132,6 +137,121 @@ def test_has_k_equal_sums_matches_census():
         res = S.max_subset_sum_multiplicity(vals, "exact")
         for k in (2, 3, res.k_max, res.k_max + 1):
             assert S.has_k_equal_sums(vals, k) == (res.k_max >= k)
+
+
+# Loop references for the int64 census: a Python-int dict walk for
+# has_k_equal_sums and a per-mask bit loop for the randomized search.
+
+
+def _dict_walk_has_k_equal_sums(A, k):
+    values = sorted(set(int(a) for a in A))
+    if k <= 1:
+        return True
+    counts = {0: 1}
+    sums = [0]
+    for a in values:
+        fresh = []
+        for s in sums:
+            t = s + a
+            c = counts.get(t, 0) + 1
+            if c >= k:
+                return True
+            counts[t] = c
+            fresh.append(t)
+        sums.extend(fresh)
+    return False
+
+
+def _bit_loop_randomized(A, rng, samples):
+    values = sorted(set(int(a) for a in A))
+    n = len(values)
+    if n <= 62:
+        masks = [int(m) for m in rng.integers(0, 1 << n, size=samples, dtype=np.uint64)]
+    else:
+        words = (n + 31) // 32
+        draws = rng.integers(0, 1 << 32, size=(samples, words), dtype=np.uint64)
+        masks = []
+        for row in draws:
+            m = 0
+            for w, word in enumerate(row):
+                m |= int(word) << (32 * w)
+            masks.append(m & ((1 << n) - 1))
+    by_sum = {}
+    for m in masks:
+        s = sum(v for i, v in enumerate(values) if m >> i & 1)
+        by_sum.setdefault(s, set()).add(m)
+    k_max = max(len(ms) for ms in by_sum.values())
+    best_sum = min(s for s, ms in by_sum.items() if len(ms) == k_max)
+    witnesses = tuple(
+        tuple(i for i in range(n) if m >> i & 1) for m in sorted(by_sum[best_sum])
+    )
+    return S.MultiplicityResult(k_max, best_sum, witnesses, False)
+
+
+def _random_multiset(t):
+    # duplicates in A, the empty set, small and near-2^50 elements
+    rng = S.substream(61, t)
+    size = int(rng.integers(0, 15))
+    top = int(rng.choice([8, 60, 1000, 1 << 20, S.MAX_ELEMENT]))
+    return [int(x) for x in rng.integers(1, top, size=size, endpoint=True)]
+
+
+def test_has_k_equal_sums_matches_dict_walk():
+    assert S.has_k_equal_sums([], 1) and not S.has_k_equal_sums([], 2)
+    for t in range(240):
+        A = _random_multiset(t)
+        n = len(set(A))
+        k_max = S.max_subset_sum_multiplicity(A, "exact").k_max
+        for k in (0, 1, 2, 3, k_max, k_max + 1, 2**n + 1):
+            got = S.has_k_equal_sums(A, k)
+            assert got == _dict_walk_has_k_equal_sums(A, k), (t, A, k)
+            assert got == (k <= k_max), (t, A, k)
+
+
+@pytest.mark.parametrize("A", [[0, 1], [3, S.MAX_ELEMENT + 1]])
+def test_has_k_equal_sums_rejects_elements_outside_exact_domain(A):
+    # int64 sums are exact only for elements in [1, 2^50]
+    with pytest.raises(ValueError, match="positive and <= 2"):
+        S.has_k_equal_sums(A, 2)
+
+
+def test_randomized_multiplicity_matches_bit_loop():
+    cases = [(_random_multiset(t), 300) for t in range(240)]
+    for t, n in enumerate((27, 40, 62, 70)):  # 70: the multi-word mask path
+        A = S.substream(62, t).integers(1, S.MAX_ELEMENT, size=n, endpoint=True)
+        cases.append(([int(a) for a in A], 2000))
+    cases.append(([3, 5, 8, 11, 13, 16, 19, 24, 27, 30, 35, 40] * 3, 2000))
+    for i, (A, samples) in enumerate(cases):
+        for draws in (1, samples):
+            got = S.max_subset_sum_multiplicity(A, "randomized", S.substream(63, i), draws)
+            assert got == _bit_loop_randomized(A, S.substream(63, i), draws), (i, A)
+
+
+@pytest.mark.parametrize("n", [3, 70])
+def test_randomized_multiplicity_needs_a_sample(n):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        S.max_subset_sum_multiplicity(range(1, n + 1), "randomized", S.substream(0, 0), samples=0)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_has_k_equal_sums_memory_bounded():
+    # 2^24 distinct subset sums must fit in 1 GiB of address space
+    # (a dict of Python ints needs several times that)
+    src = str(Path(S.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from cubeflags.simlab import has_k_equal_sums\n"
+        "print(has_k_equal_sums([1 << i for i in range(24)], 2))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_equal_sums_probability_near_empty_window():
