@@ -45,13 +45,16 @@ def _round16(obj):
     return obj
 
 
-def _emit_json(doc: dict, out: Optional[str]):
-    text = json.dumps(_round16(doc), indent=2) + "\n"
+def _write(text: str, out: Optional[str]):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc: dict, out: Optional[str]):
+    _write(json.dumps(_round16(doc), indent=2) + "\n", out)
 
 
 def _emit_rows(rows: list[dict], header: list[str], fmt: str, out: Optional[str]):
@@ -69,11 +72,7 @@ def _emit_rows(rows: list[dict], header: list[str], fmt: str, out: Optional[str]
         for r in rows:
             lines.append("  ".join(str(r[h]).ljust(widths[h]) for h in header))
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 # workers is accepted and ignored, like --workers
@@ -307,7 +306,13 @@ def _cmd_tree(args, config: dict) -> int:
 
 def _cmd_simulate(args, config: dict) -> int:
     if args.experiment == "equal-sums":
-        est = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
+        if args.out:  # one census per trial gives both the rows and the estimate
+            rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
+            outcomes = [(r["k_max"] >= args.k, r["exact"]) for r in rows]
+            est = simlab.EqualSumsEstimate.from_outcomes(args.D, args.c, args.k, outcomes)
+            _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
+        else:
+            est = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
         doc = {
             "schema": "cubeflags.equalsums.v1",
             "D": est.D,
@@ -321,9 +326,6 @@ def _cmd_simulate(args, config: dict) -> int:
             "window": list(est.window),
             "note": "qualitative; no finite-D agreement with asymptotic thresholds is claimed",
         }
-        if args.out:
-            rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
-            _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
         if args.json:
             _emit_json(doc, None)
         else:

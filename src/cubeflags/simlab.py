@@ -10,15 +10,16 @@ reductions over trial-indexed rows.
 
 Subset sums are exact integers end to end: every census holds them as
 int64, which is exact for the guarded domain (elements <= 2^50, at most 26
-of them for the exact censuses, at most 62 for the vectorized randomized
-search; beyond 62 the randomized search uses Python ints).  No modular
-hashing is involved, so a reported collision is a real collision.
+of them for the exact censuses, at most 8191 for the randomized search, so
+that n * 2^50 < 2^63).  No modular hashing is involved, so a reported
+collision is a real collision.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ from .errors import CapacityError
 
 EXACT_SUBSET_LIMIT = 26
 MAX_ELEMENT = 1 << 50
+RANDOMIZED_SUBSET_LIMIT = ((1 << 63) - 1) // MAX_ELEMENT  # 8191: n * 2^50 < 2^63
 MAX_PERM_N = 400
 MAX_POLY_N = 2000
 MAX_POLY_Q = 1 << 20
@@ -102,17 +104,15 @@ class MultiplicityResult:
     detail: Optional[dict] = None
 
 
-def _distinct_values(A: Sequence[int]) -> list[int]:
-    """The distinct elements of A in ascending order, checked against 2^50."""
+def _distinct_values(A: Sequence[int], limit: int) -> list[int]:
+    """The distinct elements of A in ascending order, checked against the
+    guarded domain: each in [1, 2^50], and at most `limit` of them."""
     values = sorted(set(int(a) for a in A))
     if any(not 1 <= v <= MAX_ELEMENT for v in values):
         raise ValueError("elements must be positive and <= 2^50")
+    if len(values) > limit:
+        raise CapacityError(f"subset-sum guard: |A| = {len(values)} > {limit}")
     return values
-
-
-def _exact_guard(n: int) -> None:
-    if n > EXACT_SUBSET_LIMIT:
-        raise CapacityError(f"exact census guard: |A| = {n} > {EXACT_SUBSET_LIMIT}")
 
 
 def _census_sums(values: Sequence[int]) -> np.ndarray:
@@ -123,15 +123,65 @@ def _census_sums(values: Sequence[int]) -> np.ndarray:
     return sums
 
 
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+def _sorted_levels(values: Sequence[int]):
+    """Yield the sorted int64 subset sums of values[:0], values[:1], ..., values.
+
+    Every level is a prefix view of one buffer sized for the last, 8 bytes per
+    sum: the next level writes the shifted copy behind the current one and
+    merges the two sorted runs in place, so a level is valid only until the
+    walk advances.
+    """
+    sums = np.empty(1 << len(values), dtype=np.int64)
+    sums[0] = 0
+    m = 1
+    yield sums[:1]
+    for a in values:
+        np.add(sums[:m], a, out=sums[m:2 * m])
+        m *= 2
+        # two sorted runs: the stable sort (timsort for int64) merges them in O(m)
+        sums[:m].sort(kind="stable")
+        yield sums[:m]
+
+
+def _has_run(sums: np.ndarray, k: int) -> bool:
+    """Whether the sorted array sums holds k >= 1 equal values."""
+    return len(sums) >= k and bool((sums[k - 1:] == sums[:len(sums) - k + 1]).any())
+
+
+def _longest_run(sums: np.ndarray) -> tuple[int, int]:
+    """(length, value) of the longest run in the sorted array sums, the least
+    value on ties.  The length is found by doubling, then bisection."""
+    lo, hi = 1, 2  # a run of lo exists; one of hi is not yet ruled out
+    while _has_run(sums, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _has_run(sums, mid) else (lo, mid)
+    return lo, int(sums[np.argmax(sums[lo - 1:] == sums[:len(sums) - lo + 1])])
+
+
+def _masks_with_sum(values: Sequence[int], target: int) -> np.ndarray:
+    """Ascending masks of the subsets of values that sum to target.
+
+    Horowitz-Sahni meet in the middle: the census of each half (at most 2^13
+    sums under the exact guard), the low half sorted once, and one pair of
+    searchsorted bounds per high-half sum.
+    """
+    h = len(values) // 2
+    low, high = _census_sums(values[:h]), _census_sums(values[h:])
+    order = np.argsort(low, kind="stable")  # equal sums keep ascending low masks
+    low = low[order]
+    first = np.searchsorted(low, target - high, "left")
+    counts = np.searchsorted(low, target - high, "right") - first
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    low_masks = order[np.repeat(first, counts) + offsets]
+    return (np.repeat(np.arange(len(high)), counts) << h | low_masks).astype(np.uint64)
+
+
+def _bit_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """0/1 matrix of masks held as rows of `width`-bit words, low word first."""
+    shifts = np.arange(width, dtype=np.uint64)
+    return ((words[:, :, None] >> shifts) & np.uint64(1)).reshape(len(words), -1)
 
 
 def max_subset_sum_multiplicity(
@@ -142,96 +192,59 @@ def max_subset_sum_multiplicity(
 ) -> MultiplicityResult:
     """Maximum number of distinct subsets of A sharing one sum.
 
-    exact mode enumerates all 2^n subset sums (n <= 26) and returns the true
-    maximum with up to k_max witnesses; randomized mode draws subsets
-    uniformly at random (deduplicated), giving a lower-bound witness.  Ties
-    go to the least sum, and witnesses are listed by ascending subset mask.
+    exact mode walks all 2^n sorted subset sums (n <= 26), takes the longest
+    run, and recovers its k_max witnesses by meet in the middle; randomized
+    mode draws subsets uniformly at random (deduplicated), giving a
+    lower-bound witness.  Ties go to the least sum, and witnesses are listed
+    by ascending subset mask.
     """
-    values = _distinct_values(A)
+    values = _distinct_values(A, EXACT_SUBSET_LIMIT if mode == "exact" else RANDOMIZED_SUBSET_LIMIT)
     n = len(values)
     if mode == "exact":
-        _exact_guard(n)
-        sums = _census_sums(values)
-        uniq, counts = np.unique(sums, return_counts=True)
-        k_max = int(counts.max())
-        witness_sum = int(uniq[counts == k_max][0])  # least such sum
-        masks = np.nonzero(sums == witness_sum)[0][:k_max]
-        witnesses = tuple(_mask_to_indices(int(m)) for m in masks)
-        return MultiplicityResult(k_max, witness_sum, witnesses, True)
-    if mode != "randomized":
+        # the last level: the full census, freed before the witnesses are built
+        k_max, witness_sum = _longest_run(deque(_sorted_levels(values), maxlen=1).pop())
+        bits = _bit_rows(_masks_with_sum(values, witness_sum)[:, None], n)
+    elif mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
+    elif rng is None:
         raise ValueError("randomized mode needs an rng")
-    if samples < 1:
+    elif samples < 1:
         raise ValueError("samples must be >= 1")
-    if n <= 62:
-        masks = np.unique(rng.integers(0, 1 << n, size=samples, dtype=np.uint64))
-        bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-        # exact: at most 62 terms of at most 2^50 each
-        sums = bits.astype(np.int64) @ np.array(values, dtype=np.int64)
+    else:
+        # each sampled mask is a row of words, low word first: one uint64
+        # draw per sample up to 62 elements, else one 32-bit draw per word
+        if n <= 62:
+            width, rows = 64, rng.integers(0, 1 << n, size=(samples, 1), dtype=np.uint64)
+        else:
+            width, rows = 32, rng.integers(0, 1 << 32, size=(samples, (n + 31) // 32), dtype=np.uint64)
+            rows[:, -1] &= np.uint64((1 << (n - 32 * (rows.shape[1] - 1))) - 1)
+        rows = rows[np.lexsort(rows.T)]  # ascending masks: the last word is the primary key
+        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+        sums = np.zeros(len(rows), dtype=np.int64)
+        for base in range(0, n, 8):  # each byte of the masks indexes its census table
+            w, shift = divmod(base, width)
+            sums += _census_sums(values[base:base + 8])[(rows[:, w] >> np.uint64(shift)) & np.uint64(0xFF)]
         uniq, inverse, counts = np.unique(sums, return_inverse=True, return_counts=True)
         best = int(np.argmax(counts))  # first maximum: the least sum
-        witnesses = tuple(tuple(np.flatnonzero(row).tolist()) for row in bits[inverse == best])
-        return MultiplicityResult(int(counts[best]), int(uniq[best]), witnesses, False)
-    words = (n + 31) // 32
-    draws = rng.integers(0, 1 << 32, size=(samples, words), dtype=np.uint64)
-    masks = []
-    for row in draws:
-        m = 0
-        for w, word in enumerate(row):
-            m |= int(word) << (32 * w)
-        masks.append(m & ((1 << n) - 1))
-    by_sum: dict[int, set] = {}
-    for m in masks:
-        s = 0
-        mm = m
-        i = 0
-        while mm:
-            if mm & 1:
-                s += values[i]
-            mm >>= 1
-            i += 1
-        by_sum.setdefault(s, set()).add(m)
-    best_sum = None
-    k_max = 0
-    for s, ms in by_sum.items():
-        if len(ms) > k_max or (len(ms) == k_max and (best_sum is None or s < best_sum)):
-            k_max = len(ms)
-            best_sum = s
-    witnesses = tuple(_mask_to_indices(m) for m in sorted(by_sum[best_sum]))[:k_max]
-    return MultiplicityResult(k_max, int(best_sum), witnesses, False)
+        k_max, witness_sum = int(counts[best]), int(uniq[best])
+        bits = _bit_rows(rows[inverse == best], width)
+    witnesses = tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
+    return MultiplicityResult(k_max, witness_sum, witnesses, mode == "exact")
 
 
 def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
     """Exact decision: do k distinct subsets of A share a sum?
 
-    Holds the subset sums of the elements seen so far as one sorted int64
-    array (8 bytes per sum).  Each element merges in the shifted copy of the
-    array, and the walk stops at the first level with k equal neighbours,
-    which makes collision-rich sets cheap; a full 2^n walk happens only for
-    sets that are nearly sum-distinct.
+    Walks the sorted subset sums level by level (one element at a time) and
+    stops at the first level with k equal neighbours, which makes
+    collision-rich sets cheap; a full 2^n walk happens only for sets that
+    are nearly sum-distinct.
     """
-    values = _distinct_values(A)
-    _exact_guard(len(values))
-    if k <= 1:
-        return True
-    sums = np.zeros(1, dtype=np.int64)
-    for a in values:
-        m = len(sums)
-        merged = np.empty(2 * m, dtype=np.int64)
-        merged[:m] = sums
-        np.add(sums, a, out=merged[m:])
-        sums = merged  # drops the old array before the sort takes its buffer
-        # two sorted runs: the stable sort (timsort for int64) merges them in O(m)
-        sums.sort(kind="stable")
-        if 2 * m >= k and (sums[k - 1:] == sums[:1 - k]).any():
-            return True
-    return False
+    values = _distinct_values(A, EXACT_SUBSET_LIMIT)
+    return k <= 1 or any(_has_run(sums, k) for sums in _sorted_levels(values))
 
 
 def wilson_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    if trials == 0:
-        return (0.0, 1.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -252,6 +265,16 @@ class EqualSumsEstimate:
     inexact_trials: int
     window: tuple[int, int]
 
+    @staticmethod
+    def from_outcomes(D: float, c: float, k: int, outcomes: Sequence[tuple[bool, bool]]) -> "EqualSumsEstimate":
+        """The estimate from one (success, was_exact) pair per trial."""
+        trials, successes = len(outcomes), sum(1 for ok, _ in outcomes if ok)
+        inexact = sum(1 for _, ex in outcomes if not ex)
+        lo, hi = wilson_ci(successes, trials)
+        return EqualSumsEstimate(
+            D, c, k, trials, successes, successes / trials, lo, hi, inexact, _window_bounds(D, c)
+        )
+
 
 def _window_bounds(D: float, c: float) -> tuple[int, int]:
     # integers of [D^c, D]: sample_log_set((lo_int - 1, hi])
@@ -259,11 +282,23 @@ def _window_bounds(D: float, c: float) -> tuple[int, int]:
     return lo_int, int(D)
 
 
-def equal_sums_trial(D: float, c: float, k: int, seed: int, trial: int) -> tuple[bool, bool, int]:
-    """One trial: (success, was_exact, set size)."""
+def _check_counts(k: int, trials: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
+def _trial_set(D: float, c: float, seed: int, trial: int) -> tuple[LogRandomSet, np.random.Generator]:
+    """The trial's sample of the window, and its generator for the randomized search."""
     lo_int, hi = _window_bounds(D, c)
     rng = substream(seed, trial)
-    A = sample_log_set(lo_int - 1, hi, rng)
+    return sample_log_set(lo_int - 1, hi, rng), rng
+
+
+def equal_sums_trial(D: float, c: float, k: int, seed: int, trial: int) -> tuple[bool, bool, int]:
+    """One trial: (success, was_exact, set size)."""
+    A, rng = _trial_set(D, c, seed, trial)
     if len(A) <= EXACT_SUBSET_LIMIT:
         return has_k_equal_sums(A.elements, k), True, len(A)
     res = max_subset_sum_multiplicity(A.elements, "randomized", rng)
@@ -277,35 +312,26 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     agreement with the asymptotic thresholds is claimed (convergence in D is
     slow), so treat sweeps over c as qualitative.
     """
-    rows = [equal_sums_trial(D, c, k, seed, t) for t in range(trials)]
-    successes = sum(1 for ok, _, _ in rows if ok)
-    inexact = sum(1 for _, ex, _ in rows if not ex)
-    lo, hi = wilson_ci(successes, trials)
-    return EqualSumsEstimate(
-        D, c, k, trials, successes, successes / trials if trials else 0.0,
-        lo, hi, inexact, _window_bounds(D, c),
-    )
+    _check_counts(k, trials)
+    outcomes = [equal_sums_trial(D, c, k, seed, t)[:2] for t in range(trials)]
+    return EqualSumsEstimate.from_outcomes(D, c, k, outcomes)
 
 
 def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> list[dict]:
-    """Per-trial census rows (trial, set_size, k_max, exact) for CSV export."""
+    """Per-trial census rows (trial, set_size, k_max, exact) for CSV export.
 
-    def one(t: int) -> dict:
-        lo_int, hi = _window_bounds(D, c)
-        rng = substream(seed, t)
-        A = sample_log_set(lo_int - 1, hi, rng)
-        if len(A) <= EXACT_SUBSET_LIMIT:
-            res = max_subset_sum_multiplicity(A.elements, "exact")
-        else:
-            res = max_subset_sum_multiplicity(A.elements, "randomized", rng)
-        return {
-            "trial": t,
-            "set_size": len(A),
-            "k_max": res.k_max,
-            "exact": int(res.exact),
-        }
-
-    return [one(t) for t in range(trials)]
+    The rows see the same sets and searches as equal_sums_probability, so the
+    pairs (k_max >= k, exact) give its estimate through from_outcomes.
+    """
+    _check_counts(k, trials)
+    rows = []
+    for t in range(trials):
+        A, rng = _trial_set(D, c, seed, t)
+        res = max_subset_sum_multiplicity(
+            A.elements, "exact" if len(A) <= EXACT_SUBSET_LIMIT else "randomized", rng
+        )
+        rows.append({"trial": t, "set_size": len(A), "k_max": res.k_max, "exact": int(res.exact)})
+    return rows
 
 
 def amplify_demo(
@@ -327,15 +353,9 @@ def amplify_demo(
     elements = A.elements
     index_of = {e: i for i, e in enumerate(elements)}
 
-    windows = []
-    i = 0
-    while True:
-        upper = D2 ** (alpha**i)
-        lower = D2 ** (alpha ** (i + 1))
-        if lower < D1:
-            break
-        windows.append((lower, upper))
-        i += 1
+    windows = []  # (D2^(alpha^(i+1)), D2^(alpha^i)) while the lower edge reaches D1
+    while (lower := D2 ** (alpha ** (len(windows) + 1))) >= D1:
+        windows.append((lower, D2 ** (alpha ** len(windows))))
 
     chosen: list[list[tuple[int, ...]]] = []  # per successful window: k index tuples
     window_info = []
@@ -344,23 +364,13 @@ def amplify_demo(
         ok = False
         if 2 <= len(W) <= EXACT_SUBSET_LIMIT:
             res = max_subset_sum_multiplicity(W, "exact")
-            if res.k_max >= k:
+            if res.k_max >= k:  # W is ascending and distinct: witnesses index into it
                 ok = True
-                local = sorted(W)
-                picks = [
-                    tuple(index_of[local[i]] for i in witness)
-                    for witness in res.witnesses[:k]
-                ]
-                chosen.append(picks)
+                chosen.append([tuple(index_of[W[i]] for i in w) for w in res.witnesses[:k]])
         window_info.append({"lower": lower, "upper": upper, "size": len(W), "success": ok})
 
-    if not chosen:
-        return MultiplicityResult(
-            1, 0, ((),), False, {"windows": window_info, "successful_windows": 0}
-        )
-
     total = k ** len(chosen)
-    witnesses: list[tuple[int, ...]] = [()]
+    witnesses: list[tuple[int, ...]] = [()]  # no successful window: the empty set alone
     for picks in chosen:
         witnesses = [w + p for w in witnesses for p in picks]
     common = {sum(elements[i] for i in w) for w in witnesses}
@@ -459,9 +469,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def divisors_of(factors: dict[int, int]) -> list[int]:
-    count = 1
-    for e in factors.values():
-        count *= e + 1
+    count = math.prod(e + 1 for e in factors.values())
     if count > MAX_DIVISORS:
         raise CapacityError(f"divisor count {count} > {MAX_DIVISORS}")
     divs = [1]
@@ -483,15 +491,7 @@ class DeltaSample:
 
 def _max_log_window(logs: list[float]) -> int:
     # max number of sorted log-values inside a closed window of length 1
-    best = 0
-    j = 0
-    for i in range(len(logs)):
-        if j < i:
-            j = i
-        while j + 1 < len(logs) and logs[j + 1] <= logs[i] + 1.0:
-            j += 1
-        best = max(best, j - i + 1)
-    return best
+    return max((bisect_right(logs, x + 1.0) - i for i, x in enumerate(logs)), default=0)
 
 
 def delta_integer(n: int) -> DeltaSample:
@@ -523,13 +523,9 @@ def sample_delta_integer(X: int, samples: int, seed: int) -> DeltaStats:
     """delta on uniform random integers in [1, X]."""
     if X > 1 << 50:
         raise ValueError("X must be <= 2^50")
-
-    def one(t: int) -> DeltaSample:
-        rng = substream(seed, t)
-        n = int(rng.integers(1, X + 1))
-        return delta_integer(n)
-
-    return DeltaStats.from_samples("integer", [one(t) for t in range(samples)])
+    return DeltaStats.from_samples(
+        "integer", [delta_integer(int(substream(seed, t).integers(1, X + 1))) for t in range(samples)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +596,9 @@ def delta_perm_bruteforce(cycle_type: Sequence[int]) -> int:
 
 
 def sample_delta_perm(n: int, samples: int, seed: int) -> DeltaStats:
-    def one(t: int) -> DeltaSample:
-        rng = substream(seed, t)
-        return delta_perm(sample_cycle_type(n, rng))
-
-    return DeltaStats.from_samples("permutation", [one(t) for t in range(samples)])
+    return DeltaStats.from_samples(
+        "permutation", [delta_perm(sample_cycle_type(n, substream(seed, t))) for t in range(samples)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +717,6 @@ def sample_delta_poly(
     seed: int,
     d_range: Optional[tuple[int, int]] = None,
 ) -> DeltaStats:
-    def one(t: int) -> DeltaSample:
-        rng = substream(seed, t)
-        return delta_poly(sample_poly_degrees(q, n, model, rng, d_range))
-
-    return DeltaStats.from_samples("polynomial", [one(t) for t in range(samples)])
+    return DeltaStats.from_samples("polynomial", [
+        delta_poly(sample_poly_degrees(q, n, model, substream(seed, t), d_range)) for t in range(samples)
+    ])

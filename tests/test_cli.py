@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -195,6 +196,36 @@ def test_simulate_equal_sums_byte_identical_across_workers(capsys, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_simulate_equal_sums_out_bytes_pinned(capsys, tmp_path):
+    # digests recorded before the census moved to one engine: --out must not
+    # change the summary, and the rows must keep their bytes
+    out_path = tmp_path / "rows.csv"
+    code, out, _ = run(
+        capsys, "simulate", "equal-sums", "--D", "1e6", "--c", "0.1",
+        "--trials", "500", "--seed", "1", "--json", "--out", str(out_path),
+    )
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "54d300c39a0f182e09baaed3da5d7807b7b8ed9001c820b4eca07ed4fd183df6")
+    assert _sha256(out_path.read_bytes()) == (
+        "0fea7239d9c9e5a0ecdd8cfc8c9492b74d16a90d82633925ce4375a6414c3364")
+
+
+def test_simulate_amplify_bytes_pinned(capsys):
+    # two windows with exact witnesses: k^2 = 4 stacked sets
+    code, out, _ = run(
+        capsys, "simulate", "amplify", "--D1", "2", "--D2", "10000000000000",
+        "--k", "2", "--alpha", "0.25", "--seed", "76", "--json",
+    )
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "7c90211637b99a6fbe65ee011a498c6c164ff78433bd1f24a4b2170c6988b585")
+
+
 def test_simulate_amplify(capsys):
     code, out, _ = run(
         capsys, "simulate", "amplify", "--D1", "2", "--D2", "1000000",
@@ -244,6 +275,25 @@ def test_simulate_delta_zero_samples_usage_error(capsys, experiment):
     code, _, err = run(capsys, "simulate", *experiment, "--samples", "0")
     assert code == 1
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--trials", "-3", "trials"), ("--trials", "0", "trials"),
+     ("--k", "0", "k"), ("--k", "-2", "k")],
+)
+@pytest.mark.parametrize("out", [False, True], ids=["summary", "rows"])
+def test_simulate_equal_sums_counts_usage_error(capsys, tmp_path, option, value, message, out):
+    out_path = tmp_path / "rows.csv"
+    extra = ("--out", str(out_path)) if out else ()
+    code, stdout, err = run(
+        capsys, "simulate", "equal-sums", "--D", "1e5", "--trials", "5",
+        option, value, "--json", *extra,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == f"usage error: {message} must be >= 1\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,31 @@ def _random_multiset(t):
     return [int(x) for x in rng.integers(1, top, size=size, endpoint=True)]
 
 
+def _census_unique_exact(A):
+    # the full census: all 2^n sums indexed by subset mask, then np.unique
+    values = sorted(set(int(a) for a in A))
+    sums = np.zeros(1, dtype=np.int64)
+    for v in values:
+        sums = np.concatenate([sums, sums + np.int64(v)])
+    uniq, counts = np.unique(sums, return_counts=True)
+    k_max = int(counts.max())
+    witness_sum = int(uniq[counts == k_max][0])
+    masks = np.nonzero(sums == witness_sum)[0][:k_max]
+    witnesses = tuple(
+        tuple(i for i in range(len(values)) if int(m) >> i & 1) for m in masks
+    )
+    return S.MultiplicityResult(k_max, witness_sum, witnesses, True)
+
+
+def test_exact_multiplicity_matches_full_census():
+    cases = [_random_multiset(t) for t in range(240)]
+    # tied maxima: the least sum must win
+    cases += [[1, 2, 3, 4], [2, 3, 5, 7, 8, 10], [1, 2, 4, 5, 7, 8], [1, 5, 6, 11, 12, 17]]
+    cases.append(list(range(1, 21)))  # k_max in the thousands
+    for A in cases:
+        assert S.max_subset_sum_multiplicity(A, "exact") == _census_unique_exact(A), A
+
+
 def test_has_k_equal_sums_matches_dict_walk():
     assert S.has_k_equal_sums([], 1) and not S.has_k_equal_sums([], 2)
     for t in range(240):
@@ -217,10 +242,13 @@ def test_has_k_equal_sums_rejects_elements_outside_exact_domain(A):
 
 def test_randomized_multiplicity_matches_bit_loop():
     cases = [(_random_multiset(t), 300) for t in range(240)]
-    for t, n in enumerate((27, 40, 62, 70)):  # 70: the multi-word mask path
+    # 63 and up: 32-bit words, with the top word full (64, 96) or partial
+    for t, n in enumerate((27, 40, 62, 70, 63, 64, 65, 96, 97)):
         A = S.substream(62, t).integers(1, S.MAX_ELEMENT, size=n, endpoint=True)
         cases.append(([int(a) for a in A], 2000))
     cases.append(([3, 5, 8, 11, 13, 16, 19, 24, 27, 30, 35, 40] * 3, 2000))
+    # small elements on the word path: many witnesses, whose order spans words
+    cases += [(list(range(1, n + 1)), 2000) for n in (70, 97)]
     for i, (A, samples) in enumerate(cases):
         for draws in (1, samples):
             got = S.max_subset_sum_multiplicity(A, "randomized", S.substream(63, i), draws)
@@ -231,6 +259,18 @@ def test_randomized_multiplicity_matches_bit_loop():
 def test_randomized_multiplicity_needs_a_sample(n):
     with pytest.raises(ValueError, match="samples must be >= 1"):
         S.max_subset_sum_multiplicity(range(1, n + 1), "randomized", S.substream(0, 0), samples=0)
+
+
+class _NoDraws:
+    def integers(self, *args, **kwargs):
+        raise AssertionError("the guard must fire before any sample is drawn")
+
+
+def test_randomized_multiplicity_guards_int64_sums():
+    # 8192 elements of up to 2^50 can sum to 2^63, past int64
+    assert S.RANDOMIZED_SUBSET_LIMIT == 8191
+    with pytest.raises(CapacityError, match="8192 > 8191"):
+        S.max_subset_sum_multiplicity(range(1, 8193), "randomized", _NoDraws())
 
 
 def _limit_address_space():
@@ -252,6 +292,42 @@ def test_has_k_equal_sums_memory_bounded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# Two sum-distinct sets of 26 elements: the powers of two, whose levels are
+# already sorted, and powers of two raised by 2^40, whose levels interleave
+# and need the sort's merge buffer.
+@pytest.mark.parametrize("A", ["[1 << i for i in range(26)]", "[(1 << 40) + (1 << i) for i in range(26)]"])
+def test_exact_multiplicity_memory_bounded(A):
+    # the full exact census of 2^26 distinct sums, the most the guard allows,
+    # must fit in 1 GiB of address space
+    src = str(Path(S.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from cubeflags.simlab import max_subset_sum_multiplicity\n"
+        f"print(max_subset_sum_multiplicity({A}, 'exact').k_max)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+@pytest.mark.parametrize("k, trials, message", [(2, 0, "trials"), (2, -3, "trials"), (0, 5, "k")])
+def test_equal_sums_needs_positive_counts(k, trials, message):
+    for run in (S.equal_sums_probability, S.equal_sums_rows):
+        with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+            run(1e5, 0.1, k, trials, 3)
+
+
+def test_equal_sums_rows_give_the_estimate():
+    D, c, k, trials, seed = 1e5, 0.1, 3, 300, 4
+    rows = S.equal_sums_rows(D, c, k, trials, seed)
+    outcomes = [(r["k_max"] >= k, r["exact"]) for r in rows]
+    assert S.EqualSumsEstimate.from_outcomes(D, c, k, outcomes) == S.equal_sums_probability(
+        D, c, k, trials, seed)
 
 
 def test_equal_sums_probability_near_empty_window():
