@@ -13,13 +13,21 @@ int64, which is exact for the guarded domain (elements <= 2^50, at most 26
 of them for the exact censuses, at most 8191 for the randomized search, so
 that n * 2^50 < 2^63).  No modular hashing is involved, so a reported
 collision is a real collision.
+
+The equal-sums estimate decides its trials in batches of up to TRIAL_BATCH.
+_log_set_rows samples a batch's sets in lockstep, each from its own
+substream, and the exact trials of each set size walk their sorted subset
+sums together (_rows_have_k_equal_sums), in row batches of at most
+BATCH_SUMS sums (32 MB of int64; a larger single row runs alone).  Each row
+leaves the walk at the first level with k equal sums, and the outcomes are
+those of one trial at a time.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +46,9 @@ MAX_POLY_N = 2000
 MAX_POLY_Q = 1 << 20
 MAX_DIVISORS = 10**6
 RANDOMIZED_SAMPLES = 20000
+BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 32 MB of int64
+MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own: 32 MB
+TRIAL_BATCH = 1 << 12  # equal-sums trials sampled and decided together
 
 
 def substream(seed: int, trial: int) -> np.random.Generator:
@@ -62,26 +73,55 @@ class LogRandomSet:
         return len(self.elements)
 
 
-def sample_log_set(lo: int, hi: int, rng: np.random.Generator, seed_info: str = "") -> LogRandomSet:
-    """Sample a logarithmic random set on (lo, hi].
+def _log_set_rows(lo: int, hi: int, rngs: Sequence[np.random.Generator], block: int = 32):
+    """Sample one logarithmic random set on (lo, hi] per generator, in lockstep.
 
-    Uses gap sampling: from element i, the next element exceeds j with
-    probability i/j, so next = int(i/u) + 1 for u uniform on (0, 1].  Cost is
-    proportional to the expected output size log(hi/lo), so astronomically
-    wide ranges are fine.
+    Gap sampling: from element i, the next element exceeds j with probability
+    i/j, so next = int(i/u) + 1 for u uniform on (0, 1].  Each generator draws
+    its uniforms `block` at a time (rng.random(m) gives the same doubles as m
+    scalar draws, in order), and one numpy step per element position advances
+    every set still below hi.  Returns (elements, sizes): row r holds the
+    ascending set of rngs[r] in its first sizes[r] columns, zeros after.  A
+    set of n elements uses n + 1 draws; its generator is left past its last
+    block.
+    """
+    live = np.arange(len(rngs))  # the rows still below hi
+    cur = np.full(len(rngs), float(lo))  # their last element; integers below 2^53 are exact
+    steps = []  # per position: (the rows that reached it, their elements)
+    while True:
+        j = len(steps) % block
+        if j == 0:
+            u = 1.0 - np.array([rngs[r].random(block) for r in live])  # on (0, 1]
+        q = cur / u[:, j]
+        below = q < hi  # int(q) + 1 <= hi
+        if not below.all():
+            live, q, u = live[below], q[below], u[below]
+            if not live.size:
+                break
+        cur = np.floor(q) + 1.0
+        steps.append((live, cur))
+    elements = np.zeros((len(rngs), len(steps)), dtype=np.int64)
+    if steps:
+        reached, values = zip(*steps)
+        positions = np.repeat(np.arange(len(steps)), [len(r) for r in reached])
+        elements[np.concatenate(reached), positions] = np.concatenate(values)
+    return elements, np.count_nonzero(elements, axis=1)
+
+
+def sample_log_set(lo: int, hi: int, rng: np.random.Generator, seed_info: str = "") -> LogRandomSet:
+    """Sample a logarithmic random set on (lo, hi]: the one-row case of
+    _log_set_rows.  rng is left past exactly the n + 1 draws the set used.
+
+    Cost is proportional to the expected output size log(hi/lo), so
+    astronomically wide ranges are fine.
     """
     if not (1 <= lo < hi <= MAX_ELEMENT):
         raise ValueError(f"need 1 <= lo < hi <= 2^50, got ({lo}, {hi})")
-    out = []
-    i = lo
-    while True:
-        u = 1.0 - rng.random()  # uniform on (0, 1]
-        nxt = int(i / u) + 1
-        if nxt > hi:
-            break
-        out.append(nxt)
-        i = nxt
-    return LogRandomSet(lo, hi, tuple(out), seed_info)
+    state = rng.bit_generator.state
+    elements, sizes = _log_set_rows(lo, hi, [rng])
+    rng.bit_generator.state = state
+    rng.random(int(sizes[0]) + 1)
+    return LogRandomSet(lo, hi, tuple(elements[0, :sizes[0]].tolist()), seed_info)
 
 
 # ---------------------------------------------------------------------------
@@ -115,37 +155,76 @@ def _distinct_values(A: Sequence[int], limit: int) -> list[int]:
     return values
 
 
-def _census_sums(values: Sequence[int]) -> np.ndarray:
-    """All 2^n subset sums as int64; index bit i selects values[i]."""
-    sums = np.zeros(1, dtype=np.int64)
-    for v in values:
-        sums = np.concatenate([sums, sums + np.int64(v)])
+def _census_sums(values: Sequence[int], merge: bool = False) -> np.ndarray:
+    """All 2^n subset sums as int64, doubled into one buffer: indexed by
+    subset mask (bit i selects values[i]), or ascending if merge, each level
+    merging its shifted copy in with _merge_runs."""
+    sums = np.empty(1 << len(values), dtype=np.int64)
+    sums[0] = 0
+    for i, v in enumerate(values):
+        np.add(sums[:1 << i], v, out=sums[1 << i:2 << i])
+        if merge:
+            # timsort may buffer what the census has yet to fill, and
+            # MERGE_SCRATCH_SUMS more: the peak stays within 32 MB of the census
+            _merge_runs(sums[:2 << i], len(sums) - (2 << i) + MERGE_SCRATCH_SUMS)
     return sums
 
 
-def _sorted_levels(values: Sequence[int]):
-    """Yield the sorted int64 subset sums of values[:0], values[:1], ..., values.
+def _merge_runs(sums: np.ndarray, spare: int) -> None:
+    """Sort sums, whose two halves are sorted, in place.
 
-    Every level is a prefix view of one buffer sized for the last, 8 bytes per
-    sum: the next level writes the shifted copy behind the current one and
-    merges the two sorted runs in place, so a level is valid only until the
-    walk advances.
+    Only the overlap of the halves' ranges moves.  Timsort (kind="stable")
+    merges it in linear time, with a buffer as long as its shorter part; an
+    overlap that would need more than `spare` sums of buffer is sorted in
+    place with the default kind instead, slower but with no buffer.
     """
-    sums = np.empty(1 << len(values), dtype=np.int64)
-    sums[0] = 0
-    m = 1
-    yield sums[:1]
-    for a in values:
-        np.add(sums[:m], a, out=sums[m:2 * m])
-        m *= 2
-        # two sorted runs: the stable sort (timsort for int64) merges them in O(m)
-        sums[:m].sort(kind="stable")
-        yield sums[:m]
+    m = len(sums) // 2
+    lo = int(np.searchsorted(sums[:m], sums[m], "right"))
+    hi = m + int(np.searchsorted(sums[m:], sums[m - 1], "left"))
+    sums[lo:hi].sort(kind="stable" if min(m - lo, hi - m) <= spare else None)
 
 
-def _has_run(sums: np.ndarray, k: int) -> bool:
-    """Whether the sorted array sums holds k >= 1 equal values."""
-    return len(sums) >= k and bool((sums[k - 1:] == sums[:len(sums) - k + 1]).any())
+def _has_run(sums: np.ndarray, k: int) -> np.ndarray:
+    """Whether each sorted row (last axis) of sums holds k >= 1 equal values."""
+    m = sums.shape[-1]
+    if m < k:
+        return np.zeros(sums.shape[:-1], dtype=bool)
+    return (sums[..., k - 1:] == sums[..., :m - k + 1]).any(axis=-1)
+
+
+def _rows_have_k_equal_sums(values: np.ndarray, k: int) -> np.ndarray:
+    """has_k_equal_sums for each row of the (R, n) int64 array values: the
+    rows walk their sorted subset sums together, in one buffer of R * 2^n sums.
+
+    A level is the C-ordered prefix of the buffer, so the memory touched
+    follows the levels reached.  Each level spreads the rows to twice their
+    width, writes each row's shifted copy behind it and merges the two sorted
+    runs (sort(kind="stable"), timsort); a row whose level holds k equal
+    neighbours is decided and leaves the walk.
+    """
+    found = np.zeros(len(values), dtype=bool)
+    rows = np.arange(len(values))
+    buf = np.empty(len(values) << values.shape[1], dtype=np.int64)
+    sums = buf[:len(values), None]
+    sums[:] = 0
+    for j in range(values.shape[1] + 1):
+        if j:
+            m = sums.shape[1]
+            level = buf[:2 * sums.size].reshape(len(rows), 2 * m)
+            level[1:, :m] = sums[1:]  # row 0 stays; numpy buffers the overlapping copy
+            np.add(level[:, :m], values[rows, j - 1:j], out=level[:, m:])
+            level.sort(axis=1, kind="stable")  # two sorted runs: timsort merges them in O(m)
+            sums = level
+        hit = _has_run(sums, k)
+        if hit.any():
+            found[rows[hit]] = True
+            rows = rows[~hit]
+            if not len(rows):
+                break
+            kept = sums[~hit]
+            sums = buf[:kept.size].reshape(kept.shape)
+            sums[:] = kept
+    return found
 
 
 def _longest_run(sums: np.ndarray) -> tuple[int, int]:
@@ -201,8 +280,9 @@ def max_subset_sum_multiplicity(
     values = _distinct_values(A, EXACT_SUBSET_LIMIT if mode == "exact" else RANDOMIZED_SUBSET_LIMIT)
     n = len(values)
     if mode == "exact":
-        # the last level: the full census, freed before the witnesses are built
-        k_max, witness_sum = _longest_run(deque(_sorted_levels(values), maxlen=1).pop())
+        sums = _census_sums(values, merge=True)
+        k_max, witness_sum = _longest_run(sums)
+        del sums  # freed before the witnesses are built
         bits = _bit_rows(_masks_with_sum(values, witness_sum)[:, None], n)
     elif mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
@@ -235,13 +315,13 @@ def max_subset_sum_multiplicity(
 def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
     """Exact decision: do k distinct subsets of A share a sum?
 
-    Walks the sorted subset sums level by level (one element at a time) and
-    stops at the first level with k equal neighbours, which makes
-    collision-rich sets cheap; a full 2^n walk happens only for sets that
-    are nearly sum-distinct.
+    The one-row case of _rows_have_k_equal_sums: walks the sorted subset sums
+    level by level (one element at a time) and stops at the first level with
+    k equal neighbours, which makes collision-rich sets cheap; a full 2^n
+    walk happens only for sets that are nearly sum-distinct.
     """
     values = _distinct_values(A, EXACT_SUBSET_LIMIT)
-    return k <= 1 or any(_has_run(sums, k) for sums in _sorted_levels(values))
+    return k <= 1 or bool(_rows_have_k_equal_sums(np.array([values], dtype=np.int64), k)[0])
 
 
 def wilson_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -277,9 +357,13 @@ class EqualSumsEstimate:
 
 
 def _window_bounds(D: float, c: float) -> tuple[int, int]:
-    # integers of [D^c, D]: sample_log_set((lo_int - 1, hi])
-    lo_int = max(2, math.ceil(D**c))
-    return lo_int, int(D)
+    """The integers [lo, hi] of the window [D^c, D], sampled as (lo - 1, hi]."""
+    # False for a nan D or c and for an infinite D; c <= 1 keeps D^c <= D finite
+    if 2 <= D < MAX_ELEMENT + 1 and c <= 1:
+        lo, hi = max(2, math.ceil(D**c)), int(D)
+        if lo <= hi:
+            return lo, hi
+    raise ValueError(f"need finite D and c with max(2, ceil(D^c)) <= int(D) <= 2^50, got D = {D}, c = {c}")
 
 
 def _check_counts(k: int, trials: int) -> None:
@@ -289,31 +373,62 @@ def _check_counts(k: int, trials: int) -> None:
         raise ValueError("trials must be >= 1")
 
 
-def _trial_set(D: float, c: float, seed: int, trial: int) -> tuple[LogRandomSet, np.random.Generator]:
-    """The trial's sample of the window, and its generator for the randomized search."""
-    lo_int, hi = _window_bounds(D, c)
+def _trial_batches(D: float, c: float, seed: int, start: int, stop: int):
+    """Yield (first trial, elements, sizes) for trials start..stop-1, at most
+    TRIAL_BATCH at a time: each trial's set, sampled by _log_set_rows from
+    its own substream(seed, trial)."""
+    lo, hi = _window_bounds(D, c)
+    for first in range(start, stop, TRIAL_BATCH):
+        rngs = [substream(seed, t) for t in range(first, min(stop, first + TRIAL_BATCH))]
+        yield (first, *_log_set_rows(lo - 1, hi, rngs))
+
+
+def _randomized_trial(values: list[int], seed: int, trial: int) -> MultiplicityResult:
+    """The randomized search of a set too large for the exact census, on its
+    trial's stream past the len(values) + 1 draws that sampled the set."""
     rng = substream(seed, trial)
-    return sample_log_set(lo_int - 1, hi, rng), rng
+    rng.random(len(values) + 1)
+    return max_subset_sum_multiplicity(values, "randomized", rng)
+
+
+def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Success per trial of a batch: the exact trials by size group, each
+    group walked in row batches of at most BATCH_SUMS sums (one row if a row
+    alone is larger), and the rest by the randomized search."""
+    success = np.zeros(len(sizes), dtype=bool)
+    for n in np.unique(sizes[sizes <= EXACT_SUBSET_LIMIT]).tolist():
+        group, step = np.flatnonzero(sizes == n), max(1, BATCH_SUMS >> n)
+        for i in range(0, len(group), step):  # each buffer is freed before the next is made
+            rows = group[i:i + step]
+            success[rows] = _rows_have_k_equal_sums(elements[rows, :n], k)
+    for r in np.flatnonzero(sizes > EXACT_SUBSET_LIMIT).tolist():
+        success[r] = _randomized_trial(elements[r, :sizes[r]].tolist(), seed, first + r).k_max >= k
+    return success
 
 
 def equal_sums_trial(D: float, c: float, k: int, seed: int, trial: int) -> tuple[bool, bool, int]:
     """One trial: (success, was_exact, set size)."""
-    A, rng = _trial_set(D, c, seed, trial)
-    if len(A) <= EXACT_SUBSET_LIMIT:
-        return has_k_equal_sums(A.elements, k), True, len(A)
-    res = max_subset_sum_multiplicity(A.elements, "randomized", rng)
-    return res.k_max >= k, False, len(A)
+    batch = next(_trial_batches(D, c, seed, trial, trial + 1))
+    n = int(batch[2][0])
+    return bool(_decide_trials(*batch, k, seed)[0]), n <= EXACT_SUBSET_LIMIT, n
 
 
 def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -> EqualSumsEstimate:
     """Fraction of trials in which A /\\ [D^c, D] has k equal subset sums.
+
+    The trials are decided in batches, with the same outcomes as one trial at
+    a time: _log_set_rows samples a batch's sets in lockstep, and the exact
+    trials of each set size share one row-batched census.
 
     The estimate is monotone nonincreasing in c up to CI width; no finite-D
     agreement with the asymptotic thresholds is claimed (convergence in D is
     slow), so treat sweeps over c as qualitative.
     """
     _check_counts(k, trials)
-    outcomes = [equal_sums_trial(D, c, k, seed, t)[:2] for t in range(trials)]
+    outcomes: list[tuple[bool, bool]] = []
+    for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
+        success = _decide_trials(first, elements, sizes, k, seed)
+        outcomes += zip(success.tolist(), (sizes <= EXACT_SUBSET_LIMIT).tolist())
     return EqualSumsEstimate.from_outcomes(D, c, k, outcomes)
 
 
@@ -325,12 +440,12 @@ def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> list[
     """
     _check_counts(k, trials)
     rows = []
-    for t in range(trials):
-        A, rng = _trial_set(D, c, seed, t)
-        res = max_subset_sum_multiplicity(
-            A.elements, "exact" if len(A) <= EXACT_SUBSET_LIMIT else "randomized", rng
-        )
-        rows.append({"trial": t, "set_size": len(A), "k_max": res.k_max, "exact": int(res.exact)})
+    for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
+        for r, n in enumerate(sizes.tolist()):
+            values = elements[r, :n].tolist()
+            res = (max_subset_sum_multiplicity(values, "exact") if n <= EXACT_SUBSET_LIMIT
+                   else _randomized_trial(values, seed, first + r))
+            rows.append({"trial": first + r, "set_size": n, "k_max": res.k_max, "exact": int(res.exact)})
     return rows
 
 
@@ -535,21 +650,15 @@ def sample_delta_integer(X: int, samples: int, seed: int) -> DeltaStats:
 def sample_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Cycle type of a uniform random permutation of n symbols (sorted).
 
-    Canonical sequential construction: while building a cycle with `rem`
-    symbols not yet placed in closed cycles, the cycle closes at each step
-    with probability 1/remaining.
+    Canonical sequential construction: symbols are placed one at a time, and
+    symbol g (0-based, in placement order) closes its cycle with probability
+    1/(n - g), one uniform draw each; the cycle lengths are the gaps between
+    closing positions.
     """
     if not 1 <= n <= MAX_PERM_N:
         raise CapacityError(f"permutation size guard: n = {n} not in 1..{MAX_PERM_N}")
-    out = []
-    rem = n
-    while rem:
-        t = 1
-        while rng.random() >= 1.0 / (rem - t + 1):
-            t += 1
-        out.append(t)
-        rem -= t
-    return tuple(sorted(out))
+    closes = np.flatnonzero(rng.random(n) < 1.0 / (n - np.arange(n)))  # g = n - 1 always closes
+    return tuple(sorted(np.diff(closes, prepend=-1).tolist()))
 
 
 def _max_coeff_of_product(factor_counts: dict[int, int], max_degree: Optional[int] = None) -> int:
@@ -662,6 +771,12 @@ def nb_mean(q: int, d: int) -> Fraction:
     return Fraction(irreducible_count(q, d), q**d - 1)
 
 
+# sample_poly_degrees asks for it once per sample and degree beyond float range
+@lru_cache(maxsize=4096)
+def _nb_mean_float(q: int, d: int) -> float:
+    return float(nb_mean(q, d))
+
+
 def sample_poly_degrees(
     q: int,
     n: int,
@@ -693,7 +808,7 @@ def sample_poly_degrees(
             if q**d < (1 << 52):
                 y = int(rng.negative_binomial(m, 1.0 - 1.0 / q**d))
             else:
-                y = int(rng.poisson(float(nb_mean(q, d))))
+                y = int(rng.poisson(_nb_mean_float(q, d)))
         else:
             raise ValueError(f"unknown model {model!r}")
         if y:

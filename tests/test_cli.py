@@ -297,6 +297,25 @@ def test_simulate_equal_sums_counts_usage_error(capsys, tmp_path, option, value,
 
 
 @pytest.mark.parametrize(
+    "D, c",
+    [("inf", "0.1"), ("nan", "0.1"), ("1e6", "nan"), ("1e300", "0.1"), ("1e6", "1.5"),
+     ("1e6", "1e9"), ("1.5", "0.1")],
+)
+@pytest.mark.parametrize("out", [False, True], ids=["summary", "rows"])
+def test_simulate_equal_sums_window_usage_error(capsys, tmp_path, D, c, out):
+    out_path = tmp_path / "rows.csv"
+    extra = ("--out", str(out_path)) if out else ()
+    code, stdout, err = run(
+        capsys, "simulate", "equal-sums", "--D", D, "--c", c, "--trials", "5", "--json", *extra,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("usage error: need finite D and c with max(2, ceil(D^c)) <= int(D) <= 2^50")
+    assert err.endswith(f"got D = {float(D)}, c = {float(c)}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
     "given, missing", [(("--dmin", "2"), "--dmax"), (("--dmax", "40"), "--dmin")]
 )
 def test_simulate_delta_poly_half_window_usage_error(capsys, given, missing):

@@ -42,6 +42,12 @@ def test_sample_log_set_huge_range_is_cheap():
     assert len(A) < 200  # expected size ~ 34
 
 
+def _lockstep_sets(lo, hi, seed, n):
+    # the sets of streams (seed, 0..n-1), sampled in lockstep: each row is the
+    # set sample_log_set gives on that stream
+    return S._log_set_rows(lo, hi, [S.substream(seed, t) for t in range(n)])
+
+
 def test_log_set_expected_count():
     # mean count over many draws within 3 standard errors of the
     # inclusion-probability sum
@@ -49,7 +55,7 @@ def test_log_set_expected_count():
     lo, hi = 10, D
     mean_target = sum(1.0 / i for i in range(lo + 1, hi + 1))
     n = 4000
-    counts = [len(S.sample_log_set(lo, hi, S.substream(11, t))) for t in range(n)]
+    counts = _lockstep_sets(lo, hi, 11, n)[1].tolist()
     mean = sum(counts) / n
     # variance of a sum of Bernoulli(1/i): at most the mean
     se = math.sqrt(mean_target / n)
@@ -59,11 +65,8 @@ def test_log_set_expected_count():
 def test_log_set_per_element_inclusion_frequency():
     # P(i in A) = 1/i for individual elements, within binomial noise
     trials = 20000
-    hits = {3: 0, 10: 0, 40: 0}
-    for t in range(trials):
-        A = set(S.sample_log_set(2, 100, S.substream(17, t)).elements)
-        for i in hits:
-            hits[i] += i in A
+    elements = _lockstep_sets(2, 100, 17, trials)[0]
+    hits = {i: int((elements == i).any(axis=1).sum()) for i in (3, 10, 40)}
     for i, h in hits.items():
         p = 1.0 / i
         se = math.sqrt(p * (1 - p) / trials)
@@ -84,11 +87,8 @@ def test_log_set_window_deviation_bound():
         lo = int(D**alpha)
         hi = int(D**beta)
         target = (beta - alpha) * logD
-        bad = 0
-        for t in range(n):
-            cnt = len(S.sample_log_set(lo, hi, S.substream(5, t)))
-            if abs(cnt - target) > bound:
-                bad += 1
+        counts = _lockstep_sets(lo, hi, 5, n)[1]
+        bad = int((np.abs(counts - target) > bound).sum())
         assert bad / n < 0.01, (alpha, beta, bad)
 
 
@@ -212,12 +212,23 @@ def _census_unique_exact(A):
     return S.MultiplicityResult(k_max, witness_sum, witnesses, True)
 
 
-def test_exact_multiplicity_matches_full_census():
+def _exact_cases():
     cases = [_random_multiset(t) for t in range(240)]
     # tied maxima: the least sum must win
     cases += [[1, 2, 3, 4], [2, 3, 5, 7, 8, 10], [1, 2, 4, 5, 7, 8], [1, 5, 6, 11, 12, 17]]
     cases.append(list(range(1, 21)))  # k_max in the thousands
-    for A in cases:
+    return cases
+
+
+def test_exact_multiplicity_matches_full_census():
+    for A in _exact_cases():
+        assert S.max_subset_sum_multiplicity(A, "exact") == _census_unique_exact(A), A
+
+
+def test_exact_multiplicity_without_merge_scratch(monkeypatch):
+    # no scratch: every census merges its last level by the in-place sort
+    monkeypatch.setattr(S, "MERGE_SCRATCH_SUMS", 0)
+    for A in _exact_cases():
         assert S.max_subset_sum_multiplicity(A, "exact") == _census_unique_exact(A), A
 
 
@@ -315,6 +326,40 @@ def test_exact_multiplicity_memory_bounded(A):
     assert proc.stdout == "1\n"
 
 
+def test_exact_census_peak_rss():
+    # 2^26 sums take 512 MB; with interleaving levels the last merge may add
+    # no more than its 32 MB of scratch (timsort's buffer alone would be 256 MB)
+    src = str(Path(S.__file__).resolve().parents[1])
+    code = (
+        f"import resource, sys; sys.path.insert(0, {src!r})\n"
+        "from cubeflags.simlab import max_subset_sum_multiplicity\n"
+        "max_subset_sum_multiplicity([(1 << 40) + (1 << i) for i in range(26)], 'exact')\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 < 0.65e9
+
+
+def test_row_batches_memory_bounded():
+    # two 26-element trials each fill a row batch alone: the first batch's
+    # 512 MB buffer must be gone before the second allocates, within 1 GiB
+    src = str(Path(S.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from cubeflags.simlab import _decide_trials\n"
+        "rows = np.array([[1 << i for i in range(26)]] * 2, dtype=np.int64)\n"
+        "print(_decide_trials(0, rows, np.array([26, 26]), 2, 0).tolist())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False]\n"
+
+
 @pytest.mark.parametrize("k, trials, message", [(2, 0, "trials"), (2, -3, "trials"), (0, 5, "k")])
 def test_equal_sums_needs_positive_counts(k, trials, message):
     for run in (S.equal_sums_probability, S.equal_sums_rows):
@@ -328,6 +373,112 @@ def test_equal_sums_rows_give_the_estimate():
     outcomes = [(r["k_max"] >= k, r["exact"]) for r in rows]
     assert S.EqualSumsEstimate.from_outcomes(D, c, k, outcomes) == S.equal_sums_probability(
         D, c, k, trials, seed)
+
+
+# The per-trial loop the batched estimate replaced: one scalar draw per gap,
+# a sorted-merge level walk per exact trial, and the randomized search
+# continuing the trial's stream after the n + 1 draws that sampled its set.
+
+
+def _level_walk_has_k_equal_sums(A, k):
+    if k <= 1:
+        return True
+    sums = np.zeros(1, dtype=np.int64)
+    for a in sorted(set(A)):
+        sums = np.sort(np.concatenate([sums, sums + a]), kind="stable")
+        if len(sums) >= k and (sums[k - 1:] == sums[:len(sums) - k + 1]).any():
+            return True
+    return False
+
+
+def _scalar_log_set(lo, hi, rng):
+    out, i = [], lo
+    while (nxt := int(i / (1.0 - rng.random())) + 1) <= hi:
+        out.append(nxt)
+        i = nxt
+    return out
+
+
+def _per_trial_outcomes(D, c, k, trials, seed):
+    lo, hi = max(2, math.ceil(D**c)), int(D)
+    outcomes = []
+    for t in range(trials):
+        rng = S.substream(seed, t)
+        A = _scalar_log_set(lo - 1, hi, rng)
+        if len(A) <= S.EXACT_SUBSET_LIMIT:
+            outcomes.append((_level_walk_has_k_equal_sums(A, k), True))
+        else:
+            outcomes.append((S.max_subset_sum_multiplicity(A, "randomized", rng).k_max >= k, False))
+    return outcomes
+
+
+@pytest.mark.parametrize("D", [10, 1e5, 1e6, 1e8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_equal_sums_probability_matches_per_trial_loop(D, k):
+    # at D = 1e8 and c = 0.02 some sets are too large for the exact census, and
+    # the 20-element sets, four to a batch, fill more than one batch
+    for c, seed in ((0.02, 1), (0.02, 2), (0.3, 3)):
+        trials = 150
+        expected = S.EqualSumsEstimate.from_outcomes(D, c, k, _per_trial_outcomes(D, c, k, trials, seed))
+        assert S.equal_sums_probability(D, c, k, trials, seed) == expected, (c, seed)
+
+
+@pytest.mark.parametrize("batch_sums, trial_batch", [(S.BATCH_SUMS, S.TRIAL_BATCH), (1 << 10, 7), (1, 1)])
+def test_equal_sums_batches_match_per_trial_loop(monkeypatch, batch_sums, trial_batch):
+    # trial by trial, so that rows swapped within a batch show; the small caps
+    # split every size group and every run into many batches
+    monkeypatch.setattr(S, "BATCH_SUMS", batch_sums)
+    monkeypatch.setattr(S, "TRIAL_BATCH", trial_batch)
+    for D, c, k, seed in ((1e6, 0.3, 2, 5), (1e8, 0.02, 3, 6), (1e5, 0.02, 1, 7)):
+        got = []
+        for first, elements, sizes in S._trial_batches(D, c, seed, 0, 120):
+            success = S._decide_trials(first, elements, sizes, k, seed)
+            got += zip(success.tolist(), (sizes <= S.EXACT_SUBSET_LIMIT).tolist())
+        assert got == _per_trial_outcomes(D, c, k, 120, seed), (D, c, k)
+
+
+def test_equal_sums_trial_is_one_row_of_the_batch(monkeypatch):
+    # D = 1e8, c = 0.02, seed 1: trials 0 and 17 are too large for the exact census
+    outcomes = _per_trial_outcomes(1e8, 0.02, 2, 20, 1)
+    assert [t for t, (_, exact) in enumerate(outcomes) if not exact] == [0, 17]
+    for t, (success, exact) in enumerate(outcomes):
+        assert S.equal_sums_trial(1e8, 0.02, 2, 1, t)[:2] == (success, exact), t
+    # the search continues each stream after exactly the n + 1 draws of its set
+    next_draws = []
+    monkeypatch.setattr(S, "max_subset_sum_multiplicity", lambda A, mode, rng: next_draws.append(rng.random()))
+    expected = []
+    for t in (0, 17):
+        rng = S.substream(1, t)
+        S._randomized_trial(_scalar_log_set(1, 10**8, rng), 1, t)
+        expected.append(rng.random())
+    assert next_draws == expected
+
+
+class _Zeros:
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_log_set_rows_stop_at_hi():
+    # a draw of 0.0 is u = 1: each step adds one, and the walk ends on hi itself
+    elements, sizes = S._log_set_rows(5, 8, [_Zeros()], block=2)
+    assert elements.tolist() == [[6, 7, 8]] and sizes.tolist() == [3]
+    assert _scalar_log_set(5, 8, _Zeros()) == [6, 7, 8]
+
+
+def test_log_set_rows_match_scalar_loop():
+    # block 1 draws again at every position; sets of 2..2^50 outrun a block of 32
+    for lo, hi in ((1, 10), (9, 10**5), (1, 10**8), (2, S.MAX_ELEMENT)):
+        for block in (1, 4, 32):
+            elements, sizes = S._log_set_rows(lo, hi, [S.substream(71, t) for t in range(200)], block)
+            for t in range(200):
+                assert elements[t, :sizes[t]].tolist() == _scalar_log_set(lo, hi, S.substream(71, t))
+                assert not elements[t, sizes[t]:].any()
+    # the one-row case leaves its generator past exactly the draws the set used
+    for t in range(50):
+        rng, ref = S.substream(72, t), S.substream(72, t)
+        assert list(S.sample_log_set(1, 10**8, rng).elements) == _scalar_log_set(1, 10**8, ref)
+        assert rng.random() == ref.random()
 
 
 def test_equal_sums_probability_near_empty_window():
@@ -441,6 +592,25 @@ def test_sample_delta_integer():
 
 def test_cycle_type_n1():
     assert S.sample_cycle_type(1, S.substream(0, 0)) == (1,)
+
+
+def _scalar_cycle_type(n, rng):
+    out, rem = [], n
+    while rem:
+        t = 1
+        while rng.random() >= 1.0 / (rem - t + 1):
+            t += 1
+        out.append(t)
+        rem -= t
+    return tuple(sorted(out))
+
+
+def test_cycle_type_matches_scalar_loop():
+    for n in (1, 2, 3, 7, 50, 400):
+        for t in range(300):
+            rng, ref = S.substream(81, t), S.substream(81, t)
+            assert S.sample_cycle_type(n, rng) == _scalar_cycle_type(n, ref), (n, t)
+            assert rng.random() == ref.random()  # both use n draws
 
 
 def test_cycle_type_partitions_n():

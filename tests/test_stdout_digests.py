@@ -2,8 +2,8 @@
 
 Each command is one of the benchmark's (perfbench/run.py), run in-process
 through cli.main, and its digest is read from perfbench/digests.json: every
-seed-independent command, plus two seeded Monte Carlo commands at the seed
-the digests were recorded with.
+seed-independent command, plus the seeded Monte Carlo commands that cover
+each sampler and census path, at the seed the digests were recorded with.
 """
 
 import hashlib
@@ -23,6 +23,11 @@ def _check(*args):
     return ("--workers", "1", "check", *args)
 
 
+def _sums(workers, D, c, trials):
+    return ("--workers", workers, "simulate", "equal-sums", "--D", D, "--c", c, "--k", "2",
+            "--trials", trials, "--seed", SEED, "--json")
+
+
 COMMANDS = {
     ("paper-certs", "check-binary-1"): _check("--flag", "binary", "--order", "1"),
     ("paper-certs", "check-binary-2"): _check("--flag", "binary", "--order", "2"),
@@ -36,9 +41,15 @@ COMMANDS = {
     ("monte-carlo", "delta-poly"): (
         "--workers", "1", "simulate", "delta-poly", "--q", "2", "--n", "2000", "--model", "nb",
         "--dmin", "2", "--dmax", "750", "--samples", "50", "--seed", SEED, "--json"),
-    ("monte-carlo", "sums-small-c0.3-w2"): (
-        "--workers", "2", "simulate", "equal-sums", "--D", "1e6", "--c", "0.3", "--k", "2",
-        "--trials", "2000", "--seed", SEED, "--json"),
+    ("monte-carlo", "sums-small-c0.3-w2"): _sums("2", "1e6", "0.3", "2000"),
+    ("monte-carlo", "sums-small-c0.02-w1"): _sums("1", "1e6", "0.02", "2000"),
+    ("monte-carlo", "sums-small-c0.15-w1"): _sums("1", "1e6", "0.15", "2000"),
+    # 13 of its sets are too large for the exact census: the randomized search
+    # continues each of those trials' streams
+    ("monte-carlo", "sums-large"): _sums("1", "1e8", "0.02", "500"),
+    ("monte-carlo", "delta-perm"): (
+        "--workers", "1", "simulate", "delta-perm", "--n", "400", "--samples", "500",
+        "--seed", SEED, "--json"),
 }
 
 
