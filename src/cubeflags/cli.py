@@ -308,8 +308,9 @@ def _cmd_simulate(args, config: dict) -> int:
     if args.experiment == "equal-sums":
         if args.out:  # one census per trial gives both the rows and the estimate
             rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
-            outcomes = [(r["k_max"] >= args.k, r["exact"]) for r in rows]
-            est = simlab.EqualSumsEstimate.from_outcomes(args.D, args.c, args.k, outcomes)
+            est = simlab.EqualSumsEstimate.from_counts(
+                args.D, args.c, args.k, len(rows), sum(r["k_max"] >= args.k for r in rows),
+                sum(not r["exact"] for r in rows))
             _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
         else:
             est = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)

@@ -2,11 +2,16 @@
 sums, and divisor-concentration statistics for integers, permutations,
 and polynomials over finite fields.
 
-Reproducibility contract: every sampler takes a numpy Generator produced by
-substream(seed, trial), a counter-based Philox stream keyed by the mixed
-(seed, trial index) entropy.  Results therefore depend only on (seed, trial)
-and never on execution order; aggregation is restricted to order-independent
-reductions over trial-indexed rows.
+Reproducibility contract: every trial draws from substream(seed, trial), a
+counter-based Philox stream keyed by the mixed (seed, trial index) entropy.
+Results therefore depend only on (seed, trial) and never on execution order;
+aggregation is restricted to order-independent reductions over trial-indexed
+rows.  The samplers take the Generator itself, except the equal-sums
+sampler: Philox draw s is a pure function of the key and the counter
+1 + s // 4, so _philox_keys and _philox_uniforms compute the first draws of
+a whole batch of substreams in numpy, bit for bit, with no Generator built.
+A trial that falls back to the randomized search rebuilds its substream and
+continues it past those draws.
 
 Subset sums are exact integers end to end: every census holds them as
 int64, which is exact for the guarded domain (elements <= 2^50, at most 26
@@ -26,6 +31,7 @@ those of one trial at a time.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -56,6 +62,102 @@ def substream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, trial])))
 
 
+# The first draws of substream(seed, t), computed from its Philox key for a
+# whole batch of trials at once.  Every constant is a np.uint64 and every
+# operand an array: numpy 1.x turns a uint64 scalar mixed with a Python int
+# into float64.  Array arithmetic wraps modulo 2^64 without a warning.
+_M32 = np.uint64(0xFFFFFFFF)
+_U11, _U16, _U32 = np.uint64(11), np.uint64(16), np.uint64(32)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))  # round multipliers
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))  # key bumps
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant, as (before, after) each
+    multiply modulo 2^32."""
+    while True:
+        nxt = init * mult & 0xFFFFFFFF
+        yield np.uint64(init), np.uint64(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    before, after = next(consts)
+    value = (value ^ before) * after & _M32
+    return value ^ value >> _U16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = (x * np.uint64(0xCA01F9DD) - y * np.uint64(0x4973F715)) & _M32
+    return value ^ value >> _U16
+
+
+def _philox_keys(seed: int, trials: np.ndarray) -> np.ndarray:
+    """(len(trials), 2) uint64: row i is SeedSequence([seed, trials[i]])
+    .generate_state(2, np.uint64), the Philox key of substream(seed,
+    trials[i]), for a uint64 array of trials.
+
+    The entropy is each integer's 32-bit words, low first (one word for 0),
+    held in uint64 arrays.  Its first four words (zeros past the end, as
+    SeedSequence pads) fill the pool, and each later word is mixed into it;
+    rows whose entropy has ended keep their pool.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(1, seed.bit_length()), 32)]
+    s = len(seed_words)
+    entropy = np.zeros((len(trials), max(4, s + 2)), dtype=np.uint64)
+    entropy[:, :s] = seed_words
+    entropy[:, s] = trials & _M32
+    entropy[:, s + 1] = trials >> _U32
+    size = s + 1 + (entropy[:, s + 1] != 0)  # the words of each row's entropy
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875)
+    pool = [_hashmix(entropy[:, i], consts) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = np.where(size > src, _mix(pool[dst], _hashmix(entropy[:, src], consts)), pool[dst])
+    consts = _hash_constants(0x8B51F9DD, 0x58F38DED)
+    state = [_hashmix(p, consts) for p in pool]  # four 32-bit words, read as two little-endian uint64
+    return np.stack([state[0] | state[1] << _U32, state[2] | state[3] << _U32], axis=1)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit halves of the 128-bit products a * b, from 32-bit
+    halves: every partial sum stays below 2^64."""
+    a_lo, a_hi, b_lo, b_hi = a & _M32, a >> _U32, b & _M32, b >> _U32
+    lo_lo, hi_lo = a_lo * b_lo, a_hi * b_lo
+    cross = (lo_lo >> _U32) + (hi_lo & _M32) + a_lo * b_hi
+    return a_hi * b_hi + (hi_lo >> _U32) + (cross >> _U32), a * b
+
+
+def _philox_uniforms(keys: np.ndarray, start: int, m: int) -> np.ndarray:
+    """(len(keys), m) doubles: draws start .. start + m - 1 of the stream of
+    each Philox key, as Generator.random gives them.
+
+    Philox4x64-10 bumps its counter before each block, so draw s is word
+    s % 4 of block s // 4, run on counter (1 + s // 4, 0, 0, 0).  A double
+    is the top 53 bits of its word, times 2^-53.
+    """
+    first = start // 4
+    ctr = np.arange(first + 1, (start + m + 3) // 4 + 1, dtype=np.uint64)
+    zeros = np.zeros((len(keys), len(ctr)), dtype=np.uint64)
+    x0, x1, x2, x3 = zeros + ctr, zeros, zeros, zeros
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack([x0, x1, x2, x3], axis=2).reshape(len(keys), -1)[:, start - 4 * first:][:, :m]
+    return (words >> _U11) * (1.0 / (1 << 53))
+
+
 # ---------------------------------------------------------------------------
 # Logarithmic random sets
 
@@ -73,25 +175,25 @@ class LogRandomSet:
         return len(self.elements)
 
 
-def _log_set_rows(lo: int, hi: int, rngs: Sequence[np.random.Generator], block: int = 32):
-    """Sample one logarithmic random set on (lo, hi] per generator, in lockstep.
+def _log_set_rows(lo: int, hi: int, rows: int, draw):
+    """Sample `rows` logarithmic random sets on (lo, hi], in lockstep.
 
     Gap sampling: from element i, the next element exceeds j with probability
-    i/j, so next = int(i/u) + 1 for u uniform on (0, 1].  Each generator draws
-    its uniforms `block` at a time (rng.random(m) gives the same doubles as m
-    scalar draws, in order), and one numpy step per element position advances
-    every set still below hi.  Returns (elements, sizes): row r holds the
-    ascending set of rngs[r] in its first sizes[r] columns, zeros after.  A
-    set of n elements uses n + 1 draws; its generator is left past its last
-    block.
+    i/j, so next = int(i/u) + 1 for u uniform on (0, 1].  draw(live, start)
+    gives uniforms start, start + 1, ... of each row in live, a block of them
+    per row, and one numpy step per element position advances every set still
+    below hi.  Returns (elements, sizes): row r holds its ascending set in its
+    first sizes[r] columns, zeros after.  A set of n elements uses n + 1
+    draws.
     """
-    live = np.arange(len(rngs))  # the rows still below hi
-    cur = np.full(len(rngs), float(lo))  # their last element; integers below 2^53 are exact
+    live = np.arange(rows)  # the rows still below hi
+    cur = np.full(rows, float(lo))  # their last element; integers below 2^53 are exact
     steps = []  # per position: (the rows that reached it, their elements)
-    while True:
-        j = len(steps) % block
-        if j == 0:
-            u = 1.0 - np.array([rngs[r].random(block) for r in live])  # on (0, 1]
+    start, u = 0, np.empty((rows, 0))  # the live rows' uniforms from draw start on
+    while live.size:
+        j = len(steps) - start
+        if j == u.shape[1]:
+            start, j, u = len(steps), 0, 1.0 - draw(live, len(steps))  # on (0, 1]
         q = cur / u[:, j]
         below = q < hi  # int(q) + 1 <= hi
         if not below.all():
@@ -100,12 +202,25 @@ def _log_set_rows(lo: int, hi: int, rngs: Sequence[np.random.Generator], block: 
                 break
         cur = np.floor(q) + 1.0
         steps.append((live, cur))
-    elements = np.zeros((len(rngs), len(steps)), dtype=np.int64)
+    elements = np.zeros((rows, len(steps)), dtype=np.int64)
     if steps:
         reached, values = zip(*steps)
         positions = np.repeat(np.arange(len(steps)), [len(r) for r in reached])
         elements[np.concatenate(reached), positions] = np.concatenate(values)
     return elements, np.count_nonzero(elements, axis=1)
+
+
+def _generator_draws(rngs: Sequence[np.random.Generator], block: int = 32):
+    """Draw source over Generators: rng.random(block) gives the same doubles
+    as block scalar draws, in order, so each generator is left past its last
+    block."""
+    return lambda live, start: np.array([rngs[r].random(block) for r in live])
+
+
+def _key_draws(keys: np.ndarray, block: int = 32):
+    """Draw source over Philox keys: the doubles _generator_draws gives on
+    the generators they key, computed without one."""
+    return lambda live, start: _philox_uniforms(keys[live], start, block)
 
 
 def sample_log_set(lo: int, hi: int, rng: np.random.Generator, seed_info: str = "") -> LogRandomSet:
@@ -118,7 +233,7 @@ def sample_log_set(lo: int, hi: int, rng: np.random.Generator, seed_info: str = 
     if not (1 <= lo < hi <= MAX_ELEMENT):
         raise ValueError(f"need 1 <= lo < hi <= 2^50, got ({lo}, {hi})")
     state = rng.bit_generator.state
-    elements, sizes = _log_set_rows(lo, hi, [rng])
+    elements, sizes = _log_set_rows(lo, hi, 1, _generator_draws([rng]))
     rng.bit_generator.state = state
     rng.random(int(sizes[0]) + 1)
     return LogRandomSet(lo, hi, tuple(elements[0, :sizes[0]].tolist()), seed_info)
@@ -185,11 +300,14 @@ def _merge_runs(sums: np.ndarray, spare: int) -> None:
 
 
 def _has_run(sums: np.ndarray, k: int) -> np.ndarray:
-    """Whether each sorted row (last axis) of sums holds k >= 1 equal values."""
-    m = sums.shape[-1]
-    if m < k:
-        return np.zeros(sums.shape[:-1], dtype=bool)
-    return (sums[..., k - 1:] == sums[..., :m - k + 1]).any(axis=-1)
+    """Whether each sorted row (last axis) of sums holds k >= 1 equal values,
+    compared 2^22 positions at a time: a 2^26-sum row needs no 64 MB mask."""
+    hit = np.zeros(sums.shape[:-1], dtype=bool)
+    end, step = sums.shape[-1] - k + 1, 1 << 22  # end: the positions a run of k can start at
+    for i in range(0, end, step):
+        stop = min(end, i + step)
+        hit |= (sums[..., i + k - 1:stop + k - 1] == sums[..., i:stop]).any(axis=-1)
+    return hit
 
 
 def _rows_have_k_equal_sums(values: np.ndarray, k: int) -> np.ndarray:
@@ -200,7 +318,8 @@ def _rows_have_k_equal_sums(values: np.ndarray, k: int) -> np.ndarray:
     follows the levels reached.  Each level spreads the rows to twice their
     width, writes each row's shifted copy behind it and merges the two sorted
     runs (sort(kind="stable"), timsort); a row whose level holds k equal
-    neighbours is decided and leaves the walk.
+    neighbours is decided and leaves the walk.  A lone row merges with
+    _merge_runs, whose buffer is bounded as in the exact census.
     """
     found = np.zeros(len(values), dtype=bool)
     rows = np.arange(len(values))
@@ -213,7 +332,10 @@ def _rows_have_k_equal_sums(values: np.ndarray, k: int) -> np.ndarray:
             level = buf[:2 * sums.size].reshape(len(rows), 2 * m)
             level[1:, :m] = sums[1:]  # row 0 stays; numpy buffers the overlapping copy
             np.add(level[:, :m], values[rows, j - 1:j], out=level[:, m:])
-            level.sort(axis=1, kind="stable")  # two sorted runs: timsort merges them in O(m)
+            if len(rows) == 1:  # a lone row, up to 2^26 sums: bound the merge as the census does
+                _merge_runs(level[0], len(buf) - level.size + MERGE_SCRATCH_SUMS)
+            else:
+                level.sort(axis=1, kind="stable")  # two sorted runs: timsort merges them in O(m)
             sums = level
         hit = _has_run(sums, k)
         if hit.any():
@@ -346,10 +468,9 @@ class EqualSumsEstimate:
     window: tuple[int, int]
 
     @staticmethod
-    def from_outcomes(D: float, c: float, k: int, outcomes: Sequence[tuple[bool, bool]]) -> "EqualSumsEstimate":
-        """The estimate from one (success, was_exact) pair per trial."""
-        trials, successes = len(outcomes), sum(1 for ok, _ in outcomes if ok)
-        inexact = sum(1 for _, ex in outcomes if not ex)
+    def from_counts(D: float, c: float, k: int, trials: int, successes: int, inexact: int) -> "EqualSumsEstimate":
+        """The estimate from the counts of trials, successes and trials
+        decided by the randomized search."""
         lo, hi = wilson_ci(successes, trials)
         return EqualSumsEstimate(
             D, c, k, trials, successes, successes / trials, lo, hi, inexact, _window_bounds(D, c)
@@ -376,11 +497,11 @@ def _check_counts(k: int, trials: int) -> None:
 def _trial_batches(D: float, c: float, seed: int, start: int, stop: int):
     """Yield (first trial, elements, sizes) for trials start..stop-1, at most
     TRIAL_BATCH at a time: each trial's set, sampled by _log_set_rows from
-    its own substream(seed, trial)."""
+    the first draws of its substream(seed, trial), computed from its key."""
     lo, hi = _window_bounds(D, c)
     for first in range(start, stop, TRIAL_BATCH):
-        rngs = [substream(seed, t) for t in range(first, min(stop, first + TRIAL_BATCH))]
-        yield (first, *_log_set_rows(lo - 1, hi, rngs))
+        keys = _philox_keys(seed, np.arange(first, min(stop, first + TRIAL_BATCH), dtype=np.uint64))
+        yield (first, *_log_set_rows(lo - 1, hi, len(keys), _key_draws(keys)))
 
 
 def _randomized_trial(values: list[int], seed: int, trial: int) -> MultiplicityResult:
@@ -396,7 +517,7 @@ def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, 
     group walked in row batches of at most BATCH_SUMS sums (one row if a row
     alone is larger), and the rest by the randomized search."""
     success = np.zeros(len(sizes), dtype=bool)
-    for n in np.unique(sizes[sizes <= EXACT_SUBSET_LIMIT]).tolist():
+    for n in np.flatnonzero(np.bincount(sizes[sizes <= EXACT_SUBSET_LIMIT])).tolist():
         group, step = np.flatnonzero(sizes == n), max(1, BATCH_SUMS >> n)
         for i in range(0, len(group), step):  # each buffer is freed before the next is made
             rows = group[i:i + step]
@@ -425,18 +546,19 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     slow), so treat sweeps over c as qualitative.
     """
     _check_counts(k, trials)
-    outcomes: list[tuple[bool, bool]] = []
+    successes = inexact = 0
     for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
-        success = _decide_trials(first, elements, sizes, k, seed)
-        outcomes += zip(success.tolist(), (sizes <= EXACT_SUBSET_LIMIT).tolist())
-    return EqualSumsEstimate.from_outcomes(D, c, k, outcomes)
+        successes += int(np.count_nonzero(_decide_trials(first, elements, sizes, k, seed)))
+        inexact += int(np.count_nonzero(sizes > EXACT_SUBSET_LIMIT))
+    return EqualSumsEstimate.from_counts(D, c, k, trials, successes, inexact)
 
 
 def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> list[dict]:
     """Per-trial census rows (trial, set_size, k_max, exact) for CSV export.
 
-    The rows see the same sets and searches as equal_sums_probability, so the
-    pairs (k_max >= k, exact) give its estimate through from_outcomes.
+    The rows see the same sets and searches as equal_sums_probability, so
+    counting k_max >= k and exact == 0 over them gives its estimate through
+    from_counts.
     """
     _check_counts(k, trials)
     rows = []

@@ -215,6 +215,36 @@ def test_simulate_equal_sums_out_bytes_pinned(capsys, tmp_path):
         "0fea7239d9c9e5a0ecdd8cfc8c9492b74d16a90d82633925ce4375a6414c3364")
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["summary", "rows"])
+def test_simulate_equal_sums_negative_seed_usage_error(capsys, tmp_path, out):
+    # SeedSequence's own message: the sampler must reject a negative seed as it does
+    out_path = tmp_path / "rows.csv"
+    extra = ("--out", str(out_path)) if out else ()
+    code, stdout, err = run(
+        capsys, "simulate", "equal-sums", "--D", "1e6", "--trials", "5", "--seed", "-1", "--json", *extra,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == "usage error: expected non-negative integer\n"
+    assert not out_path.exists()
+
+
+def test_simulate_equal_sums_wide_seed_bytes_pinned(capsys, tmp_path):
+    # a seed of 2^70 + 3 takes three 32-bit entropy words; digests recorded from
+    # the per-trial Generator streams
+    out_path = tmp_path / "rows.csv"
+    argv = ("simulate", "equal-sums", "--D", "1e6", "--trials", "300",
+            "--seed", "1180591620717411303427", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "de8b63fb15413b767644821a2fec6e732fb27b180fee321d1dd7267076abb41b")
+    code, rows_out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and rows_out == out
+    assert _sha256(out_path.read_bytes()) == (
+        "6a6743473068cdafa3cb82b4b74b14e16ab6b19c8cac45ffed0976986b4a87d4")
+
+
 def test_simulate_amplify_bytes_pinned(capsys):
     # two windows with exact witnesses: k^2 = 4 stacked sets
     code, out, _ = run(

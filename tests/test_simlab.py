@@ -45,7 +45,7 @@ def test_sample_log_set_huge_range_is_cheap():
 def _lockstep_sets(lo, hi, seed, n):
     # the sets of streams (seed, 0..n-1), sampled in lockstep: each row is the
     # set sample_log_set gives on that stream
-    return S._log_set_rows(lo, hi, [S.substream(seed, t) for t in range(n)])
+    return S._log_set_rows(lo, hi, n, S._generator_draws([S.substream(seed, t) for t in range(n)]))
 
 
 def test_log_set_expected_count():
@@ -326,19 +326,34 @@ def test_exact_multiplicity_memory_bounded(A):
     assert proc.stdout == "1\n"
 
 
-def test_exact_census_peak_rss():
-    # 2^26 sums take 512 MB; with interleaving levels the last merge may add
-    # no more than its 32 MB of scratch (timsort's buffer alone would be 256 MB)
+def _child_peak_rss(call):
+    # (printed result of call, peak RSS in bytes) in a fresh interpreter
     src = str(Path(S.__file__).resolve().parents[1])
     code = (
         f"import resource, sys; sys.path.insert(0, {src!r})\n"
-        "from cubeflags.simlab import max_subset_sum_multiplicity\n"
-        "max_subset_sum_multiplicity([(1 << 40) + (1 << i) for i in range(26)], 'exact')\n"
+        "from cubeflags.simlab import *\n"
+        f"print({call})\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) * 1024 < 0.65e9
+    result, peak_kb = proc.stdout.splitlines()
+    return result, int(peak_kb) * 1024
+
+
+def test_exact_census_peak_rss():
+    # 2^26 sums take 512 MB; with interleaving levels the last merge may add
+    # no more than its 32 MB of scratch (timsort's buffer alone would be 256 MB)
+    _, peak = _child_peak_rss("max_subset_sum_multiplicity([(1 << 40) + (1 << i) for i in range(26)], 'exact').k_max")
+    assert peak < 0.65e9
+
+
+def test_equal_sums_walk_peak_rss():
+    # the same set in the has_k_equal_sums walk: a lone row merges with the
+    # census's bounded scratch, and its run check builds no 64 MB mask
+    result, peak = _child_peak_rss("has_k_equal_sums([(1 << 40) + (1 << i) for i in range(26)], 2)")
+    assert result == "False"
+    assert peak < 0.65e9
 
 
 def test_row_batches_memory_bounded():
@@ -360,6 +375,25 @@ def test_row_batches_memory_bounded():
     assert proc.stdout == "[False, False]\n"
 
 
+def test_exact_equal_sums_command_needs_no_generator():
+    # every trial of this command is exact, so it builds no Generator (the
+    # draws come from the Philox kernel) and groups sizes without np.unique,
+    # whose first call imports numpy.ma
+    src = str(Path(S.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from cubeflags.cli import main\n"
+        "main(['simulate', 'equal-sums', '--D', '1e6', '--c', '0.3', '--trials', '2000',"
+        " '--seed', '20260810', '--json'])\n"
+        "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc, imported = proc.stdout.rsplit("\n", 2)[:2]
+    assert '"inexact_trials": 0,' in doc
+    assert imported == "[]"
+
+
 @pytest.mark.parametrize("k, trials, message", [(2, 0, "trials"), (2, -3, "trials"), (0, 5, "k")])
 def test_equal_sums_needs_positive_counts(k, trials, message):
     for run in (S.equal_sums_probability, S.equal_sums_rows):
@@ -370,8 +404,7 @@ def test_equal_sums_needs_positive_counts(k, trials, message):
 def test_equal_sums_rows_give_the_estimate():
     D, c, k, trials, seed = 1e5, 0.1, 3, 300, 4
     rows = S.equal_sums_rows(D, c, k, trials, seed)
-    outcomes = [(r["k_max"] >= k, r["exact"]) for r in rows]
-    assert S.EqualSumsEstimate.from_outcomes(D, c, k, outcomes) == S.equal_sums_probability(
+    assert _estimate(D, c, k, [(r["k_max"] >= k, r["exact"]) for r in rows]) == S.equal_sums_probability(
         D, c, k, trials, seed)
 
 
@@ -399,6 +432,12 @@ def _scalar_log_set(lo, hi, rng):
     return out
 
 
+def _estimate(D, c, k, outcomes):
+    # the estimate from one (success, was_exact) pair per trial
+    return S.EqualSumsEstimate.from_counts(
+        D, c, k, len(outcomes), sum(ok for ok, _ in outcomes), sum(not exact for _, exact in outcomes))
+
+
 def _per_trial_outcomes(D, c, k, trials, seed):
     lo, hi = max(2, math.ceil(D**c)), int(D)
     outcomes = []
@@ -419,7 +458,7 @@ def test_equal_sums_probability_matches_per_trial_loop(D, k):
     # the 20-element sets, four to a batch, fill more than one batch
     for c, seed in ((0.02, 1), (0.02, 2), (0.3, 3)):
         trials = 150
-        expected = S.EqualSumsEstimate.from_outcomes(D, c, k, _per_trial_outcomes(D, c, k, trials, seed))
+        expected = _estimate(D, c, k, _per_trial_outcomes(D, c, k, trials, seed))
         assert S.equal_sums_probability(D, c, k, trials, seed) == expected, (c, seed)
 
 
@@ -454,6 +493,47 @@ def test_equal_sums_trial_is_one_row_of_the_batch(monkeypatch):
     assert next_draws == expected
 
 
+# The Philox kernel against substream: seeds of one, two and three 32-bit
+# words, and trials on both sides of 2^32, where a trial's entropy grows from
+# one word to two (a batch starting at 2^32 - 2 holds both).
+ORACLE_SEEDS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) + 5, (1 << 70) + 3, 20260810]
+ORACLE_TRIALS = [*range(300), (1 << 32) - 1, *range(1 << 32, (1 << 32) + 20)]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_philox_kernel_matches_substream(seed):
+    trials = np.array(ORACLE_TRIALS, dtype=np.uint64)
+    keys = S._philox_keys(seed, trials)
+    expected = [np.random.SeedSequence([seed, t]).generate_state(2, np.uint64) for t in ORACLE_TRIALS]
+    assert np.array_equal(keys, np.array(expected))
+    # m crosses counter blocks; a start off a block boundary begins mid-block
+    for start, m in ((0, 1), (0, 4), (0, 5), (0, 37), (0, 130), (3, 6), (32, 37)):
+        got = S._philox_uniforms(keys, start, m)
+        want = np.array([S.substream(seed, t).random(start + m)[start:] for t in ORACLE_TRIALS])
+        assert np.array_equal(_bits(got), _bits(want)), (start, m)
+    # whole lockstep samples agree on both draw sources, on short and long sets
+    for lo, hi in ((1, 10**8), (2, S.MAX_ELEMENT)):
+        for block in (4, 32):
+            rngs = [S.substream(seed, t) for t in ORACLE_TRIALS]
+            want = S._log_set_rows(lo, hi, len(rngs), S._generator_draws(rngs, block))
+            got = S._log_set_rows(lo, hi, len(keys), S._key_draws(keys, block))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (lo, hi, block)
+
+
+@pytest.mark.parametrize("start", [0, (1 << 32) - 2, 1 << 32])
+def test_trial_batches_sample_the_substreams(start):
+    first, elements, sizes = next(S._trial_batches(1e6, 0.02, 20260810, start, start + 40))
+    rngs = [S.substream(20260810, t) for t in range(start, start + 40)]
+    lo, hi = S._window_bounds(1e6, 0.02)
+    want = S._log_set_rows(lo - 1, hi, 40, S._generator_draws(rngs))
+    assert first == start
+    assert np.array_equal(elements, want[0]) and np.array_equal(sizes, want[1])
+
+
 class _Zeros:
     def random(self, size=None):
         return 0.0 if size is None else np.zeros(size)
@@ -461,7 +541,7 @@ class _Zeros:
 
 def test_log_set_rows_stop_at_hi():
     # a draw of 0.0 is u = 1: each step adds one, and the walk ends on hi itself
-    elements, sizes = S._log_set_rows(5, 8, [_Zeros()], block=2)
+    elements, sizes = S._log_set_rows(5, 8, 1, S._generator_draws([_Zeros()], block=2))
     assert elements.tolist() == [[6, 7, 8]] and sizes.tolist() == [3]
     assert _scalar_log_set(5, 8, _Zeros()) == [6, 7, 8]
 
@@ -470,7 +550,8 @@ def test_log_set_rows_match_scalar_loop():
     # block 1 draws again at every position; sets of 2..2^50 outrun a block of 32
     for lo, hi in ((1, 10), (9, 10**5), (1, 10**8), (2, S.MAX_ELEMENT)):
         for block in (1, 4, 32):
-            elements, sizes = S._log_set_rows(lo, hi, [S.substream(71, t) for t in range(200)], block)
+            rngs = [S.substream(71, t) for t in range(200)]
+            elements, sizes = S._log_set_rows(lo, hi, 200, S._generator_draws(rngs, block))
             for t in range(200):
                 assert elements[t, :sizes[t]].tolist() == _scalar_log_set(lo, hi, S.substream(71, t))
                 assert not elements[t, sizes[t]:].any()
