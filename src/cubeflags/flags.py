@@ -190,8 +190,9 @@ def _is_nondegenerate(top: Subspace) -> bool:
 def make_flag(spaces: Sequence[Subspace], kind: str, check: bool = True) -> Flag:
     """Assemble and validate a flag from its chain of spaces.
 
-    Checks V_0 = <1>, nesting, and (for check=True) that every V_i is spanned
-    by cube vectors together with the all-ones vector.
+    Checks V_0 = <1>, nesting, and (for check=True) that k is within the
+    cell enumeration guard and every V_i is spanned by cube vectors together
+    with the all-ones vector.
     """
     spaces = tuple(spaces)
     k = spaces[0].ambient_dim
@@ -203,6 +204,8 @@ def make_flag(spaces: Sequence[Subspace], kind: str, check: bool = True) -> Flag
         if not contains_subspace(hi, lo):
             raise ValueError("flag spaces are not nested")
     if check:
+        if k > MAX_CELL_AMBIENT_DIM:
+            raise CapacityError(f"cell enumeration guard: ambient dim {k} > {MAX_CELL_AMBIENT_DIM}")
         for W in spaces[1:]:
             gens = [ones(k)] + cube_points(W)
             if span(gens, k) != W:

@@ -4,15 +4,18 @@ Subspaces are stored in a canonical reduced row-echelon form whose rows are
 integer vectors with cleared denominators, content 1 and positive leading
 entry.  Because the form is canonical, two subspaces are equal iff their
 basis tuples are identical, which makes Subspace values usable as dict keys
-for deduplication.  Everything here is exact; no floating point enters.
+for deduplication.  Elimination is fraction-free integer arithmetic;
+Fractions appear only where non-integer input is normalized to integer rows.
+Everything here is exact; no floating point enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
 from .errors import CapacityError, DimensionMismatchError
@@ -31,21 +34,9 @@ def as_vector(entries: Sequence, dim: int | None = None) -> RationalVector:
     return vec
 
 
-def _scaled_ints(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Return (nums, den) with vec == nums/den, den > 0."""
-    den = 1
-    for x in vec:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    nums = [int(Fraction(x) * den) for x in vec]
-    return nums, den
-
-
 def _normalize_int_row(row: Sequence[int]) -> tuple[int, ...]:
     """Divide out the content and make the leading entry positive."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
+    g = gcd(*row)
     if g == 0:
         return tuple(row)
     lead = next(x for x in row if x != 0)
@@ -54,36 +45,40 @@ def _normalize_int_row(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
-def _rref(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    """Reduced row echelon over Q; output rows scaled to canonical int form."""
-    if not rows:
-        return []
-    k = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []  # (column, row index in mat)
+def _int_row(v: Sequence) -> tuple[list[int], int]:
+    """(nums, den) with v == nums/den, den > 0; int entries pass through as they are."""
+    nums = list(v)
+    if all(type(x) is int for x in nums):
+        return nums, 1
+    vec = as_vector(nums)
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _rref(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Reduced row echelon over Q of integer rows, in canonical int form.
+
+    Fraction-free: each step sets row_i <- piv*row_i - f*row_pivot and divides
+    out the content, so every entry stays an integer.  After full reduction a
+    pivot row is zero at every other pivot column and the rows span the same
+    space, so each is a rational multiple of the Fraction RREF row; with
+    content 1 and a positive lead it is that row's canonical form.
+    """
+    mat = [_normalize_int_row(r) for r in rows]
     rank = 0
-    for col in range(k):
-        sel = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
+    for col in range(len(mat[0]) if mat else 0):
+        sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
-        piv = mat[rank][col]
-        mat[rank] = [x / piv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append((col, rank))
+        prow = mat[rank]
+        piv = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != rank:
+                mat[i] = _normalize_int_row([piv * a - f * b for a, b in zip(row, prow)])
         rank += 1
-    out = []
-    for _, i in pivots:
-        nums, _den = _scaled_ints(mat[i])
-        out.append(_normalize_int_row(nums))
-    return out
+    return mat[:rank]
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,10 @@ class Subspace:
             if len(row) != self.ambient_dim:
                 raise DimensionMismatchError("basis row length != ambient dim")
 
-    def _pivots(self) -> list[int]:
-        return [next(i for i, x in enumerate(row) if x != 0) for row in self.basis]
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row: the position of its leading entry."""
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
 
     def __repr__(self):
         rows = ", ".join("(" + ",".join(map(str, r)) + ")" for r in self.basis)
@@ -121,7 +118,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspac
     Idempotent: span(basis(span(S))) == span(S).  All vectors must share one
     ambient dimension; pass ambient_dim to span an empty generator list.
     """
-    rows = [list(as_vector(v)) for v in vectors]
+    rows = [_int_row(v)[0] for v in vectors]
     dims = {len(r) for r in rows}
     if ambient_dim is not None:
         dims.add(ambient_dim)
@@ -150,24 +147,17 @@ def coset_key(W: Subspace, v: Sequence) -> tuple[tuple[int, ...], int]:
     arithmetic is integer (projective scaling), which keeps this fast on the
     hot paths (coset grouping of cube points).
     """
-    nums = list(v)
-    if all(type(x) is int for x in nums):
-        if len(nums) != W.ambient_dim:
-            raise DimensionMismatchError(f"expected dimension {W.ambient_dim}, got {len(nums)}")
-        den = 1
-    else:
-        nums, den = _scaled_ints(as_vector(nums, W.ambient_dim))
-    for row in W.basis:
-        p = next(i for i, x in enumerate(row) if x != 0)
+    nums, den = _int_row(v)
+    if len(nums) != W.ambient_dim:
+        raise DimensionMismatchError(f"expected dimension {W.ambient_dim}, got {len(nums)}")
+    for row, p in zip(W.basis, W.pivots):
         if nums[p] == 0:
             continue
         lead = row[p]
         coef = nums[p]
         nums = [n * lead - coef * b for n, b in zip(nums, row)]
         den *= lead
-        g = den
-        for n in nums:
-            g = gcd(g, n)
+        g = gcd(den, *nums)
         if g > 1:
             nums = [n // g for n in nums]
             den //= g
@@ -185,14 +175,11 @@ def coset_matrix(W: Subspace) -> list[list[int]]:
     pivot coordinates are zero.
     """
     k = W.ambient_dim
-    pivots = W._pivots()
-    leads = [row[p] for row, p in zip(W.basis, pivots)]
-    lcm = 1
-    for lead in leads:
-        lcm = lcm * lead // gcd(lcm, lead)
-    mat = [[lcm if c == j else 0 for j in range(k)] for c in range(k)]
-    for row, p, lead in zip(W.basis, pivots, leads):
-        scale = lcm // lead
+    leads = [row[p] for row, p in zip(W.basis, W.pivots)]
+    lead_lcm = lcm(*leads)
+    mat = [[lead_lcm if c == j else 0 for j in range(k)] for c in range(k)]
+    for row, p, lead in zip(W.basis, W.pivots, leads):
+        scale = lead_lcm // lead
         for c in range(k):
             mat[c][p] -= scale * row[c]
     return mat
@@ -222,12 +209,7 @@ def subspace_intersect(W1: Subspace, W2: Subspace) -> Subspace:
     if W1.ambient_dim != W2.ambient_dim:
         raise DimensionMismatchError("ambient dims differ")
     k = W1.ambient_dim
-    rows: list[list[Fraction]] = []
-    for b in W1.basis:
-        rows.append([Fraction(x) for x in b] + [Fraction(x) for x in b])
-    for b in W2.basis:
-        rows.append([Fraction(x) for x in b] + [Fraction(0)] * k)
-    reduced = _rref(rows)
+    reduced = _rref([b + b for b in W1.basis] + [b + (0,) * k for b in W2.basis])
     inter_rows = [row[k:] for row in reduced if all(x == 0 for x in row[:k])]
     return span(inter_rows, k)
 
@@ -245,18 +227,16 @@ def cube_points(W: Subspace) -> list[tuple[int, ...]]:
     d = W.dim
     if d == 0:
         return [(0,) * k]
-    leads = [row[next(i for i, x in enumerate(row) if x != 0)] for row in W.basis]
-    lcm = 1
-    for l in leads:
-        lcm = lcm * l // gcd(lcm, l)
-    scaled = [tuple(x * (lcm // l) for x in row) for row, l in zip(W.basis, leads)]
+    leads = [row[p] for row, p in zip(W.basis, W.pivots)]
+    lead_lcm = lcm(*leads)
+    scaled = [tuple(x * (lead_lcm // l) for x in row) for row, l in zip(W.basis, leads)]
     out = []
     for eps in product((0, 1), repeat=d):
         acc = [0] * k
         for e, row in zip(eps, scaled):
             if e:
                 acc = [a + x for a, x in zip(acc, row)]
-        if all(a == 0 or a == lcm for a in acc):
+        if all(a == 0 or a == lead_lcm for a in acc):
             out.append(tuple(1 if a else 0 for a in acc))
     out.sort()
     return out

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, log
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -299,14 +299,21 @@ def _merge_runs(sums: np.ndarray, spare: int) -> None:
     sums[lo:hi].sort(kind="stable" if min(m - lo, hi - m) <= spare else None)
 
 
-def _has_run(sums: np.ndarray, k: int) -> np.ndarray:
-    """Whether each sorted row (last axis) of sums holds k >= 1 equal values,
-    compared 2^22 positions at a time: a 2^26-sum row needs no 64 MB mask."""
-    hit = np.zeros(sums.shape[:-1], dtype=bool)
+def _run_starts(sums: np.ndarray, k: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, mask) per 2^22 positions of the sorted rows (last axis) of sums:
+    mask[..., j] says whether k >= 1 equal values start at position i + j.
+    A 2^26-sum row needs no 64 MB mask."""
     end, step = sums.shape[-1] - k + 1, 1 << 22  # end: the positions a run of k can start at
     for i in range(0, end, step):
         stop = min(end, i + step)
-        hit |= (sums[..., i + k - 1:stop + k - 1] == sums[..., i:stop]).any(axis=-1)
+        yield i, sums[..., i + k - 1:stop + k - 1] == sums[..., i:stop]
+
+
+def _has_run(sums: np.ndarray, k: int) -> np.ndarray:
+    """Whether each sorted row (last axis) of sums holds k >= 1 equal values."""
+    hit = np.zeros(sums.shape[:-1], dtype=bool)
+    for _, mask in _run_starts(sums, k):
+        hit |= mask.any(axis=-1)
     return hit
 
 
@@ -358,7 +365,8 @@ def _longest_run(sums: np.ndarray) -> tuple[int, int]:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if _has_run(sums, mid) else (lo, mid)
-    return lo, int(sums[np.argmax(sums[lo - 1:] == sums[:len(sums) - lo + 1])])
+    i, mask = next((i, mask) for i, mask in _run_starts(sums, lo) if mask.any())
+    return lo, int(sums[i + np.argmax(mask)])
 
 
 def _masks_with_sum(values: Sequence[int], target: int) -> np.ndarray:

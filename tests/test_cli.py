@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
 from cubeflags.cli import main
+from cubeflags.flags import parse_flag_text
 
 TABLE = [
     "0.3064810093305",
@@ -135,6 +137,27 @@ def test_capacity_error_exit_code(capsys):
     code, _, err = run(capsys, "check", "--flag", "binary", "--order", "9")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("width", [17, 18])
+def test_oversize_flag_file_fails_fast(capsys, tmp_path, width):
+    # width - 1 unit vectors span Q^width: the cell guard must stop the parse
+    # before the spanning check walks the 2^width cube points of that space
+    flag_file = tmp_path / "wide.flag"
+    flag_file.write_text(" ".join("0" * i + "1" + "0" * (width - 1 - i) for i in range(width - 1)) + "\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "check", "--flag", "file", "--file", str(flag_file))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert f"ambient dim {width} > 16" in err
+
+
+def test_sixteen_wide_flag_file_parses():
+    # at the guard itself the spanning check still runs (a CLI command would
+    # spend its time printing the 2^16-point cell tree)
+    flag = parse_flag_text("1111111100000000\n1111111100000000 1111000011110000\n")
+    assert flag.ambient_dim == 16
+    assert flag.dims() == (1, 2, 3)
 
 
 def test_measures_output(capsys):

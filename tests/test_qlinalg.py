@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -210,3 +211,121 @@ def test_cube_points_against_full_membership_scan():
         W = _random_cube_spanned(rnd, k, rnd.randint(0, 4))
         direct = [p for p in product((0, 1), repeat=k) if contains(W, p)]
         assert cube_points(W) == direct
+
+
+def _canonical_row(row):
+    # content 1 and positive lead, the form Subspace.basis rows take
+    den = lcm(*(Fraction(x).denominator for x in row))
+    nums = [int(Fraction(x) * den) for x in row]
+    g = gcd(*nums)
+    lead = next(n for n in nums if n)
+    return tuple(n // (g if lead > 0 else -g) for n in nums)
+
+
+def _fraction_rref(rows):
+    # the Fraction elimination that span used before integer elimination
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        sel = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        piv = mat[rank][col]
+        mat[rank] = [x / piv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return tuple(_canonical_row(r) for r in mat[:rank])
+
+
+def _oracle_generators(rnd, k):
+    # ints, big ints, Fractions or a mix of them (with zeros and dependent
+    # rows), 0/1 rows with duplicates and zero rows, or no rows at all
+    kind = rnd.choice(("int", "big", "fraction", "mixed", "cube", "empty"))
+    if kind == "empty":
+        return []
+    count = rnd.randint(1, k + 3)
+    if kind == "cube":
+        rows = [tuple(rnd.randint(0, 1) for _ in range(k)) for _ in range(count)]
+        rows += [rnd.choice(rows) for _ in range(rnd.randint(0, 3))] + [(0,) * k] * rnd.randint(0, 2)
+        rnd.shuffle(rows)
+        return rows
+    draws = {
+        "int": lambda: rnd.randint(-5, 5),
+        "big": lambda: rnd.randint(-(10**30), 10**30),
+        "fraction": lambda: Fraction(rnd.randint(-9, 9), rnd.randint(1, 7)),
+    }
+    kinds = list(draws) if kind == "mixed" else [kind]
+    density = rnd.choice((0.3, 0.7, 1.0))
+    rows = [
+        tuple(draws[rnd.choice(kinds)]() if rnd.random() < density else 0 for _ in range(k))
+        for _ in range(count)
+    ]
+    for _ in range(rnd.randint(0, 2)):
+        a, b = rnd.choice(rows), rnd.choice(rows)
+        f = Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)) if kind != "int" else rnd.randint(-4, 4)
+        rows.insert(rnd.randint(0, len(rows)), tuple(x + f * y for x, y in zip(a, b)))
+    return rows
+
+
+def _oracle_cases(seed, count):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        k = rnd.randint(1, 16)
+        yield rnd, k, _oracle_generators(rnd, k)
+
+
+def test_span_matches_fraction_rref_oracle():
+    for _, k, gens in _oracle_cases(20261018, 400):
+        W = span(gens, k)
+        assert W.ambient_dim == k
+        assert W.basis == _fraction_rref(gens)
+        assert all(type(x) is int for row in W.basis for x in row)
+
+
+def _sympy_rref(rows):
+    # (canonical basis, pivot columns) from sympy; callers skip without sympy
+    import sympy
+
+    if not rows:
+        return (), ()
+    reduced, pivots = sympy.Matrix([[Fraction(x) for x in r] for r in rows]).rref()
+    rats = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(pivots))]
+    return tuple(_canonical_row(r) for r in rats), tuple(pivots)
+
+
+def _sympy_rank(rows):
+    import sympy
+
+    return sympy.Matrix([list(r) for r in rows]).rank() if rows else 0
+
+
+def _sympy_intersection(W1, W2):
+    # x = B1^T a = B2^T b for each nullspace vector (a, b) of [B1^T | -B2^T]
+    import sympy
+
+    if not W1.basis or not W2.basis:
+        return []
+    B1, B2 = sympy.Matrix(W1.basis), sympy.Matrix(W2.basis)
+    null = sympy.Matrix.hstack(B1.T, -B2.T).nullspace()
+    return [list(B1.T * v[: W1.dim, :]) for v in null]
+
+
+def test_span_sum_intersect_and_pivots_match_sympy():
+    pytest.importorskip("sympy")
+    for rnd, k, gens in _oracle_cases(20261019, 120):
+        W = span(gens, k)
+        assert (W.basis, W.pivots) == _sympy_rref(gens)
+        # a second space sharing some generators, so intersections are not trivial
+        shared = rnd.sample(gens, rnd.randint(0, len(gens)))
+        W2 = span(shared + _oracle_generators(rnd, k)[: rnd.randint(0, k // 2)], k)
+        total = subspace_sum(W, W2)
+        assert total.basis == _sympy_rref(list(W.basis) + list(W2.basis))[0]
+        meet = subspace_intersect(W, W2)
+        expected = _sympy_intersection(W, W2)
+        assert meet.dim == len(expected) == W.dim + W2.dim - total.dim
+        assert _sympy_rank(list(meet.basis) + expected) == meet.dim
+        assert meet.pivots == _sympy_rref(list(meet.basis))[1]
