@@ -300,7 +300,8 @@ def _cmd_measures(args, config: dict) -> int:
 
 def _cmd_tree(args, config: dict) -> int:
     flag = _build_flag(args)
-    _emit_json(flags_mod.tree_json_dict(flag), args.out)
+    # the tree document holds no floats, so it needs no _round16 walk
+    _write(json.dumps(flags_mod.tree_json_dict(flag), indent=2) + "\n", args.out)
     return 0
 
 

@@ -17,19 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import qlinalg
 from .errors import DimensionMismatchError
-from .flags import (
-    SUBFLAG_UNIVERSE_TAG,
-    Flag,
-    Subflag,
-    basic_subflag,
-    enumerate_subflags,
-)
+from .flags import SUBFLAG_UNIVERSE_TAG, Flag, Subflag, enumerate_subflags
 from .qlinalg import Subspace, coset_key, contains
 
 MASS_TOL = 1e-12
@@ -126,20 +120,20 @@ class System:
                     raise ValueError(f"supp(mu_{i}) not contained in V_{i}")
 
 
+def _e_from_entropies(c: Sequence[float], dims: Sequence[int], entropies: Sequence) -> float:
+    """The e-value from the dims of V' and entropies[j - 1] = H_{mu_j}(V'_j)."""
+    r = len(entropies)
+    ent = math.fsum((c[j - 1] - c[j]) * entropies[j - 1] for j in range(1, r + 1))
+    dim_terms = math.fsum(c[j - 1] * (dims[j] - dims[j - 1]) for j in range(1, r + 1))
+    return ent + dim_terms
+
+
 def e_value(system: System, sf: Subflag) -> float:
     """sum_j (c_j - c_{j+1}) H_{mu_j}(V'_j) + sum_j c_j dim(V'_j / V'_{j-1})."""
     if sf.parent != system.flag:
         raise ValueError("subflag belongs to a different flag")
-    c = system.thresholds
-    r = system.flag.order
-    ent = math.fsum(
-        (c[j - 1] - c[j]) * coset_entropy(system.measures[j - 1], sf.spaces[j])
-        for j in range(1, r + 1)
-    )
-    dims = math.fsum(
-        c[j - 1] * (sf.spaces[j].dim - sf.spaces[j - 1].dim) for j in range(1, r + 1)
-    )
-    return ent + dims
+    entropies = [coset_entropy(mu, W) for mu, W in zip(system.measures, sf.spaces[1:])]
+    return _e_from_entropies(system.thresholds, sf.dims(), entropies)
 
 
 @dataclass(frozen=True)
@@ -151,6 +145,7 @@ class EEntry:
     slack: float
     is_full: bool
     basic_m: Optional[int]  # m if this is the basic(m) subflag
+    entropies: tuple[float, ...] = field(repr=False)  # H_{mu_j}(V'_j), j = 1..r
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,6 @@ class EReport:
     universe: str
     tight_ids: tuple[int, ...]  # |slack| <= TIGHT_BAND, proper subflags
     holds: bool  # every proper slack >= -TIGHT_BAND
-    holds_strict_off_tight: bool  # every proper slack either tight or > TIGHT_BAND
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,49 +201,50 @@ def _label_subflag(sf: Subflag) -> tuple[str, Optional[int]]:
 
 
 def check_entropy_condition(system: System, cap: int = 10**6) -> EReport:
-    """Evaluate e over the enumerated subflags plus all basic subflags.
+    """Evaluate e over the enumerated subflags, which include every basic one.
 
-    Entries carry their deterministic enumeration id; argmin ties break to
-    the lowest id.
+    Each coset entropy H_{mu_j}(U) is computed once per (level, space) and
+    stored on every entry whose V'_j is U.  Entries carry their deterministic
+    enumeration id; argmin ties break to the lowest id.
     """
     flag = system.flag
-    subflags = list(enumerate_subflags(flag, cap))
-    known = {sf.spaces for sf in subflags}
-    for m in range(flag.order + 1):
-        b = basic_subflag(flag, m)
-        if b.spaces not in known:
-            subflags.append(b)
-            known.add(b.spaces)
-
-    e_full = math.fsum(
-        system.thresholds[j - 1] * (flag.spaces[j].dim - flag.spaces[j - 1].dim)
-        for j in range(1, flag.order + 1)
-    )
+    memo: dict[tuple[int, Subspace], float] = {}  # (j, U) -> H_{mu_j}(U)
     entries = []
-    for idx, sf in enumerate(subflags):
-        val = e_value(system, sf)
+    for idx, sf in enumerate(enumerate_subflags(flag, cap)):
+        entropies = []
+        for j, U in enumerate(sf.spaces[1:], start=1):
+            if (j, U) not in memo:
+                memo[j, U] = coset_entropy(system.measures[j - 1], U)
+            entropies.append(memo[j, U])
         label, basic_m = _label_subflag(sf)
-        entries.append(
-            EEntry(idx, label, sf.dims(), val, val - e_full, sf.is_full(), basic_m)
-        )
-    proper = [e for e in entries if not e.is_full]
+        # e_value and slack are filled in by score_entries
+        entries.append(EEntry(idx, label, sf.dims(), math.nan, math.nan, sf.is_full(), basic_m,
+                              tuple(entropies)))
+    return score_entries(system.thresholds, flag.dims(), entries)
+
+
+def score_entries(c: Sequence[float], flag_dims: Sequence[int], entries: Sequence[EEntry]) -> EReport:
+    """The report of these entries at thresholds c, from their stored entropies."""
+    d = flag_dims
+    e_full = math.fsum(c[j - 1] * (d[j] - d[j - 1]) for j in range(1, len(d)))
+    scored = []
+    for e in entries:
+        val = _e_from_entropies(c, e.dims, e.entropies)
+        scored.append(replace(e, e_value=val, slack=val - e_full))
+    proper = [e for e in scored if not e.is_full]
     if proper:
         best = min(proper, key=lambda e: (e.slack, e.id))
         min_slack, argmin = best.slack, best.id
     else:
-        min_slack, argmin = 0.0, entries[0].id if entries else -1
-    tight = tuple(e.id for e in proper if abs(e.slack) <= TIGHT_BAND)
+        min_slack, argmin = 0.0, scored[0].id if scored else -1
     return EReport(
         e_full=e_full,
-        entries=tuple(entries),
+        entries=tuple(scored),
         min_slack=min_slack,
         argmin=argmin,
         universe=SUBFLAG_UNIVERSE_TAG,
-        tight_ids=tight,
+        tight_ids=tuple(e.id for e in proper if abs(e.slack) <= TIGHT_BAND),
         holds=all(e.slack >= -TIGHT_BAND for e in proper),
-        holds_strict_off_tight=all(
-            e.slack > TIGHT_BAND or abs(e.slack) <= TIGHT_BAND for e in proper
-        ),
     )
 
 

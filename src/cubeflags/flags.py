@@ -207,10 +207,24 @@ def make_flag(spaces: Sequence[Subspace], kind: str, check: bool = True) -> Flag
         if k > MAX_CELL_AMBIENT_DIM:
             raise CapacityError(f"cell enumeration guard: ambient dim {k} > {MAX_CELL_AMBIENT_DIM}")
         for W in spaces[1:]:
-            gens = [ones(k)] + cube_points(W)
-            if span(gens, k) != W:
+            if _cube_generators(W) is None:
                 raise ValueError("flag space is not spanned by cube vectors and the all-ones vector")
     return Flag(k, spaces, kind, _is_nondegenerate(spaces[-1]))
+
+
+def _cube_generators(W: Subspace) -> Optional[list[CubePoint]]:
+    """Cube points of W, each leaving the span of 1 and those before it, until
+    that span is W; None if all of W's cube points span less."""
+    k = W.ambient_dim
+    chosen: list[CubePoint] = []
+    current = span([ones(k)])
+    for p in cube_points(W):
+        if current == W:
+            break
+        if not contains(current, p):
+            chosen.append(p)
+            current = span(list(current.basis) + [p], k)
+    return chosen if current == W else None
 
 
 def binary_flag(r: int) -> Flag:
@@ -553,17 +567,9 @@ def parse_flag_text(text: str, kind: str = "custom") -> Flag:
 def format_flag_text(flag: Flag) -> str:
     """Dump a flag as per-level cube generators (parse_flag_text inverse)."""
     out = [f"# flag kind={flag.kind} k={flag.ambient_dim} dims={flag.dims()}"]
-    for i in range(1, flag.order + 1):
-        W = flag.spaces[i]
-        chosen: list[tuple[int, ...]] = []
-        current = span([ones(flag.ambient_dim)])
-        for p in cube_points(W):
-            if not contains(current, p):
-                chosen.append(p)
-                current = span(list(current.basis) + [p], flag.ambient_dim)
-                if current == W:
-                    break
-        if current != W:
+    for W in flag.spaces[1:]:
+        chosen = _cube_generators(W)
+        if chosen is None:
             raise ValueError("flag space not spanned by cube points and 1")
         out.append(" ".join(point_to_string(p) for p in chosen))
     return "\n".join(out) + "\n"

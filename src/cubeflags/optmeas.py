@@ -16,8 +16,9 @@ certify_system runs the whole pipeline and reports: basic-subflag tightness,
 positivity of all other enumerated slacks, the two entropy-gap inequality
 families, an exhaustive search for invariant intermediate subspaces (small
 binary flags), and a re-check under perturbed thresholds, which is the
-regime where every proper slack must become strictly positive.  Certificates
-never claim more than their enumeration universe.
+regime where every proper slack must become strictly positive; it re-scores
+the stored entropies of the one enumeration, as e is linear in the
+thresholds.  Certificates never claim more than their enumeration universe.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .entropy import (
     check_entropy_condition,
     coset_entropy,
     perturb_thresholds,
+    score_entries,
 )
 from .errors import DegenerateParametersError
 from .flags import (
@@ -422,7 +424,7 @@ def certify_system(
             # the shift exceeds c_{r+1}: this epsilon is too coarse here
             perturbed[eps] = {"min_slack": None, "ok": None, "infeasible": True}
             return None
-        rep = check_entropy_condition(System(flag, c_tilde, data.restrictions), cap=cap)
+        rep = score_entries(c_tilde, d, report.entries)
         ok = rep.min_slack > 0.0
         perturbed[eps] = {"min_slack": rep.min_slack, "ok": ok}
         return ok

@@ -267,13 +267,7 @@ def solve_rho_chain(max_j: int) -> tuple[RhoSolution, LogATable]:
     table.ensure_row1(3)
     rhos, residuals = [], []
     for j in range(1, max_j + 1):
-        # row j must extend to column j+1 before solving equation j
-        need = j + 1
-        if len(table.rows[j]) - 1 < need:
-            if j == 1:
-                table.ensure_row1(need)
-            else:
-                table.rows[j] = extend_a_row(table, j, table.rho[j], ncols=need)
+        # row j reaches column j+1: row 1 has 3 columns, solve_rho_j(j-1) stored j+2
         x, res = solve_rho_j(j, table)
         rhos.append(x)
         residuals.append(res)

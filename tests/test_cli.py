@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
-from cubeflags.cli import main
+from cubeflags.cli import UsageError, build_parser, main
 from cubeflags.flags import parse_flag_text
 
 TABLE = [
@@ -174,6 +177,19 @@ def test_tree_output(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [len(lv["cells"]) for lv in doc["levels"]] == [15, 9, 1]
+
+
+@pytest.mark.parametrize(
+    "flag, order, digest",
+    [
+        ("mt", "3", "4951e83d7364faa2de9c679aa792faa2334f4c22286fb8e2504933c5502e14c2"),
+        ("binary", "2", "978f16d0f9c6b35d4db86126150a89c798530499795b8256ba0cc7d36e33322c"),
+    ],
+)
+def test_tree_bytes_pinned(capsys, flag, order, digest):
+    code, out, _ = run(capsys, "tree", "--flag", flag, "--order", order)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tree_from_file(capsys, tmp_path):
@@ -414,3 +430,28 @@ def test_config_unknown_key_usage_error(capsys, tmp_path):
 def test_unknown_subcommand_usage(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def _readme_commands():
+    """Every `cubeflags ...` line of the README's code blocks, continuations
+    joined, comments dropped and optional [...] parts written out."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = []
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("cubeflags "):
+            commands.append(shlex.split(line.replace("[", " ").replace("]", " "))[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 15
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except UsageError as exc:
+            pytest.fail(f"README line `cubeflags {' '.join(argv)}`: {exc}")

@@ -459,6 +459,41 @@ def test_flag_text_rejects_non_nested():
         parse_flag_text(bad)
 
 
+def test_cube_generator_walk_spans_each_level_in_dim_plus_one_spans(monkeypatch):
+    # Q^16 from 15 unit vectors: spanning all 2^16 cube points at once took a
+    # 65,537-row elimination; the walk adds one point per missing dimension
+    text = " ".join("0" * i + "1" + "0" * (15 - i) for i in range(15)) + "\n"
+    spans = 0
+    per_level = []
+    real_span, real_walk = flags.span, flags._cube_generators
+
+    def counting_span(*args, **kwargs):
+        nonlocal spans
+        spans += 1
+        return real_span(*args, **kwargs)
+
+    def recording_walk(W):
+        before = spans
+        out = real_walk(W)
+        per_level.append((W.dim, spans - before))
+        return out
+
+    monkeypatch.setattr(flags, "span", counting_span)
+    monkeypatch.setattr(flags, "_cube_generators", recording_walk)
+    assert parse_flag_text(text).dims() == (1, 16)
+    assert [dim for dim, _ in per_level] == [16]
+    assert all(n <= dim + 1 for dim, n in per_level)
+
+
+def test_flag_not_spanned_by_cube_points_is_rejected():
+    # span(1, (1, 0, -1)) meets the cube only in 0 and 1
+    spaces = [span([ones(3)]), span([ones(3), (1, 0, -1)])]
+    with pytest.raises(ValueError, match="not spanned by cube vectors and the all-ones"):
+        make_flag(spaces, "custom")
+    with pytest.raises(ValueError, match="not spanned by cube points and 1"):
+        format_flag_text(make_flag(spaces, "custom", check=False))
+
+
 def test_flag_text_comments_and_validation():
     text = "# a two-level chain in Q^4\n0011\n0011 0101\n"
     f = parse_flag_text(text)

@@ -1,15 +1,24 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from cubeflags import optmeas
-from cubeflags.entropy import TIGHT_BAND
+from cubeflags import entropy, optmeas
+from cubeflags.entropy import (
+    TIGHT_BAND,
+    System,
+    check_entropy_condition,
+    e_value,
+    perturb_thresholds,
+    score_entries,
+)
 from cubeflags.errors import DegenerateParametersError
 from cubeflags.flags import (
     all_subsets,
     automorphism_generators,
     binary_flag,
     cell_tree,
+    enumerate_subflags,
     mt_flag,
     parse_flag_text,
     permute_vector,
@@ -303,6 +312,66 @@ def test_certificate_json_roundtrip():
     doc = cert.to_json_dict()
     text = json.dumps(doc)
     assert json.loads(text)["ok"] is True
+
+
+MT4_Q12 = Path(__file__).resolve().parents[1] / "perfbench" / "mt4_q12.flag"
+CERT_FLAGS = {
+    "binary-1": lambda: binary_flag(1),
+    "binary-2": lambda: binary_flag(2),
+    "mt-2": lambda: mt_flag(2),
+    "mt-3": lambda: mt_flag(3),
+    "mt-4": lambda: mt_flag(4),
+    "mt4_q12": lambda: parse_flag_text(MT4_Q12.read_text()),
+}
+
+
+@pytest.mark.parametrize("name", CERT_FLAGS)
+def test_perturbed_rescore_matches_fresh_check(name):
+    # the perturbed re-check re-scores the c* entries; the fresh route builds
+    # a System at the perturbed thresholds and enumerates all over again
+    flag = CERT_FLAGS[name]()
+    eps_list = (1e-3, 1e-4, 1e-5)
+    system, cert = certify_system(flag, eps_list=eps_list)
+    subflags = list(enumerate_subflags(flag))
+    for eps in eps_list:
+        c_tilde = perturb_thresholds(system.thresholds, eps)
+        if c_tilde[-1] <= 0.0:
+            assert cert.perturbed[eps]["infeasible"]
+            continue
+        perturbed = System(flag, c_tilde, system.measures)
+        fresh = check_entropy_condition(perturbed)
+        assert score_entries(c_tilde, flag.dims(), cert.ereport.entries) == fresh
+        assert cert.perturbed[eps] == {"min_slack": fresh.min_slack, "ok": fresh.min_slack > 0.0}
+        assert [e.e_value for e in fresh.entries] == [e_value(perturbed, sf) for sf in subflags]
+
+
+@pytest.mark.parametrize(
+    "name, entropy_calls", [("binary-2", 20), ("mt-3", 14), ("mt4_q12", 30)]
+)
+def test_certificate_enumerates_once_and_computes_each_entropy_once(
+    monkeypatch, name, entropy_calls
+):
+    flag = CERT_FLAGS[name]()
+    enumerations, entropies = [], []
+    real_enumerate, real_entropy = entropy.enumerate_subflags, entropy.coset_entropy
+
+    def spy_enumerate(*args, **kwargs):
+        enumerations.append(args[0])
+        return real_enumerate(*args, **kwargs)
+
+    def spy_entropy(nu, W):
+        entropies.append((nu, W))
+        return real_entropy(nu, W)
+
+    monkeypatch.setattr(entropy, "enumerate_subflags", spy_enumerate)
+    monkeypatch.setattr(entropy, "coset_entropy", spy_entropy)
+    system, cert = certify_system(flag)
+    assert cert.ok and enumerations == [flag]
+    level_of = {id(mu): j for j, mu in enumerate(system.measures, start=1)}
+    calls = [(level_of[id(nu)], W) for nu, W in entropies]
+    distinct = {(j, sf.spaces[j]) for sf in real_enumerate(flag) for j in range(1, flag.order + 1)}
+    assert len(calls) == len(set(calls)) == entropy_calls
+    assert set(calls) == distinct
 
 
 def test_measures_json():
