@@ -64,8 +64,6 @@ def _emit_rows(rows: list[dict], header: list[str], fmt: str, out: Optional[str]
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps(_round16(rows), indent=2) + "\n"
     else:  # aligned table
         widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) if rows else len(h) for h in header}
         lines = ["  ".join(h.ljust(widths[h]) for h in header)]

@@ -376,12 +376,9 @@ class CellTree:
         return tuple(self.levels[level - 1][j] for j in self.child_ids[level][idx])
 
     def gamma(self, level: int) -> Cell:
-        """The cell at the given level containing the origin."""
-        zero = (0,) * self.flag.ambient_dim
-        for c in self.levels[level]:
-            if c.members[0] == zero:
-                return c
-        raise AssertionError("no cell contains the origin")
+        """The cell at the given level containing the origin: the first, as
+        the origin is the least cube point and cells are sorted by least member."""
+        return self.levels[level][0]
 
 
 @lru_cache(maxsize=32)
@@ -477,12 +474,15 @@ def apply_automorphism(perm: Permutation, sf: Subflag) -> Subflag:
     return Subflag(sf.parent, tuple(permute_subspace(perm, W) for W in sf.spaces))
 
 
-def level_universe(W: Subspace, cap: int, level: int) -> list[Subspace]:
+@lru_cache(maxsize=MAX_FLAG_ORDER)
+def level_universe(W: Subspace, cap: int, level: int) -> tuple[Subspace, ...]:
     """All distinct spans of <1> plus a subset of W /\\ {0,1}^k, sorted.
 
     Grown by closure: repeatedly extend known spaces by cube points they do
     not already contain.  The number of distinct spans is usually far below
-    2^{#points}; the cap guards pathological growth.
+    2^{#points}; the cap guards pathological growth.  Cached, so the
+    enumeration and the invariant scan of one certificate share each level's
+    closure; a capped closure raises each time.
     """
     k = W.ambient_dim
     pts = cube_points(W)
@@ -501,7 +501,7 @@ def level_universe(W: Subspace, cap: int, level: int) -> list[Subspace]:
                             raise EnumerationLimitError(level, len(seen), cap)
                         nxt.append(U2)
         frontier = nxt
-    return sorted(seen, key=lambda U: (U.dim, U.basis))
+    return tuple(sorted(seen, key=lambda U: (U.dim, U.basis)))
 
 
 def enumerate_subflags(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> Iterator[Subflag]:

@@ -7,8 +7,10 @@ measure mu* on the cube is obtained by telescoping the ratio
 
 down the cell tree from mu*(Gamma_r) = 1, splitting the bottom cell {0, 1}
 by the convention mu*(1) = 0 (harmless: 0 and 1 share a coset of every
-subflag space, so no entropy ever sees the split).  Its restrictions mu*_j
-to Gamma_j and the threshold vector c* that makes every basic subflag's
+subflag space, so no entropy ever sees the split).  Only the subtree of
+Gamma_r carries mass, so f is evaluated on that subtree alone, as the rho
+equations are (rho.solve_flag_rhos).  The restrictions mu*_j of mu* to
+Gamma_j and the threshold vector c* that makes every basic subflag's
 e-value tie with the full flag assemble into a system whose entropy
 condition can then be checked over the enumerated subflag universe.
 
@@ -51,6 +53,8 @@ from .flags import (
 from .rho import (
     F_genotype,
     RhoSolution,
+    _f_layer,
+    _subtree_cells,
     solve_flag_rhos,
     solve_rho_chain,
 )
@@ -83,54 +87,36 @@ def optimal_measure(flag: Flag, sol: Optional[RhoSolution] = None) -> OptimalDat
     r = flag.order
     rhos = sol.rhos
 
-    # one bottom-up sweep evaluates f on every cell
-    f_val: dict[tuple[int, int], float] = {}
-    for idx in range(len(tree.levels[0])):
-        f_val[(0, idx)] = 1.0
+    # only the subtree of Gamma_r (cell 0 of level r) carries mass
+    subtree = _subtree_cells(tree, r, 0)
+    f = [dict.fromkeys(subtree[0], 1.0)]
     for level in range(1, r + 1):
         rho = 0.0 if level == 1 else rhos[level - 2]
-        for idx in range(len(tree.levels[level])):
-            f_val[(level, idx)] = math.fsum(
-                f_val[(level - 1, j)] ** rho for j in tree.child_ids[level][idx]
-            )
-
-    top_idx = next(
-        i for i, c in enumerate(tree.levels[r]) if c.members[0] == (0,) * flag.ambient_dim
-    )
-    mass: dict[tuple[int, int], float] = {(r, top_idx): 1.0}
+        f.append(_f_layer(tree, level, f[-1], rho, subtree[level]))
+    mass = {0: 1.0}
     for level in range(r, 0, -1):
         rho = 0.0 if level == 1 else rhos[level - 2]
-        for idx in range(len(tree.levels[level])):
-            m = mass.get((level, idx), 0.0)
-            if m == 0.0:
-                continue
-            fc = f_val[(level, idx)]
-            for j in tree.child_ids[level][idx]:
-                mass[(level - 1, j)] = mass.get((level - 1, j), 0.0) + m * (
-                    f_val[(level - 1, j)] ** rho
-                ) / fc
+        mass = {
+            j: m * f[level - 1][j] ** rho / f[level][i]
+            for i, m in mass.items()
+            for j in tree.child_ids[level][i]
+        }
 
     k = flag.ambient_dim
-    one = (1,) * k
     weights: dict[tuple, float] = {}
-    for idx, cell in enumerate(tree.levels[0]):
-        m = mass.get((0, idx), 0.0)
-        if m == 0.0:
-            continue
+    for idx in subtree[0]:  # ascending: coset_entropy sums in insertion order
+        cell = tree.levels[0][idx]
+        weights[cell.members[0]] = mass[idx]
         if cell.size == 2:  # the cell {0, 1}: all of its mass goes to 0
-            weights[(0,) * k] = m
-            weights[one] = 0.0
-        else:
-            weights[cell.members[0]] = m
+            weights[(1,) * k] = 0.0
     total = math.fsum(weights.values())
     weights = {p: w / total for p, w in weights.items()}
     mu_star = Measure(k, weights)
 
-    gammas = [tree.gamma(j) for j in range(r + 1)]
     gamma_masses = []
     restrictions = []
     for j in range(r + 1):
-        pts = set(gammas[j].members)
+        pts = set(tree.gamma(j).members)
         gm = math.fsum(w for p, w in weights.items() if p in pts)
         gamma_masses.append(gm)
         if j >= 1:
@@ -336,15 +322,14 @@ def certify_system(
             sol = solve_flag_rhos(flag)
 
     try:
-        data = optimal_measure(flag, sol)
-        c_star = optimal_parameters(data)
-        system = System(flag, c_star, data.restrictions)
+        system, data = optimal_system(flag, sol)
     except DegenerateParametersError as exc:
         failures.append(f"optimal parameters do not exist: {exc}")
         return None, Certificate(flag.kind, flag.order, flag.ambient_dim, sol.rhos,
                                  failures=failures)
 
     r = flag.order
+    c_star = data.c_star
     d = [W.dim for W in flag.spaces]
     H = entropy_matrix(data)
 

@@ -46,6 +46,21 @@ LIMIT_SERIES_TERMS = 60
 # Direct tree evaluation
 
 
+def _subtree_cells(tree: CellTree, level: int, idx: int) -> list[list[int]]:
+    """The cells under cell idx of the given level: entry i lists their
+    level-i indices in ascending order, for i = 0..level."""
+    cells = [[idx]]
+    for i in range(level, 0, -1):
+        cells.append(sorted(j for c in cells[-1] for j in tree.child_ids[i][c]))
+    return cells[::-1]
+
+
+def _f_layer(tree: CellTree, level: int, below: dict, rho: float, cells) -> dict:
+    """f at the given level for each cell index in cells, from below, the f
+    values one level down by cell index; rho is the exponent of this level."""
+    return {i: math.fsum(below[j] ** rho for j in tree.child_ids[level][i]) for i in cells}
+
+
 def f_cell_direct(tree_or_flag, cell: Cell, rhos: Sequence[float]) -> float:
     """Evaluate f^C on the materialized cell tree (brute-force oracle).
 
@@ -61,20 +76,12 @@ def f_cell_direct(tree_or_flag, cell: Cell, rhos: Sequence[float]) -> float:
     idx = bisect_left(cells, cell.members[0], key=lambda c: c.members[0])
     if idx == len(cells) or cells[idx].members[0] != cell.members[0]:
         raise KeyError(cell.members[0])
-    memo: dict = {}
-
-    def rec(level: int, idx: int) -> float:
-        if level == 0:
-            return 1.0
-        key = (level, idx)
-        val = memo.get(key)
-        if val is None:
-            rho = 0.0 if level == 1 else float(rhos[level - 2])
-            val = math.fsum(rec(level - 1, j) ** rho for j in tree.child_ids[level][idx])
-            memo[key] = val
-        return val
-
-    return rec(cell.level, idx)
+    subtree = _subtree_cells(tree, cell.level, idx)
+    f = dict.fromkeys(subtree[0], 1.0)
+    for level in range(1, cell.level + 1):
+        rho = 0.0 if level == 1 else float(rhos[level - 2])
+        f = _f_layer(tree, level, f, rho, subtree[level])
+    return f[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +304,25 @@ def solve_rho_chain_genotype(max_j: int) -> RhoSolution:
 
 
 def solve_flag_rhos(flag: Flag) -> RhoSolution:
-    """Solve the fixed-point equations of an arbitrary flag on its cell tree."""
+    """Solve the fixed-point equations of an arbitrary flag on its cell tree.
+
+    Equation j reads f at level j only on the children of Gamma_{j+1}, and
+    rho_j does not change those values, so f is built one level at a time
+    on the subtree of Gamma_r (cell 0 of each level) as the rho_j come in.
+    """
     tree = cell_tree(flag)
+    subtree = _subtree_cells(tree, flag.order, 0)
+    f = dict.fromkeys(subtree[0], 1.0)
     rhos: list[float] = []
     residuals = []
     for j in range(1, flag.order):
-        gamma_j = tree.gamma(j)
-        gamma_j1 = tree.gamma(j + 1)
+        f = _f_layer(tree, j, f, 0.0 if j == 1 else rhos[j - 2], subtree[j])
+        kids = [f[c] for c in tree.child_ids[j + 1][0]]
         d = flag.spaces[j + 1].dim - flag.spaces[j].dim
-        log_fj = log(f_cell_direct(tree, gamma_j, rhos))
+        log_fj = log(f[0])
 
         def phi(x: float) -> float:
-            return log(f_cell_direct(tree, gamma_j1, rhos + [x])) - x * log_fj - d
+            return log(math.fsum(v ** x for v in kids)) - x * log_fj - d
 
         x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, f"equation {j}")
         rhos.append(x)
@@ -395,6 +409,8 @@ def gamma_res(dims: Sequence[int], sol: RhoSolution, limit: Optional[float] = No
 
 def theta(r: int, sol: RhoSolution, limit: Optional[float] = None) -> float:
     """theta_r: gamma_res of the order-r binary flag (increments 2^i)."""
+    if r < 1:
+        raise ValueError(f"theta_r needs r >= 1, got r = {r}")
     return gamma_res([2**i for i in range(1, r)], sol, limit)
 
 

@@ -232,10 +232,7 @@ def sample_log_set(lo: int, hi: int, rng: np.random.Generator, seed_info: str = 
     """
     if not (1 <= lo < hi <= MAX_ELEMENT):
         raise ValueError(f"need 1 <= lo < hi <= 2^50, got ({lo}, {hi})")
-    state = rng.bit_generator.state
-    elements, sizes = _log_set_rows(lo, hi, 1, _generator_draws([rng]))
-    rng.bit_generator.state = state
-    rng.random(int(sizes[0]) + 1)
+    elements, sizes = _log_set_rows(lo, hi, 1, _generator_draws([rng], block=1))
     return LogRandomSet(lo, hi, tuple(elements[0, :sizes[0]].tolist()), seed_info)
 
 
@@ -791,23 +788,18 @@ def sample_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(sorted(np.diff(closes, prepend=-1).tolist()))
 
 
-def _max_coeff_of_product(factor_counts: dict[int, int], max_degree: Optional[int] = None) -> int:
+def _max_coeff_of_product(factor_counts: dict[int, int]) -> int:
     """Largest coefficient of prod_j (1 + x^j)^(c_j), exact big integers."""
     poly = [1]
     for j, cj in sorted(factor_counts.items()):
         if cj <= 0:
             continue
         binoms = [comb(cj, s) for s in range(cj + 1)]
-        grown = len(poly) + j * cj
-        if max_degree is not None:
-            grown = min(grown, max_degree + 1)
-        new = [0] * grown
+        new = [0] * (len(poly) + j * cj)
         for t0, coeff in enumerate(poly):
             if coeff:
                 for s, b in enumerate(binoms):
-                    t = t0 + s * j
-                    if t < grown:
-                        new[t] += coeff * b
+                    new[t0 + s * j] += coeff * b
         poly = new
     return max(poly)
 

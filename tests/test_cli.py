@@ -70,6 +70,14 @@ def test_theta_output(capsys):
     code, out, _ = run(capsys, "theta", "--r", "1")
     assert code == 0
     assert abs(float(out.strip()) - (1 - 1 / math.log(3))) < 1e-12
+    assert out == "0.08976077337316268\n"
+
+
+@pytest.mark.parametrize("r", ["0", "-3"])
+def test_theta_below_one_is_usage_error(capsys, r):
+    code, out, err = run(capsys, "theta", "--r", r)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "r >= 1" in err
 
 
 def test_theta_json_padding_metadata(capsys):
@@ -170,6 +178,26 @@ def test_measures_output(capsys):
     assert abs(sum(doc["mu_star"].values()) - 1.0) < 1e-12
     assert doc["mu_star"]["1111"] == 0.0
     assert len(doc["c_star"]) == 3
+
+
+@pytest.mark.parametrize(
+    "flag, digest",
+    [
+        (("binary", "--order", "1"), "22038e6fb66009e2ded9db6f47257fc7b86460f550bfdccb7c5053858fe8a3cd"),
+        (("binary", "--order", "2"), "56a49e54dc50a516dea2117ae5a3fec55201a69a7d6b6e7c7cced39bf286b952"),
+        (("binary", "--order", "3"), "b8007bb331ce1dd6733412ab1ca80e12ed0e35a1a45a4fe06f27522f48fbc965"),
+        (("mt", "--order", "2"), "d2cd13f2dce5f540a449d18d15bc861ce673b9965f651a6e952d7cc0d638930c"),
+        (("mt", "--order", "3"), "eef9b4db2c652de4e3f302783fe47939fa6416a5227fa522960a80119ba947fd"),
+        (("mt", "--order", "4"), "e2e9336a3754d7e3e94c9b97bca5423b00a11dfccabf31f7d58a498703d1cf1b"),
+        (("file", "--file", str(Path(__file__).resolve().parents[1] / "perfbench" / "mt4_q12.flag")),
+         "4bad567e8604c0bf570cd25bb1e14222c230d5e00d4dae25a2fc8f9e3311ec74"),
+    ],
+    ids=["binary-1", "binary-2", "binary-3", "mt-2", "mt-3", "mt-4", "mt4_q12"],
+)
+def test_measures_bytes_pinned(capsys, flag, digest):
+    code, out, _ = run(capsys, "measures", "--flag", *flag)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tree_output(capsys):

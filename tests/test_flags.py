@@ -180,6 +180,18 @@ def test_partition_and_tree_match_per_point_reference():
         assert cell_tree(f).child_ids == child_ids
 
 
+def test_gamma_is_the_first_cell_and_the_only_one_holding_the_origin():
+    mt4_q12 = parse_flag_text((Path(__file__).parents[1] / "perfbench" / "mt4_q12.flag").read_text())
+    cases = [binary_flag(r) for r in (1, 2, 3)] + [mt_flag(r) for r in (2, 3, 4)] + [mt4_q12]
+    for f in cases:
+        tree = cell_tree(f)
+        origin = (0,) * f.ambient_dim
+        for i in range(f.order + 1):
+            holding = [c for c in tree.levels[i] if origin in c.members]
+            assert holding == [tree.levels[i][0]]
+            assert tree.gamma(i) is tree.levels[i][0]
+
+
 def test_partition_guards_raise_capacity_error():
     # beyond the ambient-dimension cap, before the cube is built
     k = flags.MAX_CELL_AMBIENT_DIM + 1
@@ -439,7 +451,9 @@ def test_level_universe_complete_against_bounded_bruteforce():
         for size in range(0, 4):
             for combo in combinations(pts, size):
                 brute.add(span([ones(flag.ambient_dim), *combo], flag.ambient_dim))
-        assert set(level_universe(W, 10**6, level)) == brute
+        universe = level_universe(W, 10**6, level)
+        assert isinstance(universe, tuple)  # cached: callers cannot alias a list
+        assert set(universe) == brute
 
 
 # ---------------------------------------------------------------------------

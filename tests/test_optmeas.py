@@ -1,9 +1,10 @@
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from cubeflags import entropy, optmeas
+from cubeflags import entropy, optmeas, rho
 from cubeflags.entropy import (
     TIGHT_BAND,
     System,
@@ -19,6 +20,8 @@ from cubeflags.flags import (
     binary_flag,
     cell_tree,
     enumerate_subflags,
+    level_universe,
+    make_flag,
     mt_flag,
     parse_flag_text,
     permute_vector,
@@ -30,7 +33,8 @@ from cubeflags.optmeas import (
     optimal_measure,
     optimal_parameters,
 )
-from cubeflags.rho import gamma_res, solve_rho_chain, theta
+from cubeflags.qlinalg import ones, span
+from cubeflags.rho import RhoSolution, gamma_res, solve_flag_rhos, solve_rho_chain, theta
 
 LOG3 = math.log(3.0)
 L2 = math.log(2.0)
@@ -380,3 +384,161 @@ def test_measures_json():
     assert doc["schema"].startswith("cubeflags.measures")
     assert abs(sum(doc["mu_star"].values()) - 1.0) < 1e-12
     assert len(doc["c_star"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# The f recursion on the origin's subtree against the all-cells route
+
+
+def _gamma_by_scan(tree, level):
+    zero = (0,) * tree.flag.ambient_dim
+    return next(c for c in tree.levels[level] if c.members[0] == zero)
+
+
+def _f_by_memo_walk(tree, cell, rhos):
+    """f^C by a memoised walk down from the cell, the cell found by a scan."""
+    idx = tree.levels[cell.level].index(cell)
+    memo = {}
+
+    def rec(level, idx):
+        if level == 0:
+            return 1.0
+        if (level, idx) not in memo:
+            rho = 0.0 if level == 1 else float(rhos[level - 2])
+            memo[(level, idx)] = math.fsum(
+                rec(level - 1, j) ** rho for j in tree.child_ids[level][idx])
+        return memo[(level, idx)]
+
+    return rec(cell.level, idx)
+
+
+def _solve_flag_rhos_by_walks(flag):
+    """Each bisection step walks Gamma_{j+1}'s subtree all over again."""
+    tree = cell_tree(flag)
+    rhos, residuals = [], []
+    for j in range(1, flag.order):
+        d = flag.spaces[j + 1].dim - flag.spaces[j].dim
+        log_fj = math.log(_f_by_memo_walk(tree, _gamma_by_scan(tree, j), rhos))
+
+        def phi(x):
+            f_next = _f_by_memo_walk(tree, _gamma_by_scan(tree, j + 1), rhos + [x])
+            return math.log(f_next) - x * log_fj - d
+
+        x = rho._bisect(phi, 0.0, 1.0, rho.BISECT_WIDTH, f"equation {j}")
+        rhos.append(x)
+        residuals.append(abs(phi(x)))
+    return RhoSolution(tuple(rhos), tuple(residuals), "genotype")
+
+
+def _optimal_measure_all_cells(flag, sol):
+    """f on every cell of the cube, then mass pushed over every cell."""
+    tree = cell_tree(flag)
+    r, rhos, k = flag.order, sol.rhos, flag.ambient_dim
+    f_val = {(0, idx): 1.0 for idx in range(len(tree.levels[0]))}
+    for level in range(1, r + 1):
+        x = 0.0 if level == 1 else rhos[level - 2]
+        for idx in range(len(tree.levels[level])):
+            f_val[(level, idx)] = math.fsum(
+                f_val[(level - 1, j)] ** x for j in tree.child_ids[level][idx])
+    top = tree.levels[r].index(_gamma_by_scan(tree, r))
+    mass = {(r, top): 1.0}
+    for level in range(r, 0, -1):
+        x = 0.0 if level == 1 else rhos[level - 2]
+        for idx in range(len(tree.levels[level])):
+            m = mass.get((level, idx), 0.0)
+            if m == 0.0:
+                continue
+            for j in tree.child_ids[level][idx]:
+                mass[(level - 1, j)] = mass.get((level - 1, j), 0.0) + m * (
+                    f_val[(level - 1, j)] ** x) / f_val[(level, idx)]
+    weights = {}
+    for idx, cell in enumerate(tree.levels[0]):
+        m = mass.get((0, idx), 0.0)
+        if m == 0.0:
+            continue
+        if cell.size == 2:
+            weights[(0,) * k] = m
+            weights[(1,) * k] = 0.0
+        else:
+            weights[cell.members[0]] = m
+    total = math.fsum(weights.values())
+    weights = {p: w / total for p, w in weights.items()}
+    gamma_masses, restrictions = [], []
+    for j in range(r + 1):
+        pts = set(_gamma_by_scan(tree, j).members)
+        gm = math.fsum(w for p, w in weights.items() if p in pts)
+        gamma_masses.append(gm)
+        if j >= 1:
+            restrictions.append([(p, w / gm) for p, w in weights.items() if p in pts])
+    return list(weights.items()), gamma_masses, restrictions
+
+
+def _measure_items(flag, sol):
+    data = optimal_measure(flag, sol)
+    return (list(data.mu_star.weights.items()), list(data.gamma_masses),
+            [list(mu.weights.items()) for mu in data.restrictions])
+
+
+def _random_flag(rnd):
+    k = rnd.randint(4, 6)
+    gens = [ones(k)]
+    spaces = [span(gens, k)]
+    for _ in range(rnd.randint(1, 3)):
+        gens += [tuple(rnd.randint(0, 1) for _ in range(k)) for _ in range(rnd.randint(1, 2))]
+        spaces.append(span(gens, k))
+    return make_flag(spaces, "custom")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the two routes must fail alike
+        return type(exc), str(exc)
+
+
+def test_subtree_recursion_matches_all_cells_route():
+    rnd = random.Random(20261018)
+    flags = [binary_flag(r) for r in (1, 2, 3)] + [mt_flag(r) for r in (2, 3, 4)]
+    flags += [CERT_FLAGS["mt4_q12"]()] + [_random_flag(rnd) for _ in range(48)]
+    raised = 0
+    for flag in flags:
+        new, old = _outcome(solve_flag_rhos, flag), _outcome(_solve_flag_rhos_by_walks, flag)
+        assert new == old, flag
+        if not isinstance(new, RhoSolution):
+            raised += 1
+            continue
+        sol = solve_rho_chain(flag.order - 1)[0] if flag.kind == "binary" else new
+        assert _outcome(_measure_items, flag, sol) == _outcome(_optimal_measure_all_cells, flag, sol)
+    assert 0 < raised < len(flags) // 2
+
+
+def test_mt4_certificate_evaluates_f_on_the_origin_subtree_only(monkeypatch):
+    walks, layers = [], []
+    real_walk, real_layer = rho.f_cell_direct, optmeas._f_layer
+
+    def spy_walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    def spy_layer(tree, level, below, x, cells):
+        layers.append((level, len(below), len(cells)))
+        return real_layer(tree, level, below, x, cells)
+
+    monkeypatch.setattr(rho, "f_cell_direct", spy_walk)
+    monkeypatch.setattr(optmeas, "_f_layer", spy_layer)
+    flag = mt_flag(4)
+    _, cert = certify_system(flag)
+    assert cert.ok and walks == []
+    # mu* reads f on Gamma_4 and its descendants: 1 + 3 + 5 + 7 + 9 cells,
+    # the level-0 ones being the first layer's `below`
+    assert [level for level, _, _ in layers] == [1, 2, 3, 4]
+    assert layers[0][1] + sum(n for _, _, n in layers) == 25
+    # the all-cells sweep evaluated f on every cell of the tree
+    assert sum(len(cells) for cells in cell_tree(flag).levels) == 319009
+
+
+def test_certificate_builds_each_level_universe_once():
+    level_universe.cache_clear()
+    certify_system(binary_flag(2))
+    info = level_universe.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
