@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -19,6 +20,14 @@ from typing import Optional, Sequence
 from . import flags as flags_mod
 from . import optmeas, rho, simlab
 from .errors import CubeflagsError
+
+# Every command runs in a fresh interpreter, and the ~22,000 objects that
+# numpy and cubeflags create at import live until it exits.  Moving them into
+# the permanent generation spares every full collection of the run, and the
+# ones CPython makes at shutdown, from walking them again (~35 ms per command
+# on a 2-core VM).  The import leaves no cyclic garbage, so no collect()
+# comes first (the tests check this).  The library alone freezes nothing.
+gc.freeze()
 
 
 class UsageError(Exception):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
@@ -230,13 +229,11 @@ def cube_points(W: Subspace) -> list[tuple[int, ...]]:
     leads = [row[p] for row, p in zip(W.basis, W.pivots)]
     lead_lcm = lcm(*leads)
     scaled = [tuple(x * (lead_lcm // l) for x in row) for row, l in zip(W.basis, leads)]
-    out = []
-    for eps in product((0, 1), repeat=d):
-        acc = [0] * k
-        for e, row in zip(eps, scaled):
-            if e:
-                acc = [a + x for a, x in zip(acc, row)]
-        if all(a == 0 or a == lead_lcm for a in acc):
-            out.append(tuple(1 if a else 0 for a in acc))
-    out.sort()
-    return out
+    # Doubling: each row is added once to every partial sum so far, so each
+    # candidate costs one row addition.
+    sums = [(0,) * k]
+    for row in scaled:
+        sums += [tuple(a + x for a, x in zip(s, row)) for s in sums]
+    return sorted(
+        tuple(1 if a else 0 for a in s) for s in sums if all(a == 0 or a == lead_lcm for a in s)
+    )

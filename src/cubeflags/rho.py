@@ -396,14 +396,20 @@ def eta(rho: float) -> float:
 def gamma_res(dims: Sequence[int], sol: RhoSolution, limit: Optional[float] = None) -> float:
     """(log 3 - 1) / (log 3 + sum_i dims[i-1] / (rho_1 ... rho_i)).
 
-    dims lists the increments dim(V_{i+1}/V_i) for i = 1..r-1.
+    dims lists the increments dim(V_{i+1}/V_i) for i = 1..r-1.  Raises
+    NumericInstabilityError once the product of the rhos underflows to 0 or
+    the sum overflows, rather than dividing by zero or returning 0.
     """
     rhos = sol.padded(len(dims), limit)
     s = LOG3
     prod = 1.0
-    for d, x in zip(dims, rhos):
+    for i, (d, x) in enumerate(zip(dims, rhos), start=1):
         prod *= x
+        if prod == 0.0:
+            raise NumericInstabilityError(f"rho_1 ... rho_{i} underflows to 0 in double precision")
         s += d / prod
+        if not math.isfinite(s):
+            raise NumericInstabilityError(f"the gamma denominator overflows at i = {i}")
     return (LOG3 - 1.0) / s
 
 

@@ -861,8 +861,6 @@ def _prime_power_base(q: int) -> int:
     return next(iter(f))
 
 
-# sample_poly_degrees asks for every degree of its window once per sample
-@lru_cache(maxsize=4096)
 def irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducible degree-d polynomials over F_q (exact)."""
     if not 2 <= q <= MAX_POLY_Q:
@@ -893,10 +891,30 @@ def nb_mean(q: int, d: int) -> Fraction:
     return Fraction(irreducible_count(q, d), q**d - 1)
 
 
-# sample_poly_degrees asks for it once per sample and degree beyond float range
-@lru_cache(maxsize=4096)
-def _nb_mean_float(q: int, d: int) -> float:
-    return float(nb_mean(q, d))
+# sample_delta_poly draws many samples over one (q, model, window)
+@lru_cache(maxsize=64)
+def _poly_draw_params(q: int, model: str, d_lo: int, d_hi: int):
+    """The degrees of the window, the NB(m, p) parameters of the degrees
+    with q^d < 2^52 and the Poisson means of the rest, as read-only arrays.
+    q^d grows with d, so the NB block is the low end of the window and one
+    call per block draws in the scalar loop's order."""
+    degrees = range(max(1, d_lo), d_hi + 1)
+    if model == "poisson":
+        nb_degrees = range(0)
+        means = [1.0 / d for d in degrees]
+    elif model == "nb":
+        nb_degrees = [d for d in degrees if q**d < (1 << 52)]
+        means = [float(nb_mean(q, d)) for d in degrees[len(nb_degrees):]]
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    arrays = (
+        np.array([irreducible_count(q, d) for d in nb_degrees], dtype=np.float64),
+        np.array([1.0 - 1.0 / q**d for d in nb_degrees], dtype=np.float64),
+        np.array(means, dtype=np.float64),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return degrees, *arrays
 
 
 def sample_poly_degrees(
@@ -920,22 +938,9 @@ def sample_poly_degrees(
         raise CapacityError(f"q guard: {q} not in 2..{MAX_POLY_Q}")
     _prime_power_base(q)
     d_lo, d_hi = d_range if d_range is not None else lemma_degree_range(n)
-    d_hi = min(d_hi, n)
-    out: dict[int, int] = {}
-    for d in range(max(1, d_lo), d_hi + 1):
-        if model == "poisson":
-            y = int(rng.poisson(1.0 / d))
-        elif model == "nb":
-            m = irreducible_count(q, d)
-            if q**d < (1 << 52):
-                y = int(rng.negative_binomial(m, 1.0 - 1.0 / q**d))
-            else:
-                y = int(rng.poisson(_nb_mean_float(q, d)))
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        if y:
-            out[d] = y
-    return out
+    degrees, nb_m, nb_p, means = _poly_draw_params(q, model, d_lo, min(d_hi, n))
+    ys = rng.negative_binomial(nb_m, nb_p).tolist() + rng.poisson(means).tolist()
+    return {d: y for d, y in zip(degrees, ys) if y}
 
 
 def delta_poly(degree_counts: dict[int, int]) -> DeltaSample:

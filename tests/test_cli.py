@@ -3,6 +3,8 @@ import json
 import math
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -78,6 +80,15 @@ def test_theta_below_one_is_usage_error(capsys, r):
     code, out, err = run(capsys, "theta", "--r", r)
     assert (code, out) == (1, "")
     assert err.startswith("usage error:") and "r >= 1" in err
+
+
+@pytest.mark.parametrize("r", ["500", "1000"])
+def test_theta_past_double_range_is_numeric_error(capsys, r):
+    # the running product of the rhos leaves double range: an internal
+    # numeric bound (exit 2), not a usage error, a traceback or a printed 0
+    code, out, err = run(capsys, "theta", "--r", r)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_theta_json_padding_metadata(capsys):
@@ -483,3 +494,28 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except UsageError as exc:
             pytest.fail(f"README line `cubeflags {' '.join(argv)}`: {exc}")
+
+
+def _in_fresh_interpreter(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_heap_is_frozen_by_the_cli_only():
+    # the library leaves a host process's collector alone; the CLI moves the
+    # import-time heap into the permanent generation
+    assert _in_fresh_interpreter("import gc, cubeflags\nprint(gc.get_freeze_count())") == "0\n"
+    frozen = _in_fresh_interpreter("import gc, cubeflags.cli\nprint(gc.get_freeze_count())")
+    assert int(frozen) > 0
+
+
+def test_cli_import_leaves_no_cyclic_garbage():
+    # why no collect() precedes the freeze: were an import-time change to
+    # leave cyclic garbage, the freeze would keep it alive for the whole run
+    code = "import gc, cubeflags.cli\ngc.unfreeze()\nprint(gc.collect())"
+    assert _in_fresh_interpreter(code) == "0\n"

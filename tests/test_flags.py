@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -190,6 +191,43 @@ def test_gamma_is_the_first_cell_and_the_only_one_holding_the_origin():
             holding = [c for c in tree.levels[i] if origin in c.members]
             assert holding == [tree.levels[i][0]]
             assert tree.gamma(i) is tree.levels[i][0]
+
+
+def _reference_cube_points(W):
+    # the per-candidate loop cube_points used before the doubling: each of the
+    # 2^dim W sign vectors re-sums its rows from zero
+    k, d = W.ambient_dim, W.dim
+    if d == 0:
+        return [(0,) * k]
+    leads = [row[p] for row, p in zip(W.basis, W.pivots)]
+    lead_lcm = math.lcm(*leads)
+    scaled = [tuple(x * (lead_lcm // l) for x in row) for row, l in zip(W.basis, leads)]
+    out = []
+    for eps in product((0, 1), repeat=d):
+        acc = [0] * k
+        for e, row in zip(eps, scaled):
+            if e:
+                acc = [a + x for a, x in zip(acc, row)]
+        if all(a == 0 or a == lead_lcm for a in acc):
+            out.append(tuple(1 if a else 0 for a in acc))
+    out.sort()
+    return out
+
+
+def test_cube_points_match_per_candidate_reference():
+    mt4_q12 = parse_flag_text((Path(__file__).parents[1] / "perfbench" / "mt4_q12.flag").read_text())
+    spaces = [W for f in [binary_flag(r) for r in (1, 2, 3)] + [mt_flag(r) for r in (2, 3, 4)] + [mt4_q12]
+              for W in f.spaces]
+    rnd = random.Random(20261018)
+    for _ in range(60):
+        # small signed integer generators give leading entries above 1 and
+        # negative entries, so the lcm scaling and cancellation both show
+        k = rnd.randint(1, 7)
+        gens = [tuple(rnd.randint(-2, 2) for _ in range(k)) for _ in range(rnd.randint(0, k))]
+        spaces.append(span(gens, k))
+    assert any(max(row[p] for row, p in zip(W.basis, W.pivots)) > 1 for W in spaces if W.dim)
+    for W in spaces:
+        assert cube_points(W) == _reference_cube_points(W)
 
 
 def test_partition_guards_raise_capacity_error():

@@ -819,6 +819,39 @@ def test_sample_poly_degrees_models():
     assert S.sample_poly_degrees(2, 2000, "poisson", rng) == {}
 
 
+def _scalar_poly_degrees(q, model, d_lo, d_hi, rng):
+    # the one-draw-per-degree loop sample_poly_degrees replaced
+    out = {}
+    for d in range(max(1, d_lo), d_hi + 1):
+        if model == "poisson":
+            y = int(rng.poisson(1.0 / d))
+        elif q**d < (1 << 52):
+            y = int(rng.negative_binomial(S.irreducible_count(q, d), 1.0 - 1.0 / q**d))
+        else:
+            y = int(rng.poisson(float(S.nb_mean(q, d))))
+        if y:
+            out[d] = y
+    return out
+
+
+@pytest.mark.parametrize("model", ["poisson", "nb"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sample_poly_degrees_matches_scalar_draws(q, model):
+    # the window (1, 60) crosses q^d = 2^52 for every q here, so the nb
+    # model draws both blocks; so does the short window around the switch
+    switch = next(d for d in range(1, 60) if q**d >= 1 << 52)
+    for window in ((1, 60), (switch - 2, switch + 1)):
+        for seed in range(20):
+            got = S.sample_poly_degrees(q, 100, model, S.substream(seed, 0), window)
+            assert got == _scalar_poly_degrees(q, model, *window, S.substream(seed, 0))
+            assert all(type(d) is int and type(y) is int for d, y in got.items())
+
+
+def test_sample_poly_degrees_rejects_unknown_model():
+    with pytest.raises(ValueError, match="unknown model"):
+        S.sample_poly_degrees(2, 100, "binomial", S.substream(0, 0), (2, 10))
+
+
 def test_poisson_nb_empirical_means_close():
     # same d, many draws: sample means agree within a few standard errors
     d, trials = 25, 4000
