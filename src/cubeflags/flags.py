@@ -303,56 +303,32 @@ def _genotype_of_members(members: Sequence[tuple[int, ...]], level: int, r: int)
     return Genotype(level, mask)
 
 
-@lru_cache(maxsize=None)
-def _cube(k: int) -> tuple[list[CubePoint], np.ndarray]:
-    """All 2^k cube points in lexicographic order, as tuples and as int64 rows."""
-    if k > MAX_CELL_AMBIENT_DIM:
-        raise CapacityError(f"cell enumeration guard: ambient dim {k} > {MAX_CELL_AMBIENT_DIM}")
-    cube = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    cube.flags.writeable = False
-    return list(product((0, 1), repeat=k)), cube
+def _partition(W: Subspace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The W-cell id of each point row, and each cell's first row.
 
-
-@lru_cache(maxsize=MAX_FLAG_ORDER + 1)
-def _partition(flag: Flag, i: int) -> tuple[tuple[Cell, ...], np.ndarray, np.ndarray]:
-    """Level-i cells, the cell id of each point, and each cell's least point.
-
-    Points are given by their index in the lexicographic order of _cube.  Two
-    points share a cell iff M p == M q for M = coset_matrix(V_i); numbering
-    the distinct keys by first occurrence sorts the cells by least member.
+    Two points share a cell iff M p == M q for M = coset_matrix(W); numbering
+    the distinct keys by first occurrence sorts the cells by least member
+    when the rows are sorted.
     """
-    k = flag.ambient_dim
-    points, cube = _cube(k)
-    mat = qlinalg.coset_matrix(flag.spaces[i])
+    k = W.ambient_dim
+    mat = qlinalg.coset_matrix(W)
     # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
     if k * max(abs(x) for row in mat for x in row) >= 1 << 62:
-        raise CapacityError(f"cell enumeration guard: level-{i} coset keys overflow int64")
-    keys = np.ascontiguousarray(cube @ np.array(mat, dtype=np.int64).T)
+        raise CapacityError("cell enumeration guard: coset keys overflow int64")
+    keys = np.ascontiguousarray(rows @ np.array(mat, dtype=np.int64).T)
     # one opaque k*8-byte item per point; np.unique groups these several
     # times faster than int rows with axis=0
-    rows = keys.view(np.dtype((np.void, keys.itemsize * k))).reshape(-1)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    items = keys.view(np.dtype((np.void, keys.itemsize * k))).reshape(-1)
+    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    ids = rank[inverse.reshape(-1)]
-    least = first[order]
-    members = [points[n] for n in np.argsort(ids, kind="stable").tolist()]
-    cells = []
-    start = 0
-    for end in np.cumsum(np.bincount(ids)).tolist():
-        pts = tuple(members[start:end])
-        gen = _genotype_of_members(pts, i, flag.order) if flag.kind == "binary" else None
-        cells.append(Cell(i, pts, gen))
-        start = end
-    ids.flags.writeable = False
-    least.flags.writeable = False
-    return tuple(cells), ids, least
+    return rank[inverse.reshape(-1)], first[order]
 
 
 def cells_at_level(flag: Flag, i: int) -> list[Cell]:
     """The partition of {0,1}^k into cells of level i, sorted by least member."""
-    return list(_partition(flag, i)[0])
+    return list(cell_tree(flag).levels[i])
 
 
 def genotype_of(cell: Cell) -> Genotype:
@@ -363,7 +339,8 @@ def genotype_of(cell: Cell) -> Genotype:
 
 @dataclass(frozen=True)
 class CellTree:
-    """All cells of a flag, with parent/child links between adjacent levels."""
+    """The cells of a flag over some cube points, with parent/child links
+    between adjacent levels."""
 
     flag: Flag
     levels: tuple[tuple[Cell, ...], ...]  # levels[i] = cells at level i
@@ -381,19 +358,36 @@ class CellTree:
         return self.levels[level][0]
 
 
+def _groups(ids: np.ndarray, items: Sequence) -> list[tuple]:
+    """items grouped by their ids 0, 1, 2, ..., in order within each group."""
+    ordered = [items[j] for j in np.argsort(ids, kind="stable").tolist()]
+    ends = np.cumsum(np.bincount(ids)).tolist()
+    return [tuple(ordered[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 @lru_cache(maxsize=32)
-def cell_tree(flag: Flag) -> CellTree:
-    # The cells come through the public cells_at_level, which the benchmark
-    # tracer counts; the point ids come from the same cached _partition.
-    levels = [tuple(cells_at_level(flag, i)) for i in range(flag.order + 1)]
-    child_ids: list[tuple] = [()]
-    for i in range(1, flag.order + 1):
-        # the parent of a level-(i-1) cell is the level-i cell of its least point
-        parents = _partition(flag, i)[1][_partition(flag, i - 1)[2]]
-        by_parent: list[list[int]] = [[] for _ in levels[i]]
-        for j, pj in enumerate(parents.tolist()):
-            by_parent[pj].append(j)
-        child_ids.append(tuple(tuple(lst) for lst in by_parent))
+def cell_tree(flag: Flag, points: Optional[tuple[CubePoint, ...]] = None) -> CellTree:
+    """The cells of every level over the given sorted cube points (all of
+    {0,1}^k when None), each the points of one V_i-coset.
+
+    Levels are sorted by least member, and a level-(i-1) cell's parent is
+    the level-i cell of its least point; so the tree over a union of cells
+    (Gamma_r, say) is the full tree's subtree under them, in the same order.
+    """
+    k = flag.ambient_dim
+    if k > MAX_CELL_AMBIENT_DIM:
+        raise CapacityError(f"cell enumeration guard: ambient dim {k} > {MAX_CELL_AMBIENT_DIM}")
+    points = tuple(product((0, 1), repeat=k)) if points is None else points
+    rows = np.array(points, dtype=np.int64).reshape(-1, k)
+    levels, child_ids, least = [], [()], None
+    for i, W in enumerate(flag.spaces):
+        ids, first = _partition(W, rows)
+        if i:
+            child_ids.append(tuple(_groups(ids[least], range(len(least)))))
+        least = first
+        levels.append(tuple(
+            Cell(i, pts, _genotype_of_members(pts, i, flag.order) if flag.kind == "binary" else None)
+            for pts in _groups(ids, points)))
     return CellTree(flag, tuple(levels), tuple(child_ids))
 
 

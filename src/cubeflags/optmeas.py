@@ -8,8 +8,8 @@ measure mu* on the cube is obtained by telescoping the ratio
 down the cell tree from mu*(Gamma_r) = 1, splitting the bottom cell {0, 1}
 by the convention mu*(1) = 0 (harmless: 0 and 1 share a coset of every
 subflag space, so no entropy ever sees the split).  Only the subtree of
-Gamma_r carries mass, so f is evaluated on that subtree alone, as the rho
-equations are (rho.solve_flag_rhos).  The restrictions mu*_j of mu* to
+Gamma_r carries mass, so f is evaluated on Gamma_r's cell tree alone, as
+the rho equations are (rho.solve_flag_rhos).  The restrictions mu*_j of mu* to
 Gamma_j and the threshold vector c* that makes every basic subflag's
 e-value tie with the full flag assemble into a system whose entropy
 condition can then be checked over the enumerated subflag universe.
@@ -47,6 +47,7 @@ from .flags import (
     automorphism_generators,
     cell_tree,
     contains_subspace,
+    cube_points,
     level_universe,
     permute_subspace,
 )
@@ -54,7 +55,6 @@ from .rho import (
     F_genotype,
     RhoSolution,
     _f_layer,
-    _subtree_cells,
     solve_flag_rhos,
     solve_rho_chain,
 )
@@ -83,16 +83,14 @@ def optimal_measure(flag: Flag, sol: Optional[RhoSolution] = None) -> OptimalDat
         sol = solve_rho_chain(flag.order - 1)[0] if flag.kind == "binary" else solve_flag_rhos(flag)
     if len(sol.rhos) < flag.order - 1:
         raise ValueError("rho solution does not cover the flag order")
-    tree = cell_tree(flag)
+    # only Gamma_r carries mass, so only its tree is built
+    tree = cell_tree(flag, tuple(cube_points(flag.spaces[-1])))
     r = flag.order
     rhos = sol.rhos
 
-    # only the subtree of Gamma_r (cell 0 of level r) carries mass
-    subtree = _subtree_cells(tree, r, 0)
-    f = [dict.fromkeys(subtree[0], 1.0)]
+    f = [[1.0] * len(tree.levels[0])]
     for level in range(1, r + 1):
-        rho = 0.0 if level == 1 else rhos[level - 2]
-        f.append(_f_layer(tree, level, f[-1], rho, subtree[level]))
+        f.append(_f_layer(tree, level, f[-1], 0.0 if level == 1 else rhos[level - 2]))
     mass = {0: 1.0}
     for level in range(r, 0, -1):
         rho = 0.0 if level == 1 else rhos[level - 2]
@@ -104,8 +102,7 @@ def optimal_measure(flag: Flag, sol: Optional[RhoSolution] = None) -> OptimalDat
 
     k = flag.ambient_dim
     weights: dict[tuple, float] = {}
-    for idx in subtree[0]:  # ascending: coset_entropy sums in insertion order
-        cell = tree.levels[0][idx]
+    for idx, cell in enumerate(tree.levels[0]):  # coset_entropy sums in insertion order
         weights[cell.members[0]] = mass[idx]
         if cell.size == 2:  # the cell {0, 1}: all of its mass goes to 0
             weights[(1,) * k] = 0.0
@@ -312,8 +309,11 @@ def certify_system(
     """Build the extremal system for a flag and verify everything checkable.
 
     Failures are collected in the certificate rather than raised, so a
-    failing flag still yields a complete diagnostic record.
+    failing flag still yields a complete diagnostic record.  Every epsilon
+    must be finite and > 0; one too coarse for c* is recorded as infeasible.
     """
+    if not all(0.0 < eps < math.inf for eps in eps_list):
+        raise ValueError(f"perturbation epsilons must be finite and > 0, got {list(eps_list)}")
     failures: list[str] = []
     if sol is None:
         if flag.kind == "binary":

@@ -26,6 +26,7 @@ scalar equation with a rapidly convergent series, solved here by bisection.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,36 +34,30 @@ from math import exp, log, log1p
 from typing import Optional, Sequence
 
 from .errors import CapacityError, NumericInstabilityError
-from .flags import Cell, CellTree, Flag, Genotype, cell_tree, defects
+from .flags import Cell, CellTree, Flag, Genotype, cell_tree, cube_points, defects
 
 LOG2 = log(2.0)
 LOG3 = log(3.0)
 MAX_GENOTYPE_F_LEVEL = 4
 BISECT_WIDTH = 1e-14
 LIMIT_SERIES_TERMS = 60
+# row max_j + 1 of the chain reaches column max_j + 3, whose crude upper
+# bound is 2^(max_j + 2) log 2; past this max_j that power leaves the floats
+MAX_RHO_CHAIN_J = sys.float_info.max_exp - 3
 
 
 # ---------------------------------------------------------------------------
 # Direct tree evaluation
 
 
-def _subtree_cells(tree: CellTree, level: int, idx: int) -> list[list[int]]:
-    """The cells under cell idx of the given level: entry i lists their
-    level-i indices in ascending order, for i = 0..level."""
-    cells = [[idx]]
-    for i in range(level, 0, -1):
-        cells.append(sorted(j for c in cells[-1] for j in tree.child_ids[i][c]))
-    return cells[::-1]
-
-
-def _f_layer(tree: CellTree, level: int, below: dict, rho: float, cells) -> dict:
-    """f at the given level for each cell index in cells, from below, the f
-    values one level down by cell index; rho is the exponent of this level."""
-    return {i: math.fsum(below[j] ** rho for j in tree.child_ids[level][i]) for i in cells}
+def _f_layer(tree: CellTree, level: int, below: list, rho: float) -> list:
+    """f for every cell of the given level, from below, the f values one
+    level down by cell index; rho is the exponent of this level."""
+    return [math.fsum(below[j] ** rho for j in kids) for kids in tree.child_ids[level]]
 
 
 def f_cell_direct(tree_or_flag, cell: Cell, rhos: Sequence[float]) -> float:
-    """Evaluate f^C on the materialized cell tree (brute-force oracle).
+    """Evaluate f^C on the cell tree over C's members (brute-force oracle).
 
     rho_0 = 0 by convention; rhos[j-1] is the exponent used at level j+1, so
     a length of level-1 suffices for a cell at the given level.
@@ -76,12 +71,11 @@ def f_cell_direct(tree_or_flag, cell: Cell, rhos: Sequence[float]) -> float:
     idx = bisect_left(cells, cell.members[0], key=lambda c: c.members[0])
     if idx == len(cells) or cells[idx].members[0] != cell.members[0]:
         raise KeyError(cell.members[0])
-    subtree = _subtree_cells(tree, cell.level, idx)
-    f = dict.fromkeys(subtree[0], 1.0)
+    sub = cell_tree(tree.flag, cells[idx].members)  # the cell is its level's only one
+    f = [1.0] * len(sub.levels[0])
     for level in range(1, cell.level + 1):
-        rho = 0.0 if level == 1 else float(rhos[level - 2])
-        f = _f_layer(tree, level, f, rho, subtree[level])
-    return f[idx]
+        f = _f_layer(sub, level, f, 0.0 if level == 1 else float(rhos[level - 2]))
+    return f[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +264,11 @@ class RhoSolution:
 
 def solve_rho_chain(max_j: int) -> tuple[RhoSolution, LogATable]:
     """Solve rho_1..rho_max_j for the binary family via the a-recursion."""
+    if max_j < 0:
+        raise ValueError(f"max_j must be >= 0, got {max_j}")
+    if max_j > MAX_RHO_CHAIN_J:
+        raise CapacityError(f"rho chain guard: max_j {max_j} > {MAX_RHO_CHAIN_J}, past which "
+                            "the a-table bounds overflow double precision")
     table = LogATable()
     table.ensure_row1(3)
     rhos, residuals = [], []
@@ -308,15 +307,15 @@ def solve_flag_rhos(flag: Flag) -> RhoSolution:
 
     Equation j reads f at level j only on the children of Gamma_{j+1}, and
     rho_j does not change those values, so f is built one level at a time
-    on the subtree of Gamma_r (cell 0 of each level) as the rho_j come in.
+    on the cell tree over Gamma_r = V_r /\\ {0,1}^k, whose level-i cell 0 is
+    Gamma_i, as the rho_j come in.
     """
-    tree = cell_tree(flag)
-    subtree = _subtree_cells(tree, flag.order, 0)
-    f = dict.fromkeys(subtree[0], 1.0)
+    tree = cell_tree(flag, tuple(cube_points(flag.spaces[-1])))
+    f = [1.0] * len(tree.levels[0])
     rhos: list[float] = []
     residuals = []
     for j in range(1, flag.order):
-        f = _f_layer(tree, j, f, 0.0 if j == 1 else rhos[j - 2], subtree[j])
+        f = _f_layer(tree, j, f, 0.0 if j == 1 else rhos[j - 2])
         kids = [f[c] for c in tree.child_ids[j + 1][0]]
         d = flag.spaces[j + 1].dim - flag.spaces[j].dim
         log_fj = log(f[0])
@@ -379,8 +378,11 @@ def rho_limit(tolerance: float = 1e-15, max_terms: int = LIMIT_SERIES_TERMS) -> 
     """Solve the scalar limit equation for rho = lim rho_j by bisection.
 
     The series is truncated once a term vanishes to double precision (always
-    long before max_terms; term j is of order (2/3)^(2^(j-1))).
+    long before max_terms; term j is of order (2/3)^(2^(j-1))).  A zero
+    tolerance bisects down to float resolution.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     x = _bisect(
         lambda r: _limit_series_gap(r, max_terms)[0], 0.1, 0.9, tolerance, "the limit equation"
     )

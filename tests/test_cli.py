@@ -104,6 +104,37 @@ def test_rho_limit(capsys):
     assert abs(float(out.strip()) - 0.28121134969637466) < 1e-12
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-15"])
+def test_rho_limit_bad_tolerance_is_usage_error(capsys, tol):
+    # a nan tolerance used to skip the bisection and print the bracket midpoint
+    code, out, err = run(capsys, "rho-limit", f"--tol={tol}")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "tolerance" in err
+
+
+def test_rho_limit_zero_tolerance_bisects_to_float_resolution(capsys):
+    code, out, _ = run(capsys, "rho-limit", "--tol", "0")
+    assert code == 0
+    assert abs(float(out.strip()) - 0.28121134969637466) < 1e-15
+
+
+def test_rho_table_past_float_range_fails_fast(capsys):
+    # one past the guard used to die in an OverflowError after ~15 s
+    from cubeflags.rho import MAX_RHO_CHAIN_J
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rho-table", "--max-j", str(MAX_RHO_CHAIN_J + 1))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rho chain guard")
+
+
+def test_rho_table_negative_max_j_is_usage_error(capsys):
+    assert run(capsys, "rho-table", "--max-j", "-1")[:2] == (1, "")
+    code, out, _ = run(capsys, "rho-table", "--max-j", "0")
+    assert (code, out) == (0, "j,rho_j,residual\n")
+
+
 def test_constants_json(capsys):
     code, out, _ = run(capsys, "constants")
     doc = json.loads(out)
@@ -209,6 +240,21 @@ def test_measures_bytes_pinned(capsys, flag, digest):
     code, out, _ = run(capsys, "measures", "--flag", *flag)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_check_mt4_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "check", "--flag", "mt", "--order", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4bf4c49a72cb3549aa0257a832c12ea8d8439784212f7f57b91817c828ceb73b")
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+def test_check_bad_perturbation_is_usage_error(capsys, eps):
+    # these used to run the whole certificate and report a failed check
+    code, out, err = run(capsys, "check", "--flag", "binary", "--order", "2", "--perturb", eps)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "epsilons" in err
 
 
 def test_tree_output(capsys):

@@ -181,6 +181,29 @@ def test_partition_and_tree_match_per_point_reference():
         assert cell_tree(f).child_ids == child_ids
 
 
+def test_gamma_tree_is_the_full_tree_under_gamma():
+    # the tree over V_r's cube points is the full tree's subtree under
+    # Gamma_r: the same cells, in the same order, with the same child links
+    rnd = random.Random(20261019)
+    cases = [binary_flag(r) for r in (1, 2, 3)] + [mt_flag(r) for r in (2, 3, 4)]
+    cases.append(parse_flag_text((Path(__file__).parents[1] / "perfbench" / "mt4_q12.flag").read_text()))
+    cases += [_random_custom_flag(rnd) for _ in range(20)]
+    for f in cases:
+        full, sub = cell_tree(f), cell_tree(f, tuple(cube_points(f.spaces[-1])))
+        under = [[0]]  # full-tree indices of the cells under Gamma_r, top down
+        for i in range(f.order, 0, -1):
+            under.append(sorted(j for c in under[-1] for j in full.child_ids[i][c]))
+        under.reverse()
+        for i in range(f.order + 1):
+            index = {c.members[0]: j for j, c in enumerate(full.levels[i])}
+            mapped = [index[c.members[0]] for c in sub.levels[i]]
+            assert mapped == under[i]
+            assert list(sub.levels[i]) == [full.levels[i][j] for j in mapped]
+            if i:
+                assert [[under[i - 1][j] for j in kids] for kids in sub.child_ids[i]] == [
+                    list(full.child_ids[i][j]) for j in mapped]
+
+
 def test_gamma_is_the_first_cell_and_the_only_one_holding_the_origin():
     mt4_q12 = parse_flag_text((Path(__file__).parents[1] / "perfbench" / "mt4_q12.flag").read_text())
     cases = [binary_flag(r) for r in (1, 2, 3)] + [mt_flag(r) for r in (2, 3, 4)] + [mt4_q12]

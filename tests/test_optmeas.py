@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from cubeflags import entropy, optmeas, rho
+from cubeflags import flags as flags_mod
 from cubeflags.entropy import (
     TIGHT_BAND,
     System,
@@ -513,19 +514,26 @@ def test_subtree_recursion_matches_all_cells_route():
 
 
 def test_mt4_certificate_evaluates_f_on_the_origin_subtree_only(monkeypatch):
-    walks, layers = [], []
-    real_walk, real_layer = rho.f_cell_direct, optmeas._f_layer
+    walks, layers, partitioned = [], [], []
+    real_walk, real_layer, real_partition = rho.f_cell_direct, optmeas._f_layer, flags_mod._partition
 
     def spy_walk(*args):
         walks.append(args)
         return real_walk(*args)
 
-    def spy_layer(tree, level, below, x, cells):
-        layers.append((level, len(below), len(cells)))
-        return real_layer(tree, level, below, x, cells)
+    def spy_layer(tree, level, below, x):
+        out = real_layer(tree, level, below, x)
+        layers.append((level, len(below), len(out)))
+        return out
+
+    def spy_partition(W, rows):
+        partitioned.append(len(rows))
+        return real_partition(W, rows)
 
     monkeypatch.setattr(rho, "f_cell_direct", spy_walk)
     monkeypatch.setattr(optmeas, "_f_layer", spy_layer)
+    monkeypatch.setattr(flags_mod, "_partition", spy_partition)
+    cell_tree.cache_clear()
     flag = mt_flag(4)
     _, cert = certify_system(flag)
     assert cert.ok and walks == []
@@ -533,8 +541,8 @@ def test_mt4_certificate_evaluates_f_on_the_origin_subtree_only(monkeypatch):
     # the level-0 ones being the first layer's `below`
     assert [level for level, _, _ in layers] == [1, 2, 3, 4]
     assert layers[0][1] + sum(n for _, _, n in layers) == 25
-    # the all-cells sweep evaluated f on every cell of the tree
-    assert sum(len(cells) for cells in cell_tree(flag).levels) == 319009
+    # and partitions only Gamma_4's 10 points, not the 2^16 of the cube
+    assert set(partitioned) == {10}
 
 
 def test_certificate_builds_each_level_universe_once():

@@ -101,6 +101,20 @@ def test_F_matches_every_cell_r3():
             assert abs(direct - geno) < 1e-12 * max(1.0, direct)
 
 
+def test_f_cell_direct_guards():
+    f = binary_flag(2)
+    tree = cell_tree(f)
+    with pytest.raises(ValueError, match="need 1 rho values"):
+        f_cell_direct(tree, tree.gamma(2), [])
+    # a level-1 cell outside Gamma_1 is no cell of the tree over Gamma_1
+    gamma1_tree = cell_tree(f, tree.gamma(1).members)
+    outside = next(c for c in tree.levels[1] if c.members[0] not in tree.gamma(1).members)
+    with pytest.raises(KeyError):
+        f_cell_direct(gamma1_tree, outside, [])
+    # a tree over some points evaluates its cells as the full tree does
+    assert f_cell_direct(gamma1_tree, tree.gamma(1), []) == f_cell_direct(f, tree.gamma(1), []) == 3.0
+
+
 # ---------------------------------------------------------------------------
 # a-table
 
