@@ -5,8 +5,11 @@ nats) of the distribution that a finitely supported measure nu induces on the
 cosets of a subspace W.  A system couples a flag with descending thresholds
 c_1 >= ... >= c_{r+1} and measures mu_1..mu_r supported on V_i /\\ {0,1}^k;
 its e-value on a subflag weighs coset entropies against dimension increments.
-The checker evaluates the e-value over an enumerated universe of subflags and
-certifies the sign of every slack e(V') - e(V).
+The checker evaluates the e-value over the subflags, walked as chains of
+indices into the per-level universes (`flags.subflag_chains` tests containment
+once per pair of spaces at consecutive levels), computes each coset entropy
+once per universe space, builds no `Subflag`, and certifies the sign of every
+slack e(V') - e(V).
 
 Coset grouping is exact (rational arithmetic); only the entropy itself is
 floating point.  0*log(0) is taken to be 0.
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import qlinalg
 from .errors import DimensionMismatchError
-from .flags import SUBFLAG_UNIVERSE_TAG, Flag, Subflag, enumerate_subflags
+from .flags import SUBFLAG_SPACE_CAP, SUBFLAG_UNIVERSE_TAG, Flag, Subflag, subflag_chains
 from .qlinalg import Subspace, coset_key, contains
 
 MASS_TOL = 1e-12
@@ -191,35 +194,30 @@ class EReport:
         return buf.getvalue()
 
 
-def _label_subflag(sf: Subflag) -> tuple[str, Optional[int]]:
-    parent = sf.parent
-    r = parent.order
-    for m in range(r + 1):
-        if sf.spaces == tuple(parent.spaces[min(m, i)] for i in range(r + 1)):
-            return (f"basic({m})" if m < r else "full", m if m < r else None)
-    return ("dims=" + ",".join(str(W.dim) for W in sf.spaces), None)
-
-
-def check_entropy_condition(system: System, cap: int = 10**6) -> EReport:
+def check_entropy_condition(system: System, cap: int = SUBFLAG_SPACE_CAP) -> EReport:
     """Evaluate e over the enumerated subflags, which include every basic one.
 
-    Each coset entropy H_{mu_j}(U) is computed once per (level, space) and
-    stored on every entry whose V'_j is U.  Entries carry their deterministic
-    enumeration id; argmin ties break to the lowest id.
+    Entries carry their deterministic enumeration id; argmin ties break to
+    the lowest id.
     """
-    flag = system.flag
-    memo: dict[tuple[int, Subspace], float] = {}  # (j, U) -> H_{mu_j}(U)
+    flag, r = system.flag, system.flag.order
+    universes, chains = subflag_chains(flag, cap)
+    H = [[coset_entropy(mu, U) for U in universe] for mu, universe in zip(system.measures, universes)]
+    # at[i - 1][m]: the index of V_m in level i's universe, None if absent
+    at = [[next((u for u, U in enumerate(universe) if U == V), None) for V in flag.spaces[: i + 1]]
+          for i, universe in enumerate(universes, start=1)]
+    # basics[m]: the chain of basic(m); a chain equal to several takes the lowest m
+    basics = [tuple(at[i - 1][min(m, i)] for i in range(1, r + 1)) for m in range(r + 1)]
+    basic = {basics[r]: ("full", None)}
+    for m in range(r - 1, -1, -1):
+        basic[basics[m]] = (f"basic({m})", m)
     entries = []
-    for idx, sf in enumerate(enumerate_subflags(flag, cap)):
-        entropies = []
-        for j, U in enumerate(sf.spaces[1:], start=1):
-            if (j, U) not in memo:
-                memo[j, U] = coset_entropy(system.measures[j - 1], U)
-            entropies.append(memo[j, U])
-        label, basic_m = _label_subflag(sf)
+    for idx, chain in enumerate(chains):
+        dims = (1, *(U[u].dim for U, u in zip(universes, chain)))  # dim V'_0 = dim <1>
+        label, m = basic.get(chain, ("dims=" + ",".join(map(str, dims)), None))
         # e_value and slack are filled in by score_entries
-        entries.append(EEntry(idx, label, sf.dims(), math.nan, math.nan, sf.is_full(), basic_m,
-                              tuple(entropies)))
+        entries.append(EEntry(idx, label, dims, math.nan, math.nan, chain == basics[r], m,
+                              tuple(H[j][u] for j, u in enumerate(chain))))
     return score_entries(system.thresholds, flag.dims(), entries)
 
 

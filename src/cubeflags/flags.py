@@ -454,9 +454,6 @@ class Subflag:
     def dims(self) -> tuple[int, ...]:
         return tuple(W.dim for W in self.spaces)
 
-    def is_full(self) -> bool:
-        return self.spaces == self.parent.spaces
-
 
 def basic_subflag(flag: Flag, m: int) -> Subflag:
     """The subflag with V'_i = V_{min(m, i)}."""
@@ -498,32 +495,31 @@ def level_universe(W: Subspace, cap: int, level: int) -> tuple[Subspace, ...]:
     return tuple(sorted(seen, key=lambda U: (U.dim, U.basis)))
 
 
-def enumerate_subflags(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> Iterator[Subflag]:
-    """Yield one representative per distinct chain of cube-spanned subspaces.
+def subflag_chains(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The level universes, and in ascending lexicographic order every nested
+    chain (u_1, ..., u_r) of indices into them, V'_i = universes[i - 1][u_i].
 
-    The universe at each level is every span of <1> together with cube points
-    of V_i, deduplicated by canonical form; chains satisfy the nesting
-    condition.  This covers all basic subflags.  The lattice of arbitrary
-    rational subspaces is infinite, so any certificate built on this
-    enumeration must state this universe.
+    Level i's universe is every span of <1> together with cube points of V_i,
+    so the chains cover all basic subflags.  The lattice of arbitrary rational
+    subspaces is infinite, so any certificate built on these chains must state
+    this universe.  Containment is tested once per pair of spaces at
+    consecutive levels; every universe space contains <1>.
     """
-    universes = [
-        level_universe(flag.spaces[i], cap, i) for i in range(1, flag.order + 1)
-    ]
-    k = flag.ambient_dim
-    v0 = span([ones(k)])
-    r = flag.order
+    universes = tuple(level_universe(flag.spaces[i], cap, i) for i in range(1, flag.order + 1))
+    chains = [(u,) for u in range(len(universes[0]))]
+    for lower, upper in zip(universes, universes[1:]):
+        # above[u]: the ascending indices of the upper spaces that contain lower[u]
+        above = [[w for w, W in enumerate(upper) if contains_subspace(W, U)] for U in lower]
+        chains = [chain + (w,) for chain in chains for w in above[chain[-1]]]
+    return universes, chains
 
-    def rec(level: int, chosen: list[Subspace]) -> Iterator[Subflag]:
-        if level > r:
-            yield Subflag(flag, (v0, *chosen))
-            return
-        prev = chosen[-1] if chosen else v0
-        for U in universes[level - 1]:
-            if contains_subspace(U, prev):
-                yield from rec(level + 1, chosen + [U])
 
-    yield from rec(1, [])
+def enumerate_subflags(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> Iterator[Subflag]:
+    """Yield the `Subflag` of each chain of `subflag_chains`, in its order."""
+    universes, chains = subflag_chains(flag, cap)
+    v0 = span([ones(flag.ambient_dim)])
+    for chain in chains:
+        yield Subflag(flag, (v0, *(U[u] for U, u in zip(universes, chain))))
 
 
 SUBFLAG_UNIVERSE_TAG = "spans of the all-ones vector and cube points of each V_i"

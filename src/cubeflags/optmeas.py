@@ -42,6 +42,7 @@ from .entropy import (
 )
 from .errors import DegenerateParametersError
 from .flags import (
+    SUBFLAG_SPACE_CAP,
     Flag,
     Genotype,
     automorphism_generators,
@@ -304,7 +305,7 @@ def certify_system(
     flag: Flag,
     sol: Optional[RhoSolution] = None,
     eps_list: Sequence[float] = PERTURB_EPSILONS,
-    cap: int = 10**6,
+    cap: int = SUBFLAG_SPACE_CAP,
 ) -> tuple[Optional[System], Certificate]:
     """Build the extremal system for a flag and verify everything checkable.
 

@@ -34,7 +34,7 @@ from math import exp, log, log1p
 from typing import Optional, Sequence
 
 from .errors import CapacityError, NumericInstabilityError
-from .flags import Cell, CellTree, Flag, Genotype, cell_tree, cube_points, defects
+from .flags import Cell, CellTree, Flag, Genotype, cell_tree, cube_points, defects, span
 
 LOG2 = log(2.0)
 LOG3 = log(3.0)
@@ -62,7 +62,11 @@ def f_cell_direct(tree_or_flag, cell: Cell, rhos: Sequence[float]) -> float:
     rho_0 = 0 by convention; rhos[j-1] is the exponent used at level j+1, so
     a length of level-1 suffices for a cell at the given level.
     """
-    tree = tree_or_flag if isinstance(tree_or_flag, CellTree) else cell_tree(tree_or_flag)
+    if isinstance(tree_or_flag, CellTree):
+        tree = tree_or_flag
+    else:  # the cube points of V_i + <least member> hold C's whole V_i-coset
+        V = tree_or_flag.spaces[cell.level]
+        tree = cell_tree(tree_or_flag, tuple(cube_points(span([*V.basis, cell.members[0]]))))
     if cell.level >= 2 and len(rhos) < cell.level - 1:
         raise ValueError(f"need {cell.level - 1} rho values for a level-{cell.level} cell")
 

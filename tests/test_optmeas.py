@@ -4,22 +4,28 @@ from pathlib import Path
 
 import pytest
 
-from cubeflags import entropy, optmeas, rho
+from cubeflags import entropy, optmeas, qlinalg, rho
 from cubeflags import flags as flags_mod
 from cubeflags.entropy import (
     TIGHT_BAND,
+    Measure,
     System,
     check_entropy_condition,
+    coset_entropy,
     e_value,
     perturb_thresholds,
     score_entries,
 )
 from cubeflags.errors import DegenerateParametersError
 from cubeflags.flags import (
+    SUBFLAG_SPACE_CAP,
+    Flag,
+    Subflag,
     all_subsets,
     automorphism_generators,
     binary_flag,
     cell_tree,
+    cube_points,
     enumerate_subflags,
     level_universe,
     make_flag,
@@ -358,25 +364,101 @@ def test_certificate_enumerates_once_and_computes_each_entropy_once(
 ):
     flag = CERT_FLAGS[name]()
     enumerations, entropies = [], []
-    real_enumerate, real_entropy = entropy.enumerate_subflags, entropy.coset_entropy
+    real_chains, real_entropy = entropy.subflag_chains, entropy.coset_entropy
 
-    def spy_enumerate(*args, **kwargs):
+    def spy_chains(*args, **kwargs):
         enumerations.append(args[0])
-        return real_enumerate(*args, **kwargs)
+        return real_chains(*args, **kwargs)
 
     def spy_entropy(nu, W):
         entropies.append((nu, W))
         return real_entropy(nu, W)
 
-    monkeypatch.setattr(entropy, "enumerate_subflags", spy_enumerate)
+    monkeypatch.setattr(entropy, "subflag_chains", spy_chains)
     monkeypatch.setattr(entropy, "coset_entropy", spy_entropy)
     system, cert = certify_system(flag)
     assert cert.ok and enumerations == [flag]
     level_of = {id(mu): j for j, mu in enumerate(system.measures, start=1)}
     calls = [(level_of[id(nu)], W) for nu, W in entropies]
-    distinct = {(j, sf.spaces[j]) for sf in real_enumerate(flag) for j in range(1, flag.order + 1)}
+    distinct = {(j, sf.spaces[j]) for sf in enumerate_subflags(flag) for j in range(1, flag.order + 1)}
     assert len(calls) == len(set(calls)) == entropy_calls
     assert set(calls) == distinct
+
+
+def _label_by_spaces(sf):
+    """A subflag's label and basic m, by comparing its spaces with each basic chain."""
+    parent = sf.parent
+    r = parent.order
+    for m in range(r + 1):
+        if sf.spaces == tuple(parent.spaces[min(m, i)] for i in range(r + 1)):
+            return (f"basic({m})" if m < r else "full", m if m < r else None)
+    return ("dims=" + ",".join(str(W.dim) for W in sf.spaces), None)
+
+
+def _uniform_system(flag):
+    r = flag.order
+    measures = tuple(Measure.uniform(cube_points(V)) for V in flag.spaces[1:])
+    return System(flag, tuple((r + 1 - j) / (r + 1) for j in range(r + 1)), measures)
+
+
+def _sweep_oracle_systems():
+    systems = {name: certify_system(make())[0] for name, make in CERT_FLAGS.items()}
+    for text in ("0011\n0011\n0011 0101\n", "0011\n0011 0101\n0011 0101\n"):
+        systems[text] = _uniform_system(parse_flag_text(text))
+    rnd = random.Random(20261019)
+    for t in range(12):
+        systems[f"random-{t}"] = _uniform_system(_random_flag(rnd))
+    # V_1 is not cube-spanned, so neither basic(1) nor the full chain is enumerated
+    k = 4
+    spaces = (span([ones(k)]), span([ones(k), (1, 2, 0, 0)]), span([ones(k), (1, 2, 0, 0), (1, 0, 0, 0)]))
+    systems["missing-basic"] = _uniform_system(Flag(k, spaces, "custom", False))
+    return systems
+
+
+def test_index_chain_sweep_matches_the_subflag_route():
+    systems = _sweep_oracle_systems()
+    for name, system in systems.items():
+        flag = system.flag
+        report = check_entropy_condition(system)
+        subflags = list(enumerate_subflags(flag))
+        assert len(report.entries) == len(subflags), name
+        for idx, (entry, sf) in enumerate(zip(report.entries, subflags)):
+            label, basic_m = _label_by_spaces(sf)
+            entropies = tuple(coset_entropy(mu, W) for mu, W in zip(system.measures, sf.spaces[1:]))
+            assert (entry.id, entry.label, entry.basic_m, entry.dims, entry.is_full) == (
+                idx, label, basic_m, sf.dims(), sf.spaces == flag.spaces), name
+            assert entry.entropies == entropies, name
+            assert entry.e_value == e_value(system, sf), name
+    # dims (1, 2, 3, 3): basic(2) is the full chain, and the lower m labels it
+    entry = check_entropy_condition(systems["0011\n0011 0101\n0011 0101\n"]).entries[11]
+    assert (entry.label, entry.is_full) == ("basic(2)", True)
+    missing = check_entropy_condition(systems["missing-basic"])
+    assert [e.basic_m for e in missing.entries if e.basic_m is not None] == [0]
+    assert not any(e.is_full for e in missing.entries)
+
+
+def test_mt4_q12_sweep_tests_containment_once_per_pair_of_levels(monkeypatch):
+    flag = CERT_FLAGS["mt4_q12"]()
+    universes = [level_universe(V, SUBFLAG_SPACE_CAP, i) for i, V in enumerate(flag.spaces[1:], 1)]
+    tested, validated = [], []
+    real_contains, real_post_init = qlinalg.contains_subspace, Subflag.__post_init__
+
+    def spy_contains(W, U):
+        tested.append((W, U))
+        return real_contains(W, U)
+
+    def spy_post_init(self):
+        validated.append(self)
+        real_post_init(self)
+
+    for mod in (qlinalg, flags_mod, optmeas, entropy):
+        if hasattr(mod, "contains_subspace"):
+            monkeypatch.setattr(mod, "contains_subspace", spy_contains)
+    monkeypatch.setattr(Subflag, "__post_init__", spy_post_init)
+    _, cert = certify_system(flag)
+    assert cert.ok and len(cert.ereport.entries) == 120
+    assert len(tested) <= sum(len(a) * len(b) for a, b in zip(universes, universes[1:])) == 168
+    assert validated == []
 
 
 def test_measures_json():

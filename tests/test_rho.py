@@ -5,7 +5,7 @@ import pytest
 
 from cubeflags import rho
 from cubeflags.errors import CapacityError, NumericInstabilityError
-from cubeflags.flags import Genotype, binary_flag, cell_tree, mt_flag, parse_flag_text
+from cubeflags.flags import Cell, Genotype, binary_flag, cell_tree, cube_points, mt_flag, parse_flag_text
 from cubeflags.rho import (
     F_genotype,
     LogATable,
@@ -113,6 +113,39 @@ def test_f_cell_direct_guards():
         f_cell_direct(gamma1_tree, outside, [])
     # a tree over some points evaluates its cells as the full tree does
     assert f_cell_direct(gamma1_tree, tree.gamma(1), []) == f_cell_direct(f, tree.gamma(1), []) == 3.0
+    # given the flag, a least member that starts no cell is no key either
+    with pytest.raises(KeyError):
+        f_cell_direct(f, Cell(1, tree.gamma(1).members[1:], None), [])
+    with pytest.raises(ValueError, match="need 1 rho values"):
+        f_cell_direct(f, tree.gamma(2), [])
+
+
+@pytest.mark.parametrize(
+    "flag, ncells", [(binary_flag(2), 25), (mt_flag(3), 822), (binary_flag(3), 562)],
+    ids=["binary-2", "mt-3", "binary-3"],
+)
+def test_f_cell_direct_flag_route_matches_tree_route(flag, ncells):
+    tree = cell_tree(flag)
+    rhos = [0.31, 0.28][: max(0, flag.order - 1)]
+    cells = [c for level in tree.levels for c in level]
+    assert len(cells) == ncells
+    for cell in cells:
+        assert f_cell_direct(flag, cell, rhos) == f_cell_direct(tree, cell, rhos)
+
+
+def test_f_cell_direct_given_a_flag_builds_no_cube_tree(monkeypatch):
+    flag = mt_flag(4)
+    point_sets = []
+    real_cell_tree = rho.cell_tree
+
+    def spy_cell_tree(f, points=None):
+        point_sets.append(points)
+        return real_cell_tree(f, points)
+
+    monkeypatch.setattr(rho, "cell_tree", spy_cell_tree)
+    gamma2 = real_cell_tree(flag, tuple(cube_points(flag.spaces[2]))).gamma(2)
+    assert f_cell_direct(flag, gamma2, [0.3]) > 0.0
+    assert point_sets and None not in point_sets
 
 
 # ---------------------------------------------------------------------------
