@@ -11,8 +11,8 @@ once per pair of spaces at consecutive levels), computes each coset entropy
 once per universe space, builds no `Subflag`, and certifies the sign of every
 slack e(V') - e(V).
 
-Coset grouping is exact (rational arithmetic); only the entropy itself is
-floating point.  0*log(0) is taken to be 0.
+Coset grouping is exact, by int64 coset keys under an overflow guard
+(`flags.coset_ids`); only the entropy itself is floating point.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import qlinalg
 from .errors import DimensionMismatchError
-from .flags import SUBFLAG_SPACE_CAP, SUBFLAG_UNIVERSE_TAG, Flag, Subflag, subflag_chains
-from .qlinalg import Subspace, coset_key, contains
+from .flags import SUBFLAG_SPACE_CAP, SUBFLAG_UNIVERSE_TAG, Flag, Subflag, coset_ids, subflag_chains
+from .qlinalg import Subspace, contains
 
 MASS_TOL = 1e-12
 #: |slack| below this band is reported as "tight" rather than pass/fail.
@@ -51,6 +53,8 @@ class Measure:
                 raise DimensionMismatchError("support point of wrong dimension")
             if any(x not in (0, 1) for x in p):
                 raise ValueError(f"support point not in the cube: {p}")
+            if not math.isfinite(w):
+                raise ValueError(f"weight {w!r} is not finite")
             if w < 0:
                 raise ValueError("negative weight")
         if all(isinstance(w, (int, Fraction)) for w in self.weights.values()):
@@ -76,15 +80,19 @@ class Measure:
 
 
 def coset_entropy(nu: Measure, W: Subspace) -> float:
-    """H_nu(W): entropy of the coset masses of W under nu, natural log."""
+    """H_nu(W): entropy of the coset masses of W under nu, natural log.
+
+    Each coset's mass sums its positive weights in the order of nu.weights
+    (exactly for Fractions); a W whose coset keys overflow int64 is refused.
+    """
     if W.ambient_dim != nu.ambient_dim:
         raise DimensionMismatchError("measure and subspace dimensions differ")
-    masses: dict = {}
-    for p, w in nu.weights.items():
-        if w > 0:
-            key = coset_key(W, p)
-            masses[key] = masses.get(key, 0) + w
-    return -math.fsum(float(m) * math.log(m) for m in masses.values() if m > 0)
+    support = [(p, w) for p, w in nu.weights.items() if w > 0]
+    ids = coset_ids(W, np.array([p for p, _ in support], dtype=np.int64)).tolist()
+    masses = [0] * (max(ids) + 1)
+    for c, (_, w) in zip(ids, support):
+        masses[c] += w
+    return -math.fsum(float(m) * math.log(m) for m in masses)
 
 
 def submodularity_defect(nu: Measure, W1: Subspace, W2: Subspace) -> float:
@@ -112,6 +120,8 @@ class System:
         if len(self.measures) != r:
             raise ValueError(f"need {r} measures, got {len(self.measures)}")
         c = self.thresholds
+        if not all(math.isfinite(x) for x in c):
+            raise ValueError(f"thresholds must be finite, got {c}")
         if c[0] > 1 + MASS_TOL or c[-1] < -MASS_TOL:
             raise ValueError("thresholds must lie in [0, 1]")
         if any(a < b - MASS_TOL for a, b in zip(c, c[1:])):

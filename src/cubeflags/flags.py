@@ -227,13 +227,20 @@ def _cube_generators(W: Subspace) -> Optional[list[CubePoint]]:
     return chosen if current == W else None
 
 
+def _check_order(r: int) -> None:
+    # an order below 1 is a bad input; one past the cap is a size guard
+    if r < 1:
+        raise ValueError(f"flag order must be >= 1, got {r}")
+    if r > MAX_FLAG_ORDER:
+        raise CapacityError(f"flag order {r} > {MAX_FLAG_ORDER}")
+
+
 def binary_flag(r: int) -> Flag:
     """The order-r flag on Q^{P[r]} with V_i = {x : x_S = x_{S/\\[i]}}.
 
     dim(V_i) = 2^i and V_r is the whole space, so the flag is nondegenerate.
     """
-    if not 1 <= r <= MAX_FLAG_ORDER:
-        raise CapacityError(f"binary flag order must be in 1..{MAX_FLAG_ORDER}")
+    _check_order(r)
     k = 1 << r
     subsets = all_subsets(r)
     spaces = [span([ones(k)])]
@@ -252,8 +259,7 @@ def mt_flag(r: int) -> Flag:
 
     dim(V_i) = i + 1; the top cell V_r /\\ {0,1}^k is {0, 1, w^j, 1-w^j}.
     """
-    if not 1 <= r <= MAX_FLAG_ORDER:
-        raise CapacityError(f"flag order must be in 1..{MAX_FLAG_ORDER}")
+    _check_order(r)
     k = 1 << r
     subsets = all_subsets(r)
     omega = [tuple(1 if j in s else 0 for s in subsets) for j in range(1, r + 1)]
@@ -303,27 +309,23 @@ def _genotype_of_members(members: Sequence[tuple[int, ...]], level: int, r: int)
     return Genotype(level, mask)
 
 
-def _partition(W: Subspace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The W-cell id of each point row, and each cell's first row.
+def coset_ids(W: Subspace, rows: np.ndarray) -> np.ndarray:
+    """The W-coset id of each 0/1 point row, the cosets numbered 0, 1, 2, ...
+    by first occurrence, so by least member when the rows are sorted.
 
-    Two points share a cell iff M p == M q for M = coset_matrix(W); numbering
-    the distinct keys by first occurrence sorts the cells by least member
-    when the rows are sorted.
+    Two points share a coset iff M p == M q for M = coset_matrix(W); a W
+    whose keys M p could overflow int64 is refused with CapacityError.
     """
     k = W.ambient_dim
     mat = qlinalg.coset_matrix(W)
     # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
     if k * max(abs(x) for row in mat for x in row) >= 1 << 62:
-        raise CapacityError("cell enumeration guard: coset keys overflow int64")
+        raise CapacityError("coset key guard: keys overflow int64")
     keys = np.ascontiguousarray(rows @ np.array(mat, dtype=np.int64).T)
-    # one opaque k*8-byte item per point; np.unique groups these several
-    # times faster than int rows with axis=0
-    items = keys.view(np.dtype((np.void, keys.itemsize * k))).reshape(-1)
-    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.reshape(-1)], first[order]
+    first: dict = {}
+    # one opaque k*8-byte item per point, read back as bytes
+    items = keys.view(np.dtype((np.void, keys.itemsize * k))).reshape(-1).tolist()
+    return np.array([first.setdefault(key, len(first)) for key in items], dtype=np.intp)
 
 
 def cells_at_level(flag: Flag, i: int) -> list[Cell]:
@@ -381,10 +383,10 @@ def cell_tree(flag: Flag, points: Optional[tuple[CubePoint, ...]] = None) -> Cel
     rows = np.array(points, dtype=np.int64).reshape(-1, k)
     levels, child_ids, least = [], [()], None
     for i, W in enumerate(flag.spaces):
-        ids, first = _partition(W, rows)
+        ids = coset_ids(W, rows)
         if i:
             child_ids.append(tuple(_groups(ids[least], range(len(least)))))
-        least = first
+        least = np.unique(ids, return_index=True)[1]
         levels.append(tuple(
             Cell(i, pts, _genotype_of_members(pts, i, flag.order) if flag.kind == "binary" else None)
             for pts in _groups(ids, points)))
@@ -547,7 +549,7 @@ def parse_flag_text(text: str, kind: str = "custom") -> Flag:
     for gens in gens_per_level:
         for g in gens:
             if len(g) != k:
-                raise DimensionMismatchError("generator strings have mixed lengths")
+                raise ValueError("generator strings have mixed lengths")
     spaces = [span([ones(k)])]
     for gens in gens_per_level:
         spaces.append(span([ones(k)] + gens, k))

@@ -143,8 +143,7 @@ def coset_key(W: Subspace, v: Sequence) -> tuple[tuple[int, ...], int]:
 
     The representative is v reduced to have zeros at W's pivot coordinates;
     it is identical for two vectors iff they lie in the same W-coset.  All
-    arithmetic is integer (projective scaling), which keeps this fast on the
-    hot paths (coset grouping of cube points).
+    arithmetic is integer (projective scaling).
     """
     nums, den = _int_row(v)
     if len(nums) != W.ambient_dim:
@@ -176,11 +175,12 @@ def coset_matrix(W: Subspace) -> list[list[int]]:
     k = W.ambient_dim
     leads = [row[p] for row, p in zip(W.basis, W.pivots)]
     lead_lcm = lcm(*leads)
-    mat = [[lead_lcm if c == j else 0 for j in range(k)] for c in range(k)]
+    mat = [[0] * c + [lead_lcm] + [0] * (k - 1 - c) for c in range(k)]
     for row, p, lead in zip(W.basis, W.pivots, leads):
         scale = lead_lcm // lead
-        for c in range(k):
-            mat[c][p] -= scale * row[c]
+        for c, x in enumerate(row):
+            if x:
+                mat[c][p] -= scale * x
     return mat
 
 

@@ -186,6 +186,26 @@ def test_missing_file_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["check", "measures", "tree"])
+@pytest.mark.parametrize("flag", [("binary", "--order", "0"), ("mt", "--order", "-3"), ("file",)],
+                         ids=["binary-0", "mt-minus-3", "mixed-lengths-file"])
+def test_bad_flag_input_is_usage_error(capsys, tmp_path, command, flag):
+    if flag == ("file",):
+        flag_file = tmp_path / "mixed.flag"
+        flag_file.write_text("1100\n1100 10\n")
+        flag = ("file", "--file", str(flag_file))
+    code, out, err = run(capsys, command, "--flag", *flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("kind", ["binary", "mt"])
+def test_flag_order_past_cap_is_capacity_error(capsys, kind):
+    code, out, err = run(capsys, "tree", "--flag", kind, "--order", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_capacity_error_exit_code(capsys):
     code, _, err = run(capsys, "check", "--flag", "binary", "--order", "9")
     assert code == 2

@@ -64,6 +64,20 @@ def test_measure_validation():
         Measure(2, {(0, 0): Fraction(1, 2)})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_rejects_weights_that_are_not_finite(bad):
+    # nan passes both `w < 0` and the mass-sum test, so it is refused by name
+    with pytest.raises(ValueError, match="not finite"):
+        Measure(2, {(0, 0): bad, (1, 1): 1.0})
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, -math.inf)])
+def test_system_rejects_thresholds_that_are_not_finite(bad):
+    mu = Measure(2, {(0, 0): 0.5, (1, 1): 0.5})
+    with pytest.raises(ValueError, match="finite"):
+        System(binary_flag(1), bad, (mu,))
+
+
 # ---------------------------------------------------------------------------
 # e-values on the worked two-dimensional system
 

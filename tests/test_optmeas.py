@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from cubeflags.entropy import (
     perturb_thresholds,
     score_entries,
 )
-from cubeflags.errors import DegenerateParametersError
+from cubeflags.errors import CapacityError, DegenerateParametersError
 from cubeflags.flags import (
     SUBFLAG_SPACE_CAP,
     Flag,
@@ -32,6 +33,7 @@ from cubeflags.flags import (
     mt_flag,
     parse_flag_text,
     permute_vector,
+    subflag_chains,
 )
 from cubeflags.optmeas import (
     certify_system,
@@ -40,7 +42,7 @@ from cubeflags.optmeas import (
     optimal_measure,
     optimal_parameters,
 )
-from cubeflags.qlinalg import ones, span
+from cubeflags.qlinalg import Subspace, ones, span
 from cubeflags.rho import RhoSolution, gamma_res, solve_flag_rhos, solve_rho_chain, theta
 
 LOG3 = math.log(3.0)
@@ -336,6 +338,50 @@ CERT_FLAGS = {
 }
 
 
+def _coset_entropy_by_keys(nu, W):
+    """coset_entropy with one qlinalg.coset_key per support point: the
+    reference for the coset-id kernel."""
+    masses = {}
+    for p, w in nu.weights.items():
+        if w > 0:
+            key = qlinalg.coset_key(W, p)
+            masses[key] = masses.get(key, 0) + w
+    return -math.fsum(float(m) * math.log(m) for m in masses.values() if m > 0)
+
+
+@pytest.mark.parametrize("name", CERT_FLAGS)
+def test_coset_entropy_matches_per_point_keys_on_certificate_universes(name):
+    flag = CERT_FLAGS[name]()
+    universes = subflag_chains(flag)[0]
+    for mu, universe in zip(optimal_measure(flag).restrictions, universes):
+        assert [coset_entropy(mu, U) for U in universe] == [_coset_entropy_by_keys(mu, U) for U in universe]
+
+
+def test_coset_entropy_matches_per_point_keys_on_random_spaces():
+    rnd = random.Random(1908)
+    mu3 = optimal_measure(binary_flag(3)).restrictions[2]
+    assert len(mu3.support()) == 255
+    for _ in range(2000):
+        W = span([tuple(rnd.randint(0, 1) for _ in range(8)) for _ in range(rnd.randint(1, 7))], 8)
+        assert coset_entropy(mu3, W) == _coset_entropy_by_keys(mu3, W)
+    # exact Fraction masses
+    for _ in range(200):
+        k = rnd.randint(2, 6)
+        pts = rnd.sample(list(product((0, 1), repeat=k)), rnd.randint(1, min(12, 1 << k)))
+        nu = Measure.uniform(pts)
+        W = span([tuple(rnd.randint(0, 1) for _ in range(k)) for _ in range(rnd.randint(0, k))], k)
+        assert coset_entropy(nu, W) == _coset_entropy_by_keys(nu, W)
+
+
+def test_coset_entropy_refuses_keys_past_int64():
+    # the boundary of test_partition_guards_raise_capacity_error
+    nu = Measure(2, {(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.25})
+    fits = Subspace(2, ((1, (1 << 61) - 1),))
+    assert coset_entropy(nu, fits) == _coset_entropy_by_keys(nu, fits)
+    with pytest.raises(CapacityError):
+        coset_entropy(nu, Subspace(2, ((1, 1 << 61),)))
+
+
 @pytest.mark.parametrize("name", CERT_FLAGS)
 def test_perturbed_rescore_matches_fresh_check(name):
     # the perturbed re-check re-scores the c* entries; the fresh route builds
@@ -597,7 +643,7 @@ def test_subtree_recursion_matches_all_cells_route():
 
 def test_mt4_certificate_evaluates_f_on_the_origin_subtree_only(monkeypatch):
     walks, layers, partitioned = [], [], []
-    real_walk, real_layer, real_partition = rho.f_cell_direct, optmeas._f_layer, flags_mod._partition
+    real_walk, real_layer, real_coset_ids = rho.f_cell_direct, optmeas._f_layer, flags_mod.coset_ids
 
     def spy_walk(*args):
         walks.append(args)
@@ -608,13 +654,13 @@ def test_mt4_certificate_evaluates_f_on_the_origin_subtree_only(monkeypatch):
         layers.append((level, len(below), len(out)))
         return out
 
-    def spy_partition(W, rows):
+    def spy_coset_ids(W, rows):
         partitioned.append(len(rows))
-        return real_partition(W, rows)
+        return real_coset_ids(W, rows)
 
     monkeypatch.setattr(rho, "f_cell_direct", spy_walk)
     monkeypatch.setattr(optmeas, "_f_layer", spy_layer)
-    monkeypatch.setattr(flags_mod, "_partition", spy_partition)
+    monkeypatch.setattr(flags_mod, "coset_ids", spy_coset_ids)
     cell_tree.cache_clear()
     flag = mt_flag(4)
     _, cert = certify_system(flag)
