@@ -6,12 +6,13 @@ Reproducibility contract: every trial draws from substream(seed, trial), a
 counter-based Philox stream keyed by the mixed (seed, trial index) entropy.
 Results therefore depend only on (seed, trial) and never on execution order;
 aggregation is restricted to order-independent reductions over trial-indexed
-rows.  The samplers take the Generator itself, except the equal-sums
-sampler: Philox draw s is a pure function of the key and the counter
-1 + s // 4, so _philox_keys and _philox_uniforms compute the first draws of
-a whole batch of substreams in numpy, bit for bit, with no Generator built.
-A trial that falls back to the randomized search rebuilds its substream and
-continues it past those draws.
+rows.  Philox word s is a pure function of the key and the counter
+1 + s // 4, so _philox_keys and _philox_words compute the words of a whole
+batch of substreams in numpy, bit for bit, with no Generator built.  The
+equal-sums sets and the randomized search's masks, the delta-int integers
+(numpy's bounded draws) and the delta-perm uniforms all come from them;
+only amplify and delta-poly (negative binomial and Poisson draws) build a
+Generator per trial.
 
 Subset sums are exact integers end to end: every census holds them as
 int64, which is exact for the guarded domain (elements <= 2^50, at most 26
@@ -37,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, log
+from math import gcd, log
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,6 +56,8 @@ RANDOMIZED_SAMPLES = 20000
 BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 32 MB of int64
 MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own: 32 MB
 TRIAL_BATCH = 1 << 12  # equal-sums trials sampled and decided together
+BLOCK_WORDS = 1 << 19  # uint64 cells per numpy block of the delta samplers: 4 MB
+SIEVE_BOUND = 1 << 13  # factorization divides by the primes below it in numpy
 
 
 def substream(seed: int, trial: int) -> np.random.Generator:
@@ -135,13 +138,12 @@ def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * b_hi + (hi_lo >> _U32) + (cross >> _U32), a * b
 
 
-def _philox_uniforms(keys: np.ndarray, start: int, m: int) -> np.ndarray:
-    """(len(keys), m) doubles: draws start .. start + m - 1 of the stream of
-    each Philox key, as Generator.random gives them.
+def _philox_words(keys: np.ndarray, start: int, m: int) -> np.ndarray:
+    """(len(keys), m) uint64: words start .. start + m - 1 of the stream of
+    each Philox key, as its bit generator's next_uint64 gives them.
 
-    Philox4x64-10 bumps its counter before each block, so draw s is word
-    s % 4 of block s // 4, run on counter (1 + s // 4, 0, 0, 0).  A double
-    is the top 53 bits of its word, times 2^-53.
+    Philox4x64-10 bumps its counter before each block, so word s is word
+    s % 4 of block s // 4, run on counter (1 + s // 4, 0, 0, 0).
     """
     first = start // 4
     ctr = np.arange(first + 1, (start + m + 3) // 4 + 1, dtype=np.uint64)
@@ -154,8 +156,38 @@ def _philox_uniforms(keys: np.ndarray, start: int, m: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    words = np.stack([x0, x1, x2, x3], axis=2).reshape(len(keys), -1)[:, start - 4 * first:][:, :m]
-    return (words >> _U11) * (1.0 / (1 << 53))
+    return np.stack([x0, x1, x2, x3], axis=2).reshape(len(keys), -1)[:, start - 4 * first:][:, :m]
+
+
+def _philox_uniforms(keys: np.ndarray, start: int, m: int) -> np.ndarray:
+    """(len(keys), m) doubles: draws start .. start + m - 1 of each key's
+    stream, as Generator.random gives them: the top 53 bits of a word, times
+    2^-53."""
+    return (_philox_words(keys, start, m) >> _U11) * (1.0 / (1 << 53))
+
+
+def _philox_integers(keys: np.ndarray, high: int, start: int, size: int) -> np.ndarray:
+    """(len(keys), size) uint64: integers(0, high, size, np.uint64) of the
+    Generator each key seeds, from word `start` on, for 1 <= high <= 2^63.
+
+    numpy draws by Lemire's method: a w-bit draw u gives u * high >> w, or
+    is rejected when the low w bits of u * high are below 2^w mod high.  w is
+    32 for high <= 2^32 (each word's low half, then its high half), else 64.
+    """
+    half = high <= 1 << 32
+    threshold, high = np.uint64((1 << (32 if half else 64)) % high), np.uint64(high)
+    words = -(-size // 2) if half else size  # enough when no draw is rejected
+    while True:
+        w = _philox_words(keys, start, words)
+        if half:
+            m = np.stack([w & _M32, w >> _U32], axis=2).reshape(len(keys), -1) * high
+            hi, lo = m >> _U32, m & _M32
+        else:
+            hi, lo = _mulhilo(high, w)
+        ok = lo >= threshold  # all True for a power of two
+        if (np.count_nonzero(ok, axis=1) >= size).all():
+            return np.take_along_axis(hi, np.argsort(~ok, axis=1, kind="stable")[:, :size], axis=1)
+        words *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +416,11 @@ def _masks_with_sum(values: Sequence[int], target: int) -> np.ndarray:
     return (np.repeat(np.arange(len(high)), counts) << h | low_masks).astype(np.uint64)
 
 
-def _bit_rows(words: np.ndarray, width: int) -> np.ndarray:
-    """0/1 matrix of masks held as rows of `width`-bit words, low word first."""
+def _witnesses(words: np.ndarray, width: int) -> tuple[tuple[int, ...], ...]:
+    """Index tuples of the masks held as rows of `width`-bit words, low word first."""
     shifts = np.arange(width, dtype=np.uint64)
-    return ((words[:, :, None] >> shifts) & np.uint64(1)).reshape(len(words), -1)
+    bits = ((words[:, :, None] >> shifts) & np.uint64(1)).reshape(len(words), -1)
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
 
 
 def max_subset_sum_multiplicity(
@@ -405,38 +438,43 @@ def max_subset_sum_multiplicity(
     by ascending subset mask.
     """
     values = _distinct_values(A, EXACT_SUBSET_LIMIT if mode == "exact" else RANDOMIZED_SUBSET_LIMIT)
-    n = len(values)
-    if mode == "exact":
-        sums = _census_sums(values, merge=True)
-        k_max, witness_sum = _longest_run(sums)
-        del sums  # freed before the witnesses are built
-        bits = _bit_rows(_masks_with_sum(values, witness_sum)[:, None], n)
-    elif mode != "randomized":
+    if mode == "randomized":
+        if rng is None:
+            raise ValueError("randomized mode needs an rng")
+        return _randomized_search(values, samples, lambda high, size: rng.integers(0, high, size, np.uint64))
+    if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    elif rng is None:
-        raise ValueError("randomized mode needs an rng")
-    elif samples < 1:
+    sums = _census_sums(values, merge=True)
+    k_max, witness_sum = _longest_run(sums)
+    del sums  # freed before the witnesses are built
+    masks = _masks_with_sum(values, witness_sum)[:, None]
+    return MultiplicityResult(k_max, witness_sum, _witnesses(masks, len(values)), True)
+
+
+def _randomized_search(values: list[int], samples: int, integers) -> MultiplicityResult:
+    """The randomized mode of max_subset_sum_multiplicity on the checked
+    values: integers(high, size) gives `size` uniform uint64 draws below high,
+    in the order of the Generator's integers(0, high, size)."""
+    if samples < 1:
         raise ValueError("samples must be >= 1")
+    n = len(values)
+    # each sampled mask is a row of words, low word first: one uint64 draw
+    # per sample up to 62 elements, else one 32-bit draw per word
+    if n <= 62:
+        width, rows = 64, integers(1 << n, samples).reshape(samples, 1)
     else:
-        # each sampled mask is a row of words, low word first: one uint64
-        # draw per sample up to 62 elements, else one 32-bit draw per word
-        if n <= 62:
-            width, rows = 64, rng.integers(0, 1 << n, size=(samples, 1), dtype=np.uint64)
-        else:
-            width, rows = 32, rng.integers(0, 1 << 32, size=(samples, (n + 31) // 32), dtype=np.uint64)
-            rows[:, -1] &= np.uint64((1 << (n - 32 * (rows.shape[1] - 1))) - 1)
-        rows = rows[np.lexsort(rows.T)]  # ascending masks: the last word is the primary key
-        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-        sums = np.zeros(len(rows), dtype=np.int64)
-        for base in range(0, n, 8):  # each byte of the masks indexes its census table
-            w, shift = divmod(base, width)
-            sums += _census_sums(values[base:base + 8])[(rows[:, w] >> np.uint64(shift)) & np.uint64(0xFF)]
-        uniq, inverse, counts = np.unique(sums, return_inverse=True, return_counts=True)
-        best = int(np.argmax(counts))  # first maximum: the least sum
-        k_max, witness_sum = int(counts[best]), int(uniq[best])
-        bits = _bit_rows(rows[inverse == best], width)
-    witnesses = tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
-    return MultiplicityResult(k_max, witness_sum, witnesses, mode == "exact")
+        width, rows = 32, integers(1 << 32, samples * ((n + 31) // 32)).reshape(samples, -1)
+        rows[:, -1] &= np.uint64((1 << (n - 32 * (rows.shape[1] - 1))) - 1)
+    rows = rows[np.lexsort(rows.T)]  # ascending masks: the last word is the primary key
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    sums = np.zeros(len(rows), dtype=np.int64)
+    for base in range(0, n, 8):  # each byte of the masks indexes its census table
+        w, shift = divmod(base, width)
+        sums += _census_sums(values[base:base + 8])[(rows[:, w] >> np.uint64(shift)) & np.uint64(0xFF)]
+    uniq, inverse, counts = np.unique(sums, return_inverse=True, return_counts=True)
+    best = int(np.argmax(counts))  # first maximum: the least sum
+    witnesses = _witnesses(rows[inverse == best], width)
+    return MultiplicityResult(int(counts[best]), int(uniq[best]), witnesses, False)
 
 
 def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
@@ -499,22 +537,29 @@ def _check_counts(k: int, trials: int) -> None:
         raise ValueError("trials must be >= 1")
 
 
+def _key_batches(seed: int, start: int, stop: int, rows: int):
+    """Yield (first trial, Philox keys) for trials start..stop-1, `rows` at a
+    time: the keys of substream(seed, trial) for the block's trials."""
+    for first in range(start, stop, rows):
+        yield first, _philox_keys(seed, np.arange(first, min(stop, first + rows), dtype=np.uint64))
+
+
 def _trial_batches(D: float, c: float, seed: int, start: int, stop: int):
     """Yield (first trial, elements, sizes) for trials start..stop-1, at most
     TRIAL_BATCH at a time: each trial's set, sampled by _log_set_rows from
     the first draws of its substream(seed, trial), computed from its key."""
     lo, hi = _window_bounds(D, c)
-    for first in range(start, stop, TRIAL_BATCH):
-        keys = _philox_keys(seed, np.arange(first, min(stop, first + TRIAL_BATCH), dtype=np.uint64))
+    for first, keys in _key_batches(seed, start, stop, TRIAL_BATCH):
         yield (first, *_log_set_rows(lo - 1, hi, len(keys), _key_draws(keys)))
 
 
 def _randomized_trial(values: list[int], seed: int, trial: int) -> MultiplicityResult:
     """The randomized search of a set too large for the exact census, on its
     trial's stream past the len(values) + 1 draws that sampled the set."""
-    rng = substream(seed, trial)
-    rng.random(len(values) + 1)
-    return max_subset_sum_multiplicity(values, "randomized", rng)
+    key = _philox_keys(seed, np.array([trial], dtype=np.uint64))
+    values = _distinct_values(values, RANDOMIZED_SUBSET_LIMIT)
+    return _randomized_search(
+        values, RANDOMIZED_SAMPLES, lambda high, size: _philox_integers(key, high, len(values) + 1, size)[0])
 
 
 def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -630,20 +675,27 @@ def amplify_demo(
 # Integer factorization and the divisor window statistic
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (bound, k): the first k prime bases decide every n below the bound; each
+# bound is the least strong pseudoprime to those bases (OEIS A014233)
+_MR_BOUNDS = ((341550071728321, 7), (3825123056546413051, 9),
+              (318665857834031151167461, 12), (3317044064679887385961981, 13))
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed 12-base battery)."""
+    """Deterministic Miller-Rabin for n < 3317044064679887385961981 (~3.3e24),
+    with as many of the first 13 prime bases as the size of n needs."""
+    if n >= _MR_BOUNDS[-1][0]:
+        raise ValueError(f"primality is decided only below {_MR_BOUNDS[-1][0]}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:next(k for bound, k in _MR_BOUNDS if n < bound)]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -672,7 +724,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - j)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # a sign changes no gcd
                 g = gcd(q, n)
                 j += m
             r <<= 1
@@ -680,34 +732,59 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"pollard rho failed for {n}")
 
 
+@lru_cache(maxsize=1)
+def _sieve_primes() -> np.ndarray:
+    """The primes below SIEVE_BOUND, as int64."""
+    composite = np.zeros(SIEVE_BOUND, dtype=bool)
+    for p in range(2, math.isqrt(SIEVE_BOUND) + 1):
+        composite[p * p::p] = True
+    return np.flatnonzero(~composite)[2:]
+
+
+def _factorize_rows(ns: Sequence[int]) -> list[dict[int, int]]:
+    """factorize for each n of ns, 1 <= n < 2^63.
+
+    One numpy divisibility pass finds the primes below SIEVE_BOUND that
+    divide each n, in blocks of at most BLOCK_WORDS remainders.  What is
+    left has no prime factor below the bound, so it is prime when it is
+    below SIEVE_BOUND^2; only larger cofactors go to Miller-Rabin and
+    Pollard-Brent.
+    """
+    primes = _sieve_primes()
+    step = max(1, BLOCK_WORDS // len(primes))
+    out = []
+    for i in range(0, len(ns), step):
+        block = ns[i:i + step]
+        for m, divides in zip(block, np.array(block, dtype=np.int64)[:, None] % primes == 0):
+            factors: Counter = Counter()
+            for p in primes[divides].tolist():
+                while m % p == 0:
+                    m //= p
+                    factors[p] += 1
+            stack = [m] if m > 1 else []
+            while stack:
+                m = stack.pop()
+                if m < SIEVE_BOUND**2 or is_probable_prime(m):
+                    factors[m] += 1
+                else:
+                    d = _pollard_brent(m)
+                    stack += [d, m // d]
+            out.append(dict(sorted(factors.items())))
+    return out
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n <= 2^63 as {p: exponent}."""
+    """Prime factorization of n < 2^63 as {p: exponent}: the one-row case of
+    _factorize_rows."""
     if not 1 <= n < 1 << 63:
         raise ValueError("n must be in [1, 2^63)")
-    out: Counter = Counter()
-    stack = []
-    m = n
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while m % p == 0:
-            out[p] += 1
-            m //= p
-    if m > 1:
-        stack.append(m)
-    while stack:
-        m = stack.pop()
-        if is_probable_prime(m):
-            out[m] += 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(out.items()))
+    return _factorize_rows([n])[0]
 
 
 def divisors_of(factors: dict[int, int]) -> list[int]:
@@ -736,10 +813,10 @@ def _max_log_window(logs: list[float]) -> int:
     return max((bisect_right(logs, x + 1.0) - i for i, x in enumerate(logs)), default=0)
 
 
-def delta_integer(n: int) -> DeltaSample:
-    """Max number of divisors of n in a window [t, t+1] of log-scale."""
-    factors = factorize(n)
-    divs = divisors_of(factors)
+def delta_integer(n: int, factors: Optional[dict[int, int]] = None) -> DeltaSample:
+    """Max number of divisors of n in a window [t, t+1] of log-scale;
+    factors is factorize(n) when the caller has it."""
+    divs = divisors_of(factorize(n) if factors is None else factors)
     delta = _max_log_window([log(d) for d in divs])
     return DeltaSample("integer", n, delta, {"tau": len(divs)})
 
@@ -762,20 +839,25 @@ class DeltaStats:
 
 
 def sample_delta_integer(X: int, samples: int, seed: int) -> DeltaStats:
-    """delta on uniform random integers in [1, X]."""
-    if X > 1 << 50:
-        raise ValueError("X must be <= 2^50")
-    return DeltaStats.from_samples(
-        "integer", [delta_integer(int(substream(seed, t).integers(1, X + 1))) for t in range(samples)]
-    )
+    """delta on uniform random integers in [1, X]: sample t is
+    substream(seed, t).integers(1, X + 1), drawn from its Philox key, and
+    each batch of samples is factored together."""
+    if not 1 <= X <= 1 << 50:
+        raise ValueError(f"X must be in [1, 2^50], got {X}")
+    out: list[DeltaSample] = []
+    for _, keys in _key_batches(seed, 0, samples, TRIAL_BATCH):
+        ns = (_philox_integers(keys, X, 0, 1)[:, 0] + np.uint64(1)).tolist()
+        out += map(delta_integer, ns, _factorize_rows(ns))
+    return DeltaStats.from_samples("integer", out)
 
 
 # ---------------------------------------------------------------------------
 # Random permutations
 
 
-def sample_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Cycle type of a uniform random permutation of n symbols (sorted).
+def _cycle_types(n: int, draw) -> list[tuple[int, ...]]:
+    """Cycle types (sorted) of uniform random permutations of n symbols, one
+    per row of the (rows, n) uniforms draw(n) gives.
 
     Canonical sequential construction: symbols are placed one at a time, and
     symbol g (0-based, in placement order) closes its cycle with probability
@@ -784,24 +866,31 @@ def sample_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """
     if not 1 <= n <= MAX_PERM_N:
         raise CapacityError(f"permutation size guard: n = {n} not in 1..{MAX_PERM_N}")
-    closes = np.flatnonzero(rng.random(n) < 1.0 / (n - np.arange(n)))  # g = n - 1 always closes
-    return tuple(sorted(np.diff(closes, prepend=-1).tolist()))
+    closes = draw(n) < 1.0 / (n - np.arange(n))  # g = n - 1 always closes
+    # gaps between flat positions: each row's last symbol closes, so its
+    # first gap counts from the previous row's end
+    lengths = np.diff(np.flatnonzero(closes), prepend=-1).tolist()
+    ends = np.cumsum(np.count_nonzero(closes, axis=1)).tolist()
+    return [tuple(sorted(lengths[a:b])) for a, b in zip([0, *ends], ends)]
+
+
+def sample_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Cycle type of one uniform random permutation: _cycle_types on rng."""
+    return _cycle_types(n, lambda m: rng.random((1, m)))[0]
 
 
 def _max_coeff_of_product(factor_counts: dict[int, int]) -> int:
-    """Largest coefficient of prod_j (1 + x^j)^(c_j), exact big integers."""
-    poly = [1]
-    for j, cj in sorted(factor_counts.items()):
-        if cj <= 0:
-            continue
-        binoms = [comb(cj, s) for s in range(cj + 1)]
-        new = [0] * (len(poly) + j * cj)
-        for t0, coeff in enumerate(poly):
-            if coeff:
-                for s, b in enumerate(binoms):
-                    new[t0 + s * j] += coeff * b
-        poly = new
-    return max(poly)
+    """Largest coefficient of prod_j (1 + x^j)^(c_j), exact: one big-integer
+    product at x = 2^(8b) (Kronecker substitution), whose b-byte digits are
+    the coefficients.  They sum to 2^(sum c_j) < 2^(8b), so none carries."""
+    counts = [(j, c) for j, c in factor_counts.items() if c > 0]
+    b = sum(c for _, c in counts) // 8 + 1
+    value = math.prod(((1 << 8 * b * j) + 1) ** c for j, c in counts)
+    digits = value.to_bytes(b * (sum(j * c for j, c in counts) + 1), "big")
+    digits = np.frombuffer(digits, dtype=np.uint8).reshape(-1, b)
+    for col in range(b):  # the largest digit: its bytes compared from the most significant
+        digits = digits[digits[:, col] == digits[:, col].max()]
+    return int.from_bytes(digits[0].tobytes(), "big")
 
 
 def delta_perm(cycle_type: Sequence[int]) -> DeltaSample:
@@ -827,9 +916,13 @@ def delta_perm_bruteforce(cycle_type: Sequence[int]) -> int:
 
 
 def sample_delta_perm(n: int, samples: int, seed: int) -> DeltaStats:
-    return DeltaStats.from_samples(
-        "permutation", [delta_perm(sample_cycle_type(n, substream(seed, t))) for t in range(samples)]
-    )
+    """delta_perm on uniform random permutations of n symbols: sample t is
+    sample_cycle_type(n, substream(seed, t)), its uniforms computed from its
+    Philox key, BLOCK_WORDS of them at a time."""
+    out: list[DeltaSample] = []
+    for _, keys in _key_batches(seed, 0, samples, max(1, min(TRIAL_BATCH, BLOCK_WORDS // max(1, n)))):
+        out += map(delta_perm, _cycle_types(n, lambda m: _philox_uniforms(keys, 0, m)))
+    return DeltaStats.from_samples("permutation", out)
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +947,7 @@ def _mobius(n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=64)  # irreducible_count and every delta-poly sample check q
 def _prime_power_base(q: int) -> int:
     f = factorize(q)
     if len(f) != 1:
@@ -869,9 +963,11 @@ def irreducible_count(q: int, d: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     total = 0
-    for j in range(1, d + 1):
+    for j in range(1, math.isqrt(d) + 1):  # the divisor pairs (j, d / j)
         if d % j == 0:
             total += _mobius(d // j) * q**j
+            if j * j != d:
+                total += _mobius(j) * q ** (d // j)
     assert total % d == 0
     return total // d
 

@@ -394,6 +394,26 @@ def test_exact_equal_sums_command_needs_no_generator():
     assert imported == "[]"
 
 
+def test_delta_and_randomized_commands_need_no_generator():
+    # delta-int, delta-perm and the randomized equal-sums search all draw from
+    # the Philox keys, so numpy.random is never imported
+    src = str(Path(S.__file__).resolve().parents[1])
+    seed = ["--seed", "20260810", "--json"]
+    commands = [["simulate", "delta-int", "--X", "1125899906842624", "--samples", "200", *seed],
+                ["simulate", "delta-perm", "--n", "400", "--samples", "100", *seed],
+                ["simulate", "equal-sums", "--D", "1e8", "--c", "0.02", "--k", "2", "--trials", "500", *seed]]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from cubeflags.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"inexact_trials": 13,' in proc.stdout
+    assert proc.stdout.endswith("[0, 0, 0]\nFalse\n")
+
+
 @pytest.mark.parametrize("k, trials, message", [(2, 0, "trials"), (2, -3, "trials"), (0, 5, "k")])
 def test_equal_sums_needs_positive_counts(k, trials, message):
     for run in (S.equal_sums_probability, S.equal_sums_rows):
@@ -482,15 +502,38 @@ def test_equal_sums_trial_is_one_row_of_the_batch(monkeypatch):
     assert [t for t, (_, exact) in enumerate(outcomes) if not exact] == [0, 17]
     for t, (success, exact) in enumerate(outcomes):
         assert S.equal_sums_trial(1e8, 0.02, 2, 1, t)[:2] == (success, exact), t
-    # the search continues each stream after exactly the n + 1 draws of its set
-    next_draws = []
-    monkeypatch.setattr(S, "max_subset_sum_multiplicity", lambda A, mode, rng: next_draws.append(rng.random()))
-    expected = []
+    # the search continues each stream after exactly the n + 1 draws of its
+    # set: its masks are the Generator's next integers
+    masks = []
+    monkeypatch.setattr(S, "_randomized_search",
+                        lambda values, samples, integers: masks.append(integers(1 << len(values), samples)))
     for t in (0, 17):
         rng = S.substream(1, t)
-        S._randomized_trial(_scalar_log_set(1, 10**8, rng), 1, t)
-        expected.append(rng.random())
-    assert next_draws == expected
+        values = _scalar_log_set(1, 10**8, rng)
+        S._randomized_trial(values, 1, t)
+        want = rng.integers(0, 1 << len(values), S.RANDOMIZED_SAMPLES, np.uint64)
+        assert np.array_equal(masks.pop(), want), t
+
+
+@pytest.mark.parametrize("n", range(27, 71))
+def test_randomized_trial_masks_continue_the_stream(monkeypatch, n):
+    # the key's draws past the set's n + 1 are the Generator's integers: 32-bit
+    # halves up to 32 elements, 64-bit words up to 62, 32-bit words beyond
+    high, size = (1 << n, 301) if n <= 62 else (1 << 32, 301 * ((n + 31) // 32))
+    values = [(1 << 40) + i for i in range(n)]
+    sources = []
+    with monkeypatch.context() as m:
+        m.setattr(S, "_randomized_search", lambda values, samples, integers: sources.append(integers))
+        S._randomized_trial(values, 20260810, n)
+    rng = S.substream(20260810, n)
+    rng.random(n + 1)
+    assert np.array_equal(sources[0](high, size), rng.integers(0, high, size, np.uint64))
+    # and the whole search, masks to witnesses, is the Generator's
+    monkeypatch.setattr(S, "RANDOMIZED_SAMPLES", 301)
+    rng = S.substream(20260810, n)
+    rng.random(n + 1)
+    want = S.max_subset_sum_multiplicity(values, "randomized", rng, 301)
+    assert S._randomized_trial(values, 20260810, n) == want
 
 
 # The Philox kernel against substream: seeds of one, two and three 32-bit
@@ -633,6 +676,37 @@ def test_is_probable_prime_against_sieve():
         assert S.is_probable_prime(n) == sieve[n]
 
 
+# OEIS A014233: the least strong pseudoprime to the first 7, 9, 12 and 13
+# prime bases, and the largest prime below each
+PSEUDOPRIME_BOUNDS = [341550071728321, 3825123056546413051, 318665857834031151167461,
+                      3317044064679887385961981]
+PRIMES_BELOW_BOUNDS = [341550071728289, 3825123056546412979, 318665857834031151167441,
+                       3317044064679887385961813]
+
+
+def test_is_probable_prime_near_its_bounds():
+    # the first 12 bases pass 399165290221 * 798330580441, so 13 must decide it
+    assert 399165290221 * 798330580441 == PSEUDOPRIME_BOUNDS[2]
+    for bound, p in zip(PSEUDOPRIME_BOUNDS[:3], PRIMES_BELOW_BOUNDS[:3]):
+        assert not S.is_probable_prime(bound)
+        assert S.is_probable_prime(p)
+    assert S.is_probable_prime(PRIMES_BELOW_BOUNDS[3])
+    with pytest.raises(ValueError, match="decided only below"):
+        S.is_probable_prime(PSEUDOPRIME_BOUNDS[3])
+
+
+def test_factorize_rows_around_the_sieve_bound():
+    # cofactors below SIEVE_BOUND^2 are prime without a test; above it, one
+    # prime, a square and products of two primes above the bound
+    B = S.SIEVE_BOUND
+    p, q = 8209, 8219  # the least primes above 2^13
+    cases = {1: {}, 2: {2: 1}, B: {2: 13}, 8191 * 8191: {8191: 2}, p: {p: 1}, p * p: {p: 2},
+             p * q: {p: 1, q: 1}, 2 * 3 * p * q: {2: 1, 3: 1, p: 1, q: 1}, (1 << 61) - 1: {(1 << 61) - 1: 1},
+             PRIMES_BELOW_BOUNDS[0]: {PRIMES_BELOW_BOUNDS[0]: 1}, 3 * 8191 * p: {3: 1, 8191: 1, p: 1}}
+    assert S._factorize_rows(list(cases)) == list(cases.values())
+    assert [S.factorize(n) for n in cases] == list(cases.values())
+
+
 def test_delta_integer_examples():
     assert S.delta_integer(12).delta == 3
     assert S.delta_integer(2).delta == 2
@@ -665,6 +739,38 @@ def test_sample_delta_integer():
     assert stats.max_delta >= 1
     again = S.sample_delta_integer(10**6, 50, seed=4)
     assert stats == again
+
+
+# numpy's bounded draws: X = 1 takes none, X <= 2^32 takes 32-bit halves
+# (2^31 + 1 rejects about half of them, 2^32 none), larger X 64-bit words
+DELTA_INT_X = [1, 2, 3, (1 << 31) + 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 10**12 + 39,
+               (1 << 50) - 3, 1 << 50]
+# 2^64 mod X = X - 16129: about 6 of 10^5 first words are rejected
+REJECTING_X = 1125831191559937
+
+
+@pytest.mark.parametrize("X", DELTA_INT_X)
+def test_sample_delta_integer_draws_the_substreams(X):
+    stats = S.sample_delta_integer(X, 60, seed=20260810)
+    assert list(stats.samples) == [
+        S.delta_integer(int(S.substream(20260810, t).integers(1, X + 1))) for t in range(60)]
+
+
+def test_sample_delta_integer_redraws_a_rejected_word():
+    trials = np.arange(10**5, dtype=np.uint64)
+    words = S._philox_words(S._philox_keys(20260810, trials), 0, 1)[:, 0]
+    _, low = S._mulhilo(np.uint64(REJECTING_X), words)
+    rejected = np.flatnonzero(low < np.uint64((1 << 64) % REJECTING_X)).tolist()
+    assert rejected  # [19549, 50634, 60449, 67767]
+    keys = S._philox_keys(20260810, np.array(rejected, dtype=np.uint64))
+    got = (S._philox_integers(keys, REJECTING_X, 0, 1)[:, 0] + np.uint64(1)).tolist()
+    assert got == [int(S.substream(20260810, t).integers(1, REJECTING_X + 1)) for t in rejected]
+
+
+def test_sample_delta_integer_rejects_x_outside_range():
+    for X in (0, -5, (1 << 50) + 1):
+        with pytest.raises(ValueError, match="X must be in"):
+            S.sample_delta_integer(X, 3, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +865,41 @@ def test_delta_perm_guard():
         S.delta_perm([401])
 
 
+@pytest.mark.parametrize("n", [1, 2, 37, 400])
+def test_sample_delta_perm_draws_the_substreams(monkeypatch, n):
+    # blocks of 7 rows: the flat gaps restart at each row of every block
+    monkeypatch.setattr(S, "BLOCK_WORDS", 7 * n)
+    stats = S.sample_delta_perm(n, 40, seed=20260810)
+    assert list(stats.samples) == [
+        S.delta_perm(S.sample_cycle_type(n, S.substream(20260810, t))) for t in range(40)]
+
+
+def _poly_loop_max_coeff(factor_counts):
+    # the coefficient list of prod_j (1 + x^j)^(c_j), multiplied out term by term
+    poly = [1]
+    for j, cj in sorted(factor_counts.items()):
+        if cj <= 0:
+            continue
+        new = [0] * (len(poly) + j * cj)
+        for t0, coeff in enumerate(poly):
+            for s in range(cj + 1):
+                new[t0 + s * j] += coeff * math.comb(cj, s)
+        poly = new
+    return max(poly)
+
+
+def test_kronecker_product_matches_term_loop():
+    rng = S.substream(90, 0)
+    # {0: 8} is the one coefficient 2^(sum c_j), which needs a digit of 9 bits
+    cases = [{}, {1: 0}, {3: -2, 5: 1}, {0: 8}, {1: 80}, {1: 40, 2: 30, 7: 3}, {1: 255}, {2: 7, 3: 1}]
+    for t in range(60):
+        size = int(rng.integers(1, 9))
+        cases.append(dict(zip(rng.integers(1, 60, size).tolist(), rng.integers(-1, 30, size).tolist())))
+    assert max(_poly_loop_max_coeff(c) for c in cases) >= 1 << 64
+    for counts in cases:
+        assert S._max_coeff_of_product(counts) == _poly_loop_max_coeff(counts), counts
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 
@@ -784,6 +925,13 @@ def test_irreducible_count_total_identity():
 def test_irreducible_count_rejects_non_prime_power():
     with pytest.raises(ValueError):
         S.irreducible_count(6, 2)
+
+
+def test_irreducible_count_matches_full_divisor_sum():
+    for q in (2, 3, 4, 9, 1 << 20):
+        for d in range(1, 80):
+            total = sum(S._mobius(d // j) * q**j for j in range(1, d + 1) if d % j == 0)
+            assert S.irreducible_count(q, d) == total // d, (q, d)
 
 
 def test_nb_mean_agreement_in_lemma_range():

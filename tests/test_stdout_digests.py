@@ -47,6 +47,9 @@ COMMANDS = {
     # 13 of its sets are too large for the exact census: the randomized search
     # continues each of those trials' streams
     ("monte-carlo", "sums-large"): _sums("1", "1e8", "0.02", "500"),
+    ("monte-carlo", "delta-int"): (
+        "--workers", "1", "simulate", "delta-int", "--X", "1125899906842624", "--samples", "1000",
+        "--seed", SEED, "--json"),
     ("monte-carlo", "delta-perm"): (
         "--workers", "1", "simulate", "delta-perm", "--n", "400", "--samples", "500",
         "--seed", SEED, "--json"),
