@@ -48,7 +48,6 @@ from .qlinalg import (
 )
 from .rho import (
     ConstantsReport,
-    LogATable,
     RhoSolution,
     constants,
     eta,

@@ -255,7 +255,7 @@ def _cmd_rho_limit(args, config: dict) -> int:
 
 
 def _cmd_theta(args, config: dict) -> int:
-    table_j = min(max(args.r - 1, 1), 13)
+    table_j = min(max(args.r - 1, 1), rho.CHAIN_J)
     sol, _ = rho.solve_rho_chain(table_j)
     lim = rho.rho_limit()
     val = rho.theta(args.r, sol, lim.value)

@@ -214,11 +214,14 @@ def make_flag(spaces: Sequence[Subspace], kind: str, check: bool = True) -> Flag
 
 def _cube_generators(W: Subspace) -> Optional[list[CubePoint]]:
     """Cube points of W, each leaving the span of 1 and those before it, until
-    that span is W; None if all of W's cube points span less."""
+    that span is W; None if all of W's cube points span less.
+
+    The walk goes by popcount (ties in sorted order), so unit vectors and other
+    sparse points come first; in sorted order 10...0 follows half the cube."""
     k = W.ambient_dim
     chosen: list[CubePoint] = []
     current = span([ones(k)])
-    for p in cube_points(W):
+    for p in sorted(cube_points(W), key=sum):
         if current == W:
             break
         if not contains(current, p):

@@ -7,8 +7,9 @@ The chain of equations
     f^{Gamma_{j+1}} = (f^{Gamma_j})^{rho_j} * exp(dim(V_{j+1}/V_j))
 
 pins down rho_1, rho_2, ... one at a time; each is the unique root in (0,1)
-of a monotone one-variable function.  For the binary family these admit two
-independent evaluation routes:
+of a monotone one-variable function phi_j, and one chain loop bisects them
+in turn.  Three routes supply the phi_j: the cell tree, for any flag
+(solve_flag_rhos), and for the binary family two more:
 
   * the genotype recursion F(g) = sum_{g' <= g*} 2^{|g|-|g*|-|g'|} F(g')^rho,
     equal to f^C for any cell of genotype g;
@@ -17,10 +18,12 @@ independent evaluation routes:
     for which F(g) = prod_m a_{i,m}^{D^m(g)} with the defect exponents D^m,
     and in particular f^{Gamma_i} = a_{i,i+1}.
 
-a_{i,j} is doubly exponential in j (a_{i,13} ~ 2^4096), so the a-table is kept
-in the log domain with log1p/expm1 steps; error analysis shows doubles retain
-11+ digits through j = 13.  The limit rho of the rho_j satisfies a single
-scalar equation with a rapidly convergent series, solved here by bisection.
+a_{i,j} is doubly exponential in j (a_{i,13} ~ 2^4096), so the a-rows are kept
+in the log domain with log1p steps; error analysis shows doubles retain 11+
+digits through j = 13.  One row step builds row 1, the chain rows and the
+limit row, and `sol, rows = solve_rho_chain(13)` returns the rows as a list.
+The limit rho of the rho_j satisfies a single scalar equation with a rapidly
+convergent series over the limit row, solved here by bisection.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log, log1p
 from typing import Optional, Sequence
@@ -41,6 +44,8 @@ LOG3 = log(3.0)
 MAX_GENOTYPE_F_LEVEL = 4
 BISECT_WIDTH = 1e-14
 LIMIT_SERIES_TERMS = 60
+CHAIN_J = 13  # constants and theta solve the chain this far (11+ digits, see above)
+MAX_THETA_R = 20  # constants reports theta_1 .. theta_20
 # row max_j + 1 of the chain reaches column max_j + 3, whose crude upper
 # bound is 2^(max_j + 2) log 2; past this max_j that power leaves the floats
 MAX_RHO_CHAIN_J = sys.float_info.max_exp - 3
@@ -122,31 +127,7 @@ def F_genotype(g: Genotype, rhos: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Log-domain a-table
-
-
-@dataclass
-class LogATable:
-    """Rows L[i][j] = log a_{i,j}; row i is built with x = rho_{i-1}.
-
-    rows[i] is a list indexed from 1 (index 0 unused); row i of length >= i+1
-    is enough to carry the chain forward.  rho[i-1] records the x used for
-    row i (rho[0] = 0 by convention).
-    """
-
-    rows: dict = field(default_factory=dict)
-    rho: dict = field(default_factory=dict)
-
-    def ensure_row1(self, ncols: int):
-        # rho_0 = 0: a_{1,1} = 2, a_{1,2} = 3, a_{1,j} = a_{1,j-1}^2
-        row = [None, LOG2, LOG3]
-        for _ in range(3, ncols + 1):
-            row.append(2.0 * row[-1])
-        self.rows[1] = row
-        self.rho[1] = 0.0
-
-    def L(self, i: int, j: int) -> float:
-        return self.rows[i][j]
+# Log-domain a-rows
 
 
 def _check_crude_bounds(row: list, i: int):
@@ -161,10 +142,29 @@ def _check_crude_bounds(row: list, i: int):
             )
 
 
-def _a_step(x: float, left: float, up: float, up2: float) -> float:
-    """L[i][j] from left = L[i][j-1], up = L[i-1][j-1], up2 = L[i-1][j-2]."""
-    t = 2.0 * left
-    return t + log1p(exp(x * up - t) - exp(2.0 * x * up2 - t))
+def _a_row(x: float, ncols: int, prev: Optional[list] = None) -> list:
+    """Row [None, log a_{i,1}, ..., log a_{i,ncols}] with x = rho_{i-1}.
+
+    L[i][j] = 2 L[i][j-1] + log1p(exp(x L[i-1][j-1] - 2 L[i][j-1])
+                                  - exp(2 x L[i-1][j-2] - 2 L[i][j-1])),
+    where prev is row i-1; with prev None the row is its own predecessor,
+    as the limit row is.  At x = 0 the predecessor drops out, so row 1 is
+    _a_row(0.0, ncols).
+    """
+    row = [None, LOG2, log(2.0 + 2.0**x)]
+    up = row if prev is None else prev
+    for j in range(3, ncols + 1):
+        t = 2.0 * row[j - 1]
+        row.append(t + log1p(exp(x * up[j - 1] - t) - exp(2.0 * x * up[j - 2] - t)))
+    return row
+
+
+def extend_a_row(x: float, ncols: int, prev: list, i: int) -> list:
+    """Chain row i >= 2 from row i-1 with candidate rho_{i-1} = x; every entry
+    is checked against the crude a-priori bounds."""
+    row = _a_row(x, ncols, prev)
+    _check_crude_bounds(row, i)
+    return row
 
 
 def _bisect(phi, a: float, b: float, width: float, what: str) -> float:
@@ -199,57 +199,12 @@ def _bisect(phi, a: float, b: float, width: float, what: str) -> float:
     return 0.5 * (a + b)
 
 
-def extend_a_row(table: LogATable, i: int, x: float, ncols: Optional[int] = None) -> list:
-    """Compute row i in the log domain from row i-1 with candidate rho_{i-1} = x.
-
-    L[i][j] = 2 L[i][j-1] + log1p(exp(x L[i-1][j-1] - 2 L[i][j-1])
-                                  - exp(2 x L[i-1][j-2] - 2 L[i][j-1])).
-    Every entry is checked against the crude a-priori bounds.
-    """
-    if i == 1:
-        table.ensure_row1(ncols or 3)
-        return table.rows[1]
-    prev = table.rows.get(i - 1)
-    if prev is None:
-        raise ValueError(f"row {i - 1} missing")
-    if ncols is None:
-        ncols = len(prev)  # the longest row the stored prefix supports
-    row = [None, LOG2, log(2.0 + 2.0**x)]
-    for j in range(3, ncols + 1):
-        row.append(_a_step(x, row[j - 1], prev[j - 1], prev[j - 2]))
-    _check_crude_bounds(row, i)
-    return row
-
-
-def solve_rho_j(j: int, table: LogATable) -> tuple[float, float]:
-    """Root of phi(x) = L[j+1][j+2](x) - x L[j][j+1] - 2^j by bisection.
-
-    Requires rows 1..j present (row j out to column j+1).  phi is strictly
-    monotone on (0,1); a missing sign change signals an upstream numeric
-    fault.  Returns (rho_j, |phi(rho_j)|); on return row j+1 is stored.
-    """
-    prev = table.rows[j]
-    target = prev[j + 1]
-    pow2j = 2.0**j
-
-    def phi(x: float) -> float:
-        row = extend_a_row(table, j + 1, x, ncols=j + 2)
-        return row[j + 2] - x * target - pow2j
-
-    x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, f"the rho_{j} equation")
-    residual = abs(phi(x))
-    table.rows[j + 1] = extend_a_row(table, j + 1, x, ncols=j + 3)
-    table.rho[j + 1] = x
-    return x, residual
-
-
 @dataclass(frozen=True)
 class RhoSolution:
     """Solved rho_1..rho_J with per-equation residuals |phi_j(rho_j)|."""
 
     rhos: tuple[float, ...]
     residuals: tuple[float, ...]
-    method: str  # "a_recursion" | "genotype"
 
     def __post_init__(self):
         for x in self.rhos:
@@ -266,44 +221,59 @@ class RhoSolution:
         return self.rhos + (fill,) * (n - len(self.rhos))
 
 
-def solve_rho_chain(max_j: int) -> tuple[RhoSolution, LogATable]:
-    """Solve rho_1..rho_max_j for the binary family via the a-recursion."""
+def _solve_chain(n: int, equation, what: str) -> RhoSolution:
+    """Solve rho_1..rho_n in turn, each the root in (0,1) of its phi_j.
+
+    equation(j, rhos) returns phi_j given rhos = [rho_1, ..., rho_{j-1}], a
+    list that grows as the chain is solved; what.format(j) names it in errors.
+    """
+    rhos: list[float] = []
+    residuals = []
+    for j in range(1, n + 1):
+        phi = equation(j, rhos)
+        x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, what.format(j))
+        rhos.append(x)
+        residuals.append(abs(phi(x)))
+    return RhoSolution(tuple(rhos), tuple(residuals))
+
+
+def solve_rho_chain(max_j: int) -> tuple[RhoSolution, list]:
+    """Solve rho_1..rho_max_j for the binary family via the a-recursion.
+
+    phi_j(x) = L[j+1][j+2](x) - x L[j][j+1] - 2^j, with row j+1 built from x.
+    Returns the solution and rows, where rows[i] (i = 1..max_j+1) is row i
+    out to column i+2 and rows[0] is None.
+    """
     if max_j < 0:
         raise ValueError(f"max_j must be >= 0, got {max_j}")
     if max_j > MAX_RHO_CHAIN_J:
         raise CapacityError(f"rho chain guard: max_j {max_j} > {MAX_RHO_CHAIN_J}, past which "
                             "the a-table bounds overflow double precision")
-    table = LogATable()
-    table.ensure_row1(3)
-    rhos, residuals = [], []
-    for j in range(1, max_j + 1):
-        # row j reaches column j+1: row 1 has 3 columns, solve_rho_j(j-1) stored j+2
-        x, res = solve_rho_j(j, table)
-        rhos.append(x)
-        residuals.append(res)
-    return RhoSolution(tuple(rhos), tuple(residuals), "a_recursion"), table
+    rows = [None, _a_row(0.0, 3)]
+
+    def equation(j: int, rhos: list):
+        if j > 1:  # row j, from the rho_{j-1} just solved
+            rows.append(extend_a_row(rhos[-1], j + 2, rows[j - 1], j))
+        prev, pow2j = rows[j], 2.0**j
+        return lambda x: extend_a_row(x, j + 2, prev, j + 1)[j + 2] - x * prev[j + 1] - pow2j
+
+    sol = _solve_chain(max_j, equation, "the rho_{} equation")
+    if max_j:
+        rows.append(extend_a_row(sol.rhos[-1], max_j + 3, rows[max_j], max_j + 1))
+    return sol, rows
 
 
 def solve_rho_chain_genotype(max_j: int) -> RhoSolution:
     """Solve the chain via the genotype recursion (levels <= 4, so j <= 3)."""
     if max_j > MAX_GENOTYPE_F_LEVEL - 1:
         raise CapacityError(f"genotype route supports j <= {MAX_GENOTYPE_F_LEVEL - 1}")
-    rhos: list[float] = []
-    residuals = []
-    for j in range(1, max_j + 1):
-        top = Genotype.full(j)
-        nxt = Genotype.full(j + 1)
-        f_j = F_genotype(top, rhos)
-        log_fj = log(f_j)
-        pow2j = 2.0**j
 
-        def phi(x: float) -> float:
-            return log(F_genotype(nxt, rhos + [x])) - x * log_fj - pow2j
+    def equation(j: int, rhos: list):
+        log_fj = log(F_genotype(Genotype.full(j), rhos))
+        nxt, pow2j = Genotype.full(j + 1), 2.0**j
+        return lambda x: log(F_genotype(nxt, rhos + [x])) - x * log_fj - pow2j
 
-        x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, f"the rho_{j} equation (genotype route)")
-        rhos.append(x)
-        residuals.append(abs(phi(x)))
-    return RhoSolution(tuple(rhos), tuple(residuals), "genotype")
+    return _solve_chain(max_j, equation, "the rho_{} equation (genotype route)")
 
 
 def solve_flag_rhos(flag: Flag) -> RhoSolution:
@@ -316,29 +286,24 @@ def solve_flag_rhos(flag: Flag) -> RhoSolution:
     """
     tree = cell_tree(flag, tuple(cube_points(flag.spaces[-1])))
     f = [1.0] * len(tree.levels[0])
-    rhos: list[float] = []
-    residuals = []
-    for j in range(1, flag.order):
+
+    def equation(j: int, rhos: list):
+        nonlocal f
         f = _f_layer(tree, j, f, 0.0 if j == 1 else rhos[j - 2])
         kids = [f[c] for c in tree.child_ids[j + 1][0]]
         d = flag.spaces[j + 1].dim - flag.spaces[j].dim
         log_fj = log(f[0])
+        return lambda x: log(math.fsum(v ** x for v in kids)) - x * log_fj - d
 
-        def phi(x: float) -> float:
-            return log(math.fsum(v ** x for v in kids)) - x * log_fj - d
-
-        x = _bisect(phi, 0.0, 1.0, BISECT_WIDTH, f"equation {j}")
-        rhos.append(x)
-        residuals.append(abs(phi(x)))
-    return RhoSolution(tuple(rhos), tuple(residuals), "genotype")
+    return _solve_chain(flag.order - 1, equation, "equation {}")
 
 
-def product_formula(g: Genotype, table: LogATable) -> float:
+def product_formula(g: Genotype, rows: list) -> float:
     """log F(g) = sum_m D^m(g) * L[i][m] from the defect exponents."""
     i = g.level
-    if i not in table.rows:
+    if not 0 < i < len(rows):
         raise ValueError(f"a-table row {i} missing")
-    row = table.rows[i]
+    row = rows[i]
     ds = defects(g)
     if len(row) - 1 < len(ds):
         raise ValueError(f"a-table row {i} too short: need column {len(ds)}")
@@ -357,16 +322,13 @@ class RhoLimitResult:
     residual: float
 
 
-def _limit_series_gap(rho: float, nterms: int) -> tuple[float, int, float]:
+def _limit_series_gap(rho: float) -> tuple[float, int, float]:
     """1/(1 - rho/2) - [log 2 + series]; returns (gap, terms, tail bound)."""
-    ell = [None, LOG2, log(2.0 + 2.0**rho)]
-    for j in range(3, nterms + 2):
-        # the limit row is its own predecessor
-        ell.append(_a_step(rho, ell[j - 1], ell[j - 1], ell[j - 2]))
+    ell = _a_row(rho, LIMIT_SERIES_TERMS + 1)
     s = LOG2
     used = 0
     tail = 0.0
-    for j in range(1, nterms + 1):
+    for j in range(1, LIMIT_SERIES_TERMS + 1):
         q = exp(rho * ell[j] - ell[j + 1])
         term = (log1p(q) - log1p(-q)) / 2.0**j
         s += term
@@ -378,19 +340,17 @@ def _limit_series_gap(rho: float, nterms: int) -> tuple[float, int, float]:
 
 
 @lru_cache(maxsize=8)
-def rho_limit(tolerance: float = 1e-15, max_terms: int = LIMIT_SERIES_TERMS) -> RhoLimitResult:
+def rho_limit(tolerance: float = 1e-15) -> RhoLimitResult:
     """Solve the scalar limit equation for rho = lim rho_j by bisection.
 
     The series is truncated once a term vanishes to double precision (always
-    long before max_terms; term j is of order (2/3)^(2^(j-1))).  A zero
-    tolerance bisects down to float resolution.
+    long before LIMIT_SERIES_TERMS; term j is of order (2/3)^(2^(j-1))).  A
+    zero tolerance bisects down to float resolution.
     """
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    x = _bisect(
-        lambda r: _limit_series_gap(r, max_terms)[0], 0.1, 0.9, tolerance, "the limit equation"
-    )
-    gap, used, tail = _limit_series_gap(x, max_terms)
+    x = _bisect(lambda r: _limit_series_gap(r)[0], 0.1, 0.9, tolerance, "the limit equation")
+    gap, used, tail = _limit_series_gap(x)
     return RhoLimitResult(x, used, tail, abs(gap))
 
 
@@ -444,7 +404,7 @@ class ConstantsReport:
     binary_base: float
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "schema": "cubeflags.constants.v1",
             "rho_limit": self.rho_limit,
             "eta": self.eta,
@@ -461,18 +421,17 @@ class ConstantsReport:
             "binary_base": self.binary_base,
             "theta": {str(r): v for r, v in sorted(self.theta.items())},
         }
-        return d
 
 
-def constants(max_theta_r: int = 20, table_j: int = 13) -> ConstantsReport:
+def constants() -> ConstantsReport:
     """Evaluate every named constant from its closed form or solved chain."""
-    sol, _ = solve_rho_chain(table_j)
+    sol, _ = solve_rho_chain(CHAIN_J)
     lim = rho_limit()
     log_e1 = log(math.e - 1.0)
     xi = (LOG2 - log_e1) / log(1.5)
     lam = (LOG2 - log_e1) / (1.0 + LOG2 - log_e1 - log1p(2.0 ** (1.0 - xi)))
     kappa = (LOG2 - log_e1) / (LOG2 + 1.0 - log_e1)
-    thetas = {r: theta(r, sol, lim.value) for r in range(1, max_theta_r + 1)}
+    thetas = {r: theta(r, sol, lim.value) for r in range(1, MAX_THETA_R + 1)}
     return ConstantsReport(
         rho_limit=lim.value,
         eta=eta(lim.value),

@@ -52,6 +52,10 @@ MAX_PERM_N = 400
 MAX_POLY_N = 2000
 MAX_POLY_Q = 1 << 20
 MAX_DIVISORS = 10**6
+# amplify windows: alpha = 0.9999 at D2 = 10^6 makes ~30k (under a second) and
+# every tested case a few; each window scans the whole set, and alpha nearer 1
+# made millions of them and ran out of memory
+MAX_AMPLIFY_WINDOWS = 10**5
 RANDOMIZED_SAMPLES = 20000
 BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 32 MB of int64
 MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own: 32 MB
@@ -635,14 +639,17 @@ def amplify_demo(
         raise ValueError("alpha must be in (0, 1)")
     if not 2 <= D1 < D2 <= MAX_ELEMENT:
         raise ValueError("need 2 <= D1 < D2 <= 2^50")
+    windows = []  # (D2^(alpha^(i+1)), D2^(alpha^i)) while the lower edge reaches D1
+    while (lower := D2 ** (alpha ** (len(windows) + 1))) >= D1:
+        if len(windows) == MAX_AMPLIFY_WINDOWS:
+            raise CapacityError(f"amplify window guard: alpha = {alpha!r} splits "
+                                f"[{D1}, {D2}] into more than {MAX_AMPLIFY_WINDOWS} windows")
+        windows.append((lower, D2 ** (alpha ** len(windows))))
+
     rng = substream(seed, trial)
     A = sample_log_set(D1 - 1, D2, rng)
     elements = A.elements
     index_of = {e: i for i, e in enumerate(elements)}
-
-    windows = []  # (D2^(alpha^(i+1)), D2^(alpha^i)) while the lower edge reaches D1
-    while (lower := D2 ** (alpha ** (len(windows) + 1))) >= D1:
-        windows.append((lower, D2 ** (alpha ** len(windows))))
 
     chosen: list[list[tuple[int, ...]]] = []  # per successful window: k index tuples
     window_info = []

@@ -106,7 +106,7 @@ def _explicit_f_gamma3(r1, r2):
 
 
 def test_criterion_05_cross_oracles(capsys):
-    sol_a, table = rho.solve_rho_chain(13)
+    sol_a, rows = rho.solve_rho_chain(13)
     sol_g = rho.solve_rho_chain_genotype(2)
     d_rho = max(abs(a - g) for a, g in zip(sol_a.rhos, sol_g.rhos))
 
@@ -134,7 +134,7 @@ def test_criterion_05_cross_oracles(capsys):
         for mask in range(1 << (1 << level)):
             g = Genotype(level, mask)
             via_geno = rho.F_genotype(g, sol_a.rhos)
-            via_prod = math.exp(rho.product_formula(g, table))
+            via_prod = math.exp(rho.product_formula(g, rows))
             worst_rel = max(worst_rel, abs(via_geno - via_prod) / via_prod)
 
     ok = d_rho <= 1e-10 and d_explicit <= 1e-10 and worst_rel <= 1e-12

@@ -135,6 +135,26 @@ def test_rho_table_negative_max_j_is_usage_error(capsys):
     assert (code, out) == (0, "j,rho_j,residual\n")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("rho-table", "--max-j", "0"),
+     "70ce422e7829f7af2f746eb6778354c2a9211de509c9cbd95957ed0d62c3c937"),
+    (("rho-limit", "--json"),
+     "c0409906f3e2be5c26881f767519677d56287ad588f43bee8986591b248b801b"),
+    (("rho-limit", "--tol", "0", "--json"),
+     "c0409906f3e2be5c26881f767519677d56287ad588f43bee8986591b248b801b"),
+    (("eta",), "9e3e3b3a2bd079609e084a8132bac816bdaf6c837cc2262956d1db9d5659bc69"),
+    (("theta", "--r", "362", "--json"),
+     "78b8f811a6c8bc71efa020299644ad4b862b0a14304dc7170b42a1cea462886d"),
+    (("theta", "--r", "40", "--json"),
+     "a8038e21a2f6a365e61a2d3b486ad0daa1226f656a3b888df4f3bc04de5b37df"),
+], ids=["rho-table-0", "rho-limit", "rho-limit-tol0", "eta", "theta-362", "theta-40"])
+def test_rho_command_bytes_pinned(capsys, argv, digest):
+    # rho-table --max-j 1021 is pinned in test_rho, next to its rows oracle
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_constants_json(capsys):
     code, out, _ = run(capsys, "constants")
     doc = json.loads(out)
@@ -409,6 +429,16 @@ def test_simulate_amplify(capsys):
     doc = json.loads(out)
     assert doc["k_max"] >= 1
     assert len(doc["windows"]) >= 3
+
+
+def test_simulate_amplify_alpha_near_one_fails_fast(capsys):
+    # about 3M windows: built in full, they ran out of memory after ~27 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "amplify", "--D1", "2", "--D2", "1000000",
+                         "--alpha", "0.999999", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: amplify window guard") and "100000 windows" in err
 
 
 def test_simulate_delta_int(capsys):

@@ -536,28 +536,38 @@ def test_flag_text_rejects_non_nested():
 
 def test_cube_generator_walk_spans_each_level_in_dim_plus_one_spans(monkeypatch):
     # Q^16 from 15 unit vectors: spanning all 2^16 cube points at once took a
-    # 65,537-row elimination; the walk adds one point per missing dimension
+    # 65,537-row elimination; the walk adds one point per missing dimension,
+    # and by popcount it tests the zero point and the unit vectors only (in
+    # sorted order it tested 16,385 points before reaching 10...0)
     text = " ".join("0" * i + "1" + "0" * (15 - i) for i in range(15)) + "\n"
-    spans = 0
+    spans = tests = 0
     per_level = []
-    real_span, real_walk = flags.span, flags._cube_generators
+    real_span, real_contains, real_walk = flags.span, flags.contains, flags._cube_generators
 
     def counting_span(*args, **kwargs):
         nonlocal spans
         spans += 1
         return real_span(*args, **kwargs)
 
+    def counting_contains(*args, **kwargs):
+        nonlocal tests
+        tests += 1
+        return real_contains(*args, **kwargs)
+
     def recording_walk(W):
-        before = spans
+        spans_before, tests_before = spans, tests
         out = real_walk(W)
-        per_level.append((W.dim, spans - before))
+        per_level.append((W.dim, spans - spans_before, tests - tests_before))
         return out
 
     monkeypatch.setattr(flags, "span", counting_span)
+    monkeypatch.setattr(flags, "contains", counting_contains)
     monkeypatch.setattr(flags, "_cube_generators", recording_walk)
     assert parse_flag_text(text).dims() == (1, 16)
-    assert [dim for dim, _ in per_level] == [16]
-    assert all(n <= dim + 1 for dim, n in per_level)
+    assert [dim for dim, _, _ in per_level] == [16]
+    assert all(n <= dim + 1 for dim, n, _ in per_level)
+    assert all(n <= dim + 1 for dim, _, n in per_level)
+    assert tests == 16
 
 
 def test_flag_not_spanned_by_cube_points_is_rejected():

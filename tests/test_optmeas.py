@@ -556,7 +556,7 @@ def _solve_flag_rhos_by_walks(flag):
         x = rho._bisect(phi, 0.0, 1.0, rho.BISECT_WIDTH, f"equation {j}")
         rhos.append(x)
         residuals.append(abs(phi(x)))
-    return RhoSolution(tuple(rhos), tuple(residuals), "genotype")
+    return RhoSolution(tuple(rhos), tuple(residuals))
 
 
 def _optimal_measure_all_cells(flag, sol):

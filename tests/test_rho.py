@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -8,7 +9,6 @@ from cubeflags.errors import CapacityError, NumericInstabilityError
 from cubeflags.flags import Cell, Genotype, binary_flag, cell_tree, cube_points, mt_flag, parse_flag_text
 from cubeflags.rho import (
     F_genotype,
-    LogATable,
     extend_a_row,
     f_cell_direct,
     product_formula,
@@ -168,11 +168,10 @@ def _plain_a_table(rhos, imax, jmax):
 
 
 def test_extend_row_seeds():
-    table = LogATable()
-    table.ensure_row1(4)
-    assert table.L(1, 1) == math.log(2.0)
-    assert table.L(1, 2) == math.log(3.0)
-    row2 = extend_a_row(table, 2, 0.31, ncols=4)
+    row1 = rho._a_row(0.0, 4)
+    assert row1[1] == math.log(2.0)
+    assert row1[2] == math.log(3.0)
+    row2 = extend_a_row(0.31, 4, row1, 2)
     assert abs(row2[1] - math.log(2.0)) < 1e-15
     assert abs(row2[2] - math.log(2.0 + 2.0**0.31)) < 1e-15
 
@@ -180,35 +179,126 @@ def test_extend_row_seeds():
 def test_log_table_matches_plain_arithmetic():
     rhos = [0.3064810093305, 0.2796104150767, 0.2813005404710, 0.2812067224539]
     plain = _plain_a_table(rhos, 5, 6)
-    table = LogATable()
-    table.ensure_row1(6)
+    rows = [None, rho._a_row(0.0, 6)]
     for i in range(2, 6):
-        table.rows[i] = extend_a_row(table, i, rhos[i - 2], ncols=6)
+        rows.append(extend_a_row(rhos[i - 2], 6, rows[i - 1], i))
     for i in range(1, 6):
         for j in range(1, 7):
             if (i, j) in plain:
-                assert abs(table.L(i, j) - math.log(plain[(i, j)])) < 1e-11
+                assert abs(rows[i][j] - math.log(plain[(i, j)])) < 1e-11
 
 
 def test_crude_bounds_enforced():
-    table = LogATable()
-    table.ensure_row1(3)
-    # corrupt row 2 so the computed row 3 violates its a-priori bounds
-    table.rows[2] = [None, math.log(2.0), 100.0, 200.0]
-    with pytest.raises(NumericInstabilityError):
-        extend_a_row(table, 3, 0.3, ncols=4)
+    # a corrupt row 2, from which the computed row 3 violates its a-priori bounds
+    prev = [None, math.log(2.0), 100.0, 200.0]
+    with pytest.raises(NumericInstabilityError) as err:
+        extend_a_row(0.3, 4, prev, 3)
+    assert str(err.value) == (
+        "a-table entry log a[3][3] = 30.000000000000835 violates the crude bounds "
+        "[2.1972245773362196, 2.772588722239781]"
+    )
+
+
+# The log-domain a-table as an earlier version built it, kept as the oracle:
+# row 1 by doubling, each chain row by its own loop, the limit row by a third.
+
+
+def _oracle_step(x, left, up, up2):
+    t = 2.0 * left
+    return t + math.log1p(math.exp(x * up - t) - math.exp(2.0 * x * up2 - t))
+
+
+def _oracle_row1(ncols):
+    row = [None, math.log(2.0), math.log(3.0)]
+    for _ in range(3, ncols + 1):
+        row.append(2.0 * row[-1])
+    return row
+
+
+def _oracle_chain_row(prev, x, ncols):
+    row = [None, math.log(2.0), math.log(2.0 + 2.0**x)]
+    for j in range(3, ncols + 1):
+        row.append(_oracle_step(x, row[j - 1], prev[j - 1], prev[j - 2]))
+    return row
+
+
+def _oracle_limit_row(x, nterms):
+    ell = [None, math.log(2.0), math.log(2.0 + 2.0**x)]
+    for j in range(3, nterms + 2):
+        ell.append(_oracle_step(x, ell[j - 1], ell[j - 1], ell[j - 2]))
+    return ell
+
+
+def _oracle_chain(max_j):
+    """rho_1..rho_max_j, their residuals and rows 1..max_j+1, one equation at a time."""
+    rows = [None, _oracle_row1(3)]
+    rhos, residuals = [], []
+    for j in range(1, max_j + 1):
+        prev = rows[j]
+
+        def phi(x):
+            return _oracle_chain_row(prev, x, j + 2)[j + 2] - x * prev[j + 1] - 2.0**j
+
+        x = rho._bisect(phi, 0.0, 1.0, rho.BISECT_WIDTH, f"the rho_{j} equation")
+        rhos.append(x)
+        residuals.append(abs(phi(x)))
+        rows.append(_oracle_chain_row(prev, x, j + 3))
+    return tuple(rhos), tuple(residuals), rows
+
+
+def _oracle_rows(rhos):
+    """Rows 1..len(rhos)+1 rebuilt from given rho values."""
+    rows = [None, _oracle_row1(3)]
+    for i, x in enumerate(rhos, start=2):
+        rows.append(_oracle_chain_row(rows[i - 1], x, i + 2))
+    return rows
+
+
+@pytest.mark.parametrize("max_j", [0, 1, 2, 5, 13, 80])
+def test_chain_matches_oracle_exactly(max_j):
+    sol, rows = solve_rho_chain(max_j)
+    assert (sol.rhos, sol.residuals, rows) == _oracle_chain(max_j)
+    assert [len(row) for row in rows[1:]] == [i + 3 for i in range(1, max_j + 2)]
+
+
+def test_chain_to_the_guard_matches_oracle_and_pinned_bytes(capsys, monkeypatch):
+    # the longest chain takes ~16 s, so one solve serves the rows oracle and
+    # the stdout pin of `rho-table --max-j 1021 --format json`
+    from cubeflags.cli import main
+
+    solved = []
+    real_solve = rho.solve_rho_chain
+    monkeypatch.setattr(rho, "solve_rho_chain", lambda j: solved.append(real_solve(j)) or solved[-1])
+    assert main(["rho-table", "--max-j", str(rho.MAX_RHO_CHAIN_J), "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "262654790a3c05dc592c37adb16ada2d1b572727f26fef8dc3a06435779c9107")
+    [(sol, rows)] = solved
+    assert len(sol.rhos) == 1021
+    assert rows == _oracle_rows(sol.rhos)
+
+
+def test_limit_row_matches_oracle_exactly():
+    n = rho.LIMIT_SERIES_TERMS
+    for x in [k / 200 for k in range(201)] + [RHO_LIMIT_REF, 1e-300, 1.0 - 2.0**-53]:
+        assert rho._a_row(x, n + 1) == _oracle_limit_row(x, n)
+    assert rho._a_row(0.0, 3) == _oracle_row1(3)
 
 
 def test_product_formula_full_and_empty():
-    sol, table = solve_rho_chain(4)
+    sol, rows = solve_rho_chain(4)
     for i in (1, 2, 3, 4):
-        lf = product_formula(Genotype.full(i), table)
-        assert abs(lf - table.L(i, i + 1)) < 1e-14
-        assert product_formula(Genotype(i, 0), table) == 0.0
+        lf = product_formula(Genotype.full(i), rows)
+        assert abs(lf - rows[i][i + 1]) < 1e-14
+        assert product_formula(Genotype(i, 0), rows) == 0.0
+    with pytest.raises(ValueError, match="row 0 missing"):
+        product_formula(Genotype(0, 0), rows)
+    with pytest.raises(ValueError, match="row 6 missing"):
+        product_formula(Genotype(6, 0), rows)
 
 
 def test_product_formula_matches_genotype_levels_up_to_4():
-    sol, table = solve_rho_chain(4)
+    sol, rows = solve_rho_chain(4)
     rhos = sol.rhos
     rnd = random.Random(2)
     for level in (1, 2, 3, 4):
@@ -217,7 +307,7 @@ def test_product_formula_matches_genotype_levels_up_to_4():
         ]
         for mask in masks:
             g = Genotype(level, mask)
-            lhs = product_formula(g, table)
+            lhs = product_formula(g, rows)
             rhs = F_genotype(g, rhos)
             assert abs(math.exp(lhs) - rhs) < 1e-12 * rhs
 
@@ -260,10 +350,10 @@ def test_tree_route_agrees_for_binary_r3():
 
 
 def test_rho_solution_invariants():
-    sol, table = solve_rho_chain(13)
+    sol, rows = solve_rho_chain(13)
     assert all(0 < x < 1 for x in sol.rhos)
     assert all(x <= sol.rhos[0] + 1e-12 for x in sol.rhos)
-    for i, row in table.rows.items():
+    for row in rows[1:]:
         for j in range(1, len(row)):
             lo = 2.0 ** (j - 2) * math.log(3.0)
             hi = 2.0 ** (j - 1) * math.log(2.0)
@@ -272,16 +362,13 @@ def test_rho_solution_invariants():
 
 def test_monotone_root_function():
     # phi_j is strictly monotone on a grid of 100 points
-    table = LogATable()
-    table.ensure_row1(4)
-    sol, table = solve_rho_chain(3)
+    sol, rows = solve_rho_chain(3)
     for j in (1, 2, 3):
-        prev = table.rows[j]
+        prev = rows[j]
         vals = []
         for t in range(1, 101):
             x = t / 101.0
-            row = extend_a_row(LogATable(rows={1: table.rows[1], **{i: table.rows[i] for i in range(1, j + 1)}},
-                                         rho=dict(table.rho)), j + 1, x, ncols=j + 2)
+            row = extend_a_row(x, j + 2, prev, j + 1)
             vals.append(row[j + 2] - x * prev[j + 1] - 2.0**j)
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         assert all(d < 0 for d in diffs) or all(d > 0 for d in diffs)
@@ -334,10 +421,10 @@ def test_limit_recursion_seed_at_zero():
 
 
 def test_telescoping_diagonal():
-    sol, table = solve_rho_chain(13)
+    sol, rows = solve_rho_chain(13)
     lim = rho_limit().value
     i = 13
-    value = table.L(i, i + 1) / 2.0 ** (i - 1)
+    value = rows[i][i + 1] / 2.0 ** (i - 1)
     assert abs(value - 1.0 / (1.0 - lim / 2.0)) < 1e-8
 
 

@@ -635,6 +635,15 @@ def test_amplify_single_or_no_window():
     assert res.k_max == 2 ** res.detail["successful_windows"]
 
 
+def test_amplify_window_guard_boundary(monkeypatch):
+    nwin = len(S.amplify_demo(2, 10**13, 2, 0.25, seed=76).detail["windows"])
+    monkeypatch.setattr(S, "MAX_AMPLIFY_WINDOWS", nwin)
+    assert len(S.amplify_demo(2, 10**13, 2, 0.25, seed=76).detail["windows"]) == nwin
+    monkeypatch.setattr(S, "MAX_AMPLIFY_WINDOWS", nwin - 1)
+    with pytest.raises(CapacityError, match=f"more than {nwin - 1} windows"):
+        S.amplify_demo(2, 10**13, 2, 0.25, seed=76)
+
+
 def test_amplify_witness_sums_agree():
     res = S.amplify_demo(2, 10**13, 2, 0.25, seed=76)
     A = S.sample_log_set(1, 10**13, S.substream(76, 0))
