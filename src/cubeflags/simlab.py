@@ -15,18 +15,19 @@ only amplify and delta-poly (negative binomial and Poisson draws) build a
 Generator per trial.
 
 Subset sums are exact integers end to end: every census holds them as
-int64, which is exact for the guarded domain (elements <= 2^50, at most 26
-of them for the exact censuses, at most 8191 for the randomized search, so
-that n * 2^50 < 2^63).  No modular hashing is involved, so a reported
-collision is a real collision.
+int32 when its largest sum is at most 2^31 - 1, else as int64 (the
+randomized search always adds in int64), which is exact for the guarded
+domain (elements <= 2^50, at most 26 of them for the exact censuses, at most
+8191 for the randomized search, so that n * 2^50 < 2^63).  No modular
+hashing is involved, so a reported collision is a real collision.
 
 The equal-sums estimate decides its trials in batches of up to TRIAL_BATCH.
 _log_set_rows samples a batch's sets in lockstep, each from its own
 substream, and the exact trials of each set size walk their sorted subset
 sums together (_rows_have_k_equal_sums), in row batches of at most
-BATCH_SUMS sums (32 MB of int64; a larger single row runs alone).  Each row
-leaves the walk at the first level with k equal sums, and the outcomes are
-those of one trial at a time.
+BATCH_SUMS sums (a larger single row runs alone), writing each level once.
+Each row leaves the walk at the first level with k equal sums, and the
+outcomes are those of one trial at a time.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ MAX_DIVISORS = 10**6
 # made millions of them and ran out of memory
 MAX_AMPLIFY_WINDOWS = 10**5
 RANDOMIZED_SAMPLES = 20000
-BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 32 MB of int64
-MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own: 32 MB
+BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 16 MB as int32, 32 as int64
+MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own, in sums: 16 or 32 MB
 TRIAL_BATCH = 1 << 12  # equal-sums trials sampled and decided together
 BLOCK_WORDS = 1 << 19  # uint64 cells per numpy block of the delta samplers: 4 MB
 SIEVE_BOUND = 1 << 13  # factorization divides by the primes below it in numpy
@@ -303,17 +304,22 @@ def _distinct_values(A: Sequence[int], limit: int) -> list[int]:
     return values
 
 
+def _sum_dtype(total: int) -> type:
+    """The dtype of a census whose largest sum is total: int32 up to 2^31 - 1, else int64."""
+    return np.int32 if total < 1 << 31 else np.int64
+
+
 def _census_sums(values: Sequence[int], merge: bool = False) -> np.ndarray:
-    """All 2^n subset sums as int64, doubled into one buffer: indexed by
-    subset mask (bit i selects values[i]), or ascending if merge, each level
-    merging its shifted copy in with _merge_runs."""
-    sums = np.empty(1 << len(values), dtype=np.int64)
+    """All 2^n subset sums in _sum_dtype(sum(values)), doubled into one
+    buffer: indexed by subset mask (bit i selects values[i]), or ascending if
+    merge, each level merging its shifted copy in with _merge_runs."""
+    sums = np.empty(1 << len(values), dtype=_sum_dtype(sum(values)))
     sums[0] = 0
     for i, v in enumerate(values):
         np.add(sums[:1 << i], v, out=sums[1 << i:2 << i])
         if merge:
             # timsort may buffer what the census has yet to fill, and
-            # MERGE_SCRATCH_SUMS more: the peak stays within 32 MB of the census
+            # MERGE_SCRATCH_SUMS more: the peak stays within 2^22 sums of the census
             _merge_runs(sums[:2 << i], len(sums) - (2 << i) + MERGE_SCRATCH_SUMS)
     return sums
 
@@ -333,59 +339,68 @@ def _merge_runs(sums: np.ndarray, spare: int) -> None:
 
 
 def _run_starts(sums: np.ndarray, k: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, mask) per 2^22 positions of the sorted rows (last axis) of sums:
-    mask[..., j] says whether k >= 1 equal values start at position i + j.
-    A 2^26-sum row needs no 64 MB mask."""
-    end, step = sums.shape[-1] - k + 1, 1 << 22  # end: the positions a run of k can start at
+    """(i, mask) per 2^22 positions of the sorted 1-D sums: mask[j] says
+    whether k >= 1 equal values start at position i + j.  A 2^26-sum census
+    needs no 64 MB mask."""
+    end, step = len(sums) - k + 1, 1 << 22  # end: the positions a run of k can start at
     for i in range(0, end, step):
         stop = min(end, i + step)
-        yield i, sums[..., i + k - 1:stop + k - 1] == sums[..., i:stop]
+        yield i, sums[i + k - 1:stop + k - 1] == sums[i:stop]
 
 
-def _has_run(sums: np.ndarray, k: int) -> np.ndarray:
-    """Whether each sorted row (last axis) of sums holds k >= 1 equal values."""
-    hit = np.zeros(sums.shape[:-1], dtype=bool)
-    for _, mask in _run_starts(sums, k):
-        hit |= mask.any(axis=-1)
-    return hit
+def _has_run(sums: np.ndarray, k: int) -> bool:
+    """Whether the sorted 1-D sums hold k >= 1 equal values."""
+    return any(mask.any() for _, mask in _run_starts(sums, k))
 
 
 def _rows_have_k_equal_sums(values: np.ndarray, k: int) -> np.ndarray:
     """has_k_equal_sums for each row of the (R, n) int64 array values: the
-    rows walk their sorted subset sums together, in one buffer of R * 2^n sums.
+    rows walk their sorted subset sums together, in one buffer of R * 2^n sums
+    in _sum_dtype of the largest row total.
 
     A level is the C-ordered prefix of the buffer, so the memory touched
-    follows the levels reached.  Each level spreads the rows to twice their
-    width, writes each row's shifted copy behind it and merges the two sorted
-    runs (sort(kind="stable"), timsort); a row whose level holds k equal
-    neighbours is decided and leaves the walk.  A lone row merges with
-    _merge_runs, whose buffer is bounded as in the exact census.
+    follows the levels reached, and each level is written once.  Its left
+    halves are the rows before it, spread from the top row down in halving
+    chunks that lie past their source (so numpy buffers no copy), or the rows
+    kept after a decision, in one gather.  Each row's shifted copy goes behind
+    it and the two sorted runs merge (sort(kind="stable"), timsort); a row
+    whose level holds k equal neighbours is decided and leaves the walk.  A
+    lone row merges with _merge_runs, whose buffer is bounded as in the exact
+    census.
     """
     found = np.zeros(len(values), dtype=bool)
     rows = np.arange(len(values))
-    buf = np.empty(len(values) << values.shape[1], dtype=np.int64)
-    sums = buf[:len(values), None]
-    sums[:] = 0
+    values = values.astype(_sum_dtype(int(values.sum(axis=1).max(initial=0))))
+    buf = np.empty(len(values) << values.shape[1], dtype=values.dtype)
+    level, kept = buf[:len(values), None], None
+    level[:] = 0  # level 0: every row's empty sum
     for j in range(values.shape[1] + 1):
         if j:
-            m = sums.shape[1]
-            level = buf[:2 * sums.size].reshape(len(rows), 2 * m)
-            level[1:, :m] = sums[1:]  # row 0 stays; numpy buffers the overlapping copy
+            m = level.shape[1]
+            level = buf[:2 * m * len(rows)].reshape(len(rows), 2 * m)
+            if kept is not None:
+                level[:, :m], kept = kept, None
+            else:
+                hi = len(rows)  # row 0 stays
+                while hi > 1:
+                    lo = (hi + 1) // 2
+                    level[lo:hi, :m] = buf[lo * m:hi * m].reshape(hi - lo, m)
+                    hi = lo
             np.add(level[:, :m], values[rows, j - 1:j], out=level[:, m:])
             if len(rows) == 1:  # a lone row, up to 2^26 sums: bound the merge as the census does
                 _merge_runs(level[0], len(buf) - level.size + MERGE_SCRATCH_SUMS)
             else:
                 level.sort(axis=1, kind="stable")  # two sorted runs: timsort merges them in O(m)
-            sums = level
-        hit = _has_run(sums, k)
+        w, hit = level.shape[1], np.zeros(len(rows), dtype=bool)
+        for i, mask in _run_starts(level.ravel(), k):  # runs of k on the flat level, inside one row
+            starts = i + np.flatnonzero(mask)
+            hit[starts[starts % w <= w - k] // w] = True
         if hit.any():
             found[rows[hit]] = True
             rows = rows[~hit]
             if not len(rows):
                 break
-            kept = sums[~hit]
-            sums = buf[:kept.size].reshape(kept.shape)
-            sums[:] = kept
+            kept = level[~hit]
     return found
 
 
@@ -412,9 +427,9 @@ def _masks_with_sum(values: Sequence[int], target: int) -> np.ndarray:
     h = len(values) // 2
     low, high = _census_sums(values[:h]), _census_sums(values[h:])
     order = np.argsort(low, kind="stable")  # equal sums keep ascending low masks
-    low = low[order]
-    first = np.searchsorted(low, target - high, "left")
-    counts = np.searchsorted(low, target - high, "right") - first
+    low, rest = low[order], target - high.astype(np.int64)  # exact whatever the halves' dtypes
+    first = np.searchsorted(low, rest, "left")
+    counts = np.searchsorted(low, rest, "right") - first
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     low_masks = order[np.repeat(first, counts) + offsets]
     return (np.repeat(np.arange(len(high)), counts) << h | low_masks).astype(np.uint64)
@@ -465,11 +480,11 @@ def _randomized_search(values: list[int], samples: int, integers) -> Multiplicit
     # each sampled mask is a row of words, low word first: one uint64 draw
     # per sample up to 62 elements, else one 32-bit draw per word
     if n <= 62:
-        width, rows = 64, integers(1 << n, samples).reshape(samples, 1)
+        width, rows = 64, np.sort(integers(1 << n, samples)).reshape(samples, 1)  # ascending masks
     else:
         width, rows = 32, integers(1 << 32, samples * ((n + 31) // 32)).reshape(samples, -1)
         rows[:, -1] &= np.uint64((1 << (n - 32 * (rows.shape[1] - 1))) - 1)
-    rows = rows[np.lexsort(rows.T)]  # ascending masks: the last word is the primary key
+        rows = rows[np.lexsort(rows.T)]  # ascending masks: the last word is the primary key
     rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
     sums = np.zeros(len(rows), dtype=np.int64)
     for base in range(0, n, 8):  # each byte of the masks indexes its census table

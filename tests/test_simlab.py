@@ -139,7 +139,7 @@ def test_has_k_equal_sums_matches_census():
             assert S.has_k_equal_sums(vals, k) == (res.k_max >= k)
 
 
-# Loop references for the int64 census: a Python-int dict walk for
+# Loop references for the census: a Python-int dict walk for
 # has_k_equal_sums and a per-mask bit loop for the randomized search.
 
 
@@ -242,6 +242,64 @@ def test_has_k_equal_sums_matches_dict_walk():
             got = S.has_k_equal_sums(A, k)
             assert got == _dict_walk_has_k_equal_sums(A, k), (t, A, k)
             assert got == (k <= k_max), (t, A, k)
+
+
+def _int64_level_walk(values, k):
+    # the int64 row walk the one-write kernel replaced: each level compacts
+    # the kept rows, spreads them with an overlapping copy, then merges
+    found = np.zeros(len(values), dtype=bool)
+    rows = np.arange(len(values))
+    buf = np.empty(len(values) << values.shape[1], dtype=np.int64)
+    sums = buf[:len(values), None]
+    sums[:] = 0
+    for j in range(values.shape[1] + 1):
+        if j:
+            m = sums.shape[1]
+            level = buf[:2 * sums.size].reshape(len(rows), 2 * m)
+            level[1:, :m] = sums[1:]
+            np.add(level[:, :m], values[rows, j - 1:j], out=level[:, m:])
+            if len(rows) == 1:
+                S._merge_runs(level[0], len(buf) - level.size + S.MERGE_SCRATCH_SUMS)
+            else:
+                level.sort(axis=1, kind="stable")
+            sums = level
+        hit = (sums[:, k - 1:] == sums[:, :sums.shape[1] - k + 1]).any(axis=1)
+        if hit.any():
+            found[rows[hit]] = True
+            rows = rows[~hit]
+            if not len(rows):
+                break
+            kept = sums[~hit]
+            sums = buf[:kept.size].reshape(kept.shape)
+            sums[:] = kept
+    return found
+
+
+def _walk_cases():
+    # seeded (R, n) rows: tiny ranges (repeated values within a row), elements
+    # up to 2^50 and lone rows; and rows whose largest element brings every
+    # total to exactly 2^31 - 1, the most the int32 census takes, or to 2^31
+    rng = S.substream(64, 0)
+    for n in range(17):
+        for t, top in enumerate([3, 40, 1 << 20, S.MAX_ELEMENT]):
+            R = 1 if t == 0 else int(rng.integers(2, 12 if n > 12 else 40))
+            values = np.sort(rng.integers(1, top, size=(R, n), endpoint=True), axis=1)
+            yield values
+            if n and top <= 1 << 20:
+                for total in ((1 << 31) - 1, 1 << 31):
+                    edge = values.copy()
+                    edge[:, -1] = total - values[:, :-1].sum(axis=1)
+                    yield edge
+
+
+def test_row_walk_matches_the_int64_walk():
+    largest = set()
+    for values in _walk_cases():
+        largest.add(int(values.sum(axis=1).max(initial=0)))
+        for k in range(1, 5):
+            assert (S._rows_have_k_equal_sums(values, k) == _int64_level_walk(values, k)).all(), (values, k)
+    assert {(1 << 31) - 1, 1 << 31} <= largest
+    assert S._sum_dtype((1 << 31) - 1) == np.int32 and S._sum_dtype(1 << 31) == np.int64
 
 
 @pytest.mark.parametrize("A", [[0, 1], [3, S.MAX_ELEMENT + 1]])
@@ -356,15 +414,23 @@ def test_equal_sums_walk_peak_rss():
     assert peak < 0.65e9
 
 
+def test_equal_sums_walk_on_int32_sums_peak_rss():
+    # the powers of two sum below 2^31: their 2^26 sums take 256 MB as int32
+    result, peak = _child_peak_rss("has_k_equal_sums([1 << i for i in range(26)], 2)")
+    assert result == "False"
+    assert peak < 0.4e9
+
+
 def test_row_batches_memory_bounded():
     # two 26-element trials each fill a row batch alone: the first batch's
     # 512 MB buffer must be gone before the second allocates, within 1 GiB
+    # (powers of two from 2^6 sum past 2^31, so their sums are int64)
     src = str(Path(S.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import numpy as np\n"
         "from cubeflags.simlab import _decide_trials\n"
-        "rows = np.array([[1 << i for i in range(26)]] * 2, dtype=np.int64)\n"
+        "rows = np.array([[1 << (i + 6) for i in range(26)]] * 2, dtype=np.int64)\n"
         "print(_decide_trials(0, rows, np.array([26, 26]), 2, 0).tolist())\n"
     )
     proc = subprocess.run(
