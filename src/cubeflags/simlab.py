@@ -23,11 +23,12 @@ hashing is involved, so a reported collision is a real collision.
 
 The equal-sums estimate decides its trials in batches of up to TRIAL_BATCH.
 _log_set_rows samples a batch's sets in lockstep, each from its own
-substream, and the exact trials of each set size walk their sorted subset
-sums together (_rows_have_k_equal_sums), in row batches of at most
-BATCH_SUMS sums (a larger single row runs alone), writing each level once.
-Each row leaves the walk at the first level with k equal sums, and the
-outcomes are those of one trial at a time.
+substream, and all exact trials walk their sorted subset sums together
+(_rows_have_k_equal_sums), each only up to its last element that does not
+exceed the sum of those below it (_needed_lengths), writing each level once
+in levels of at most BATCH_SUMS sums (a larger single row runs alone).  Each
+row leaves at its first level with k equal sums or after its last level,
+and the outcomes are those of one trial at a time.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def _philox_integers(keys: np.ndarray, high: int, start: int, size: int) -> np.n
         else:
             hi, lo = _mulhilo(high, w)
         ok = lo >= threshold  # all True for a power of two
+        if ok.all():
+            return hi[:, :size]
         if (np.count_nonzero(ok, axis=1) >= size).all():
             return np.take_along_axis(hi, np.argsort(~ok, axis=1, kind="stable")[:, :size], axis=1)
         words *= 2
@@ -353,54 +356,66 @@ def _has_run(sums: np.ndarray, k: int) -> bool:
     return any(mask.any() for _, mask in _run_starts(sums, k))
 
 
-def _rows_have_k_equal_sums(values: np.ndarray, k: int) -> np.ndarray:
-    """has_k_equal_sums for each row of the (R, n) int64 array values: the
-    rows walk their sorted subset sums together, in one buffer of R * 2^n sums
-    in _sum_dtype of the largest row total.
+def _needed_lengths(values: np.ndarray) -> np.ndarray:
+    """The prefix m of each ascending, zero-padded row of the (R, n) int64
+    values that decides its census (has_k_equal_sums): the last j with
+    a_j <= a_1 + ... + a_{j-1}, or 0."""
+    a, before = values[:, 1:], np.cumsum(values, axis=1)[:, :-1]
+    return (((0 < a) & (a <= before)) * np.arange(2, values.shape[1] + 1)).max(axis=1, initial=0)
 
-    A level is the C-ordered prefix of the buffer, so the memory touched
-    follows the levels reached, and each level is written once.  Its left
-    halves are the rows before it, spread from the top row down in halving
-    chunks that lie past their source (so numpy buffers no copy), or the rows
-    kept after a decision, in one gather.  Each row's shifted copy goes behind
-    it and the two sorted runs merge (sort(kind="stable"), timsort); a row
-    whose level holds k equal neighbours is decided and leaves the walk.  A
-    lone row merges with _merge_runs, whose buffer is bounded as in the exact
-    census.
+
+def _rows_have_k_equal_sums(values: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
+    """has_k_equal_sums of values[r, :lengths[r]] for each row r of the (R, n)
+    int64 array values (with _needed_lengths, of the whole row), walking the
+    rows' sorted subset sums together in _sum_dtype of the largest total.
+
+    A level is the C-ordered prefix of one buffer, so the memory touched
+    follows the levels reached, and each level is written once.  A row leaves
+    at the first level with k equal neighbours (True) or after level
+    lengths[r] (False).  The rows that walk on are the next level's left
+    halves: the first rows spread from the top row down in halving chunks
+    past their source (so numpy buffers no copy), others in one gather.
+    Each row's shifted copy goes behind it and the two sorted runs merge
+    (timsort).  A level of width 2w keeps at most max(1, BATCH_SUMS // 2w)
+    rows; the rest walk again from level 0 in a later pass, with a new buffer
+    once this one is freed.  A lone row merges with _merge_runs, whose buffer
+    is bounded as in the exact census.
     """
     found = np.zeros(len(values), dtype=bool)
-    rows = np.arange(len(values))
+    values = np.where(np.arange(values.shape[1]) < lengths[:, None], values, 0)
     values = values.astype(_sum_dtype(int(values.sum(axis=1).max(initial=0))))
-    buf = np.empty(len(values) << values.shape[1], dtype=values.dtype)
-    level, kept = buf[:len(values), None], None
-    level[:] = 0  # level 0: every row's empty sum
-    for j in range(values.shape[1] + 1):
-        if j:
-            m = level.shape[1]
-            level = buf[:2 * m * len(rows)].reshape(len(rows), 2 * m)
-            if kept is not None:
-                level[:, :m], kept = kept, None
-            else:
-                hi = len(rows)  # row 0 stays
-                while hi > 1:
-                    lo = (hi + 1) // 2
-                    level[lo:hi, :m] = buf[lo * m:hi * m].reshape(hi - lo, m)
-                    hi = lo
-            np.add(level[:, :m], values[rows, j - 1:j], out=level[:, m:])
+    todo = np.arange(len(values))
+    while len(todo):
+        rows, todo, buf, level = todo, todo[:0], None, None  # the last pass's buffer goes first
+        top = int(lengths[rows].max())  # a level holds a lone row of up to 2^top sums, or at most BATCH_SUMS
+        buf = np.empty(max(len(rows), min(len(rows) << top, max(BATCH_SUMS, 1 << top))), dtype=values.dtype)
+        level = buf[:len(rows), None]
+        level[:] = 0  # level 0: every row's empty sum
+        for j in range(top + 1):
+            w, hit = level.shape[1], np.zeros(len(rows), dtype=bool)
+            for i, mask in _run_starts(level.ravel(), k):  # runs of k on the flat level, inside one row
+                starts = i + np.flatnonzero(mask)
+                hit[starts[starts % w <= w - k] // w] = True
+            found[rows[hit]] = True
+            walk = np.flatnonzero(~hit & (lengths[rows] > j))  # the rows with a level to go
+            cap = max(1, BATCH_SUMS // (2 * w))  # rows the next level keeps; the rest wait for a later pass
+            walk, todo = walk[:cap], np.concatenate([todo, rows[walk[cap:]]])
+            if not len(walk):
+                break
+            left = level[walk] if walk[-1] >= len(walk) else None  # a gather, unless the first rows walk on
+            rows, level = rows[walk], buf[:2 * w * len(walk)].reshape(len(walk), 2 * w)
+            hi = len(rows) if left is None else 1  # row 0 stays
+            while hi > 1:
+                lo = (hi + 1) // 2
+                level[lo:hi, :w] = buf[lo * w:hi * w].reshape(hi - lo, w)
+                hi = lo
+            if left is not None:
+                level[:, :w], left = left, None
+            np.add(level[:, :w], values[rows, j:j + 1], out=level[:, w:])
             if len(rows) == 1:  # a lone row, up to 2^26 sums: bound the merge as the census does
                 _merge_runs(level[0], len(buf) - level.size + MERGE_SCRATCH_SUMS)
             else:
-                level.sort(axis=1, kind="stable")  # two sorted runs: timsort merges them in O(m)
-        w, hit = level.shape[1], np.zeros(len(rows), dtype=bool)
-        for i, mask in _run_starts(level.ravel(), k):  # runs of k on the flat level, inside one row
-            starts = i + np.flatnonzero(mask)
-            hit[starts[starts % w <= w - k] // w] = True
-        if hit.any():
-            found[rows[hit]] = True
-            rows = rows[~hit]
-            if not len(rows):
-                break
-            kept = level[~hit]
+                level.sort(axis=1, kind="stable")  # two sorted runs: timsort merges them in O(w)
     return found
 
 
@@ -450,8 +465,9 @@ def max_subset_sum_multiplicity(
 ) -> MultiplicityResult:
     """Maximum number of distinct subsets of A sharing one sum.
 
-    exact mode walks all 2^n sorted subset sums (n <= 26), takes the longest
-    run, and recovers its k_max witnesses by meet in the middle; randomized
+    exact mode walks all 2^m sorted subset sums of the prefix that
+    has_k_equal_sums describes (m <= n <= 26), takes the longest run, and
+    recovers its k_max witnesses by meet in the middle; randomized
     mode draws subsets uniformly at random (deduplicated), giving a
     lower-bound witness.  Ties go to the least sum, and witnesses are listed
     by ascending subset mask.
@@ -463,6 +479,7 @@ def max_subset_sum_multiplicity(
         return _randomized_search(values, samples, lambda high, size: rng.integers(0, high, size, np.uint64))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
+    values = values[:int(_needed_lengths(np.array([values], dtype=np.int64))[0])]
     sums = _census_sums(values, merge=True)
     k_max, witness_sum = _longest_run(sums)
     del sums  # freed before the witnesses are built
@@ -499,13 +516,14 @@ def _randomized_search(values: list[int], samples: int, integers) -> Multiplicit
 def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
     """Exact decision: do k distinct subsets of A share a sum?
 
-    The one-row case of _rows_have_k_equal_sums: walks the sorted subset sums
-    level by level (one element at a time) and stops at the first level with
-    k equal neighbours, which makes collision-rich sets cheap; a full 2^n
-    walk happens only for sets that are nearly sum-distinct.
+    Let m be the last j with a_j <= a_1 + ... + a_{j-1} in A ascending (0 if
+    none).  Past a_m each element exceeds the sum of all before it, so equal
+    sums use the same ones (the last element where two subsets differ would
+    outweigh all below it), and only a_1..a_m is walked: level by level, up to
+    the first level with k equal neighbours (_rows_have_k_equal_sums, one row).
     """
-    values = _distinct_values(A, EXACT_SUBSET_LIMIT)
-    return k <= 1 or bool(_rows_have_k_equal_sums(np.array([values], dtype=np.int64), k)[0])
+    values = np.array([_distinct_values(A, EXACT_SUBSET_LIMIT)], dtype=np.int64)
+    return k <= 1 or bool(_rows_have_k_equal_sums(values, _needed_lengths(values), k)[0])
 
 
 def wilson_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -582,15 +600,12 @@ def _randomized_trial(values: list[int], seed: int, trial: int) -> MultiplicityR
 
 
 def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Success per trial of a batch: the exact trials by size group, each
-    group walked in row batches of at most BATCH_SUMS sums (one row if a row
-    alone is larger), and the rest by the randomized search."""
+    """Success per trial of a batch: the exact trials in one row walk over
+    the prefixes their sets need, the rest by the randomized search."""
     success = np.zeros(len(sizes), dtype=bool)
-    for n in np.flatnonzero(np.bincount(sizes[sizes <= EXACT_SUBSET_LIMIT])).tolist():
-        group, step = np.flatnonzero(sizes == n), max(1, BATCH_SUMS >> n)
-        for i in range(0, len(group), step):  # each buffer is freed before the next is made
-            rows = group[i:i + step]
-            success[rows] = _rows_have_k_equal_sums(elements[rows, :n], k)
+    exact = np.flatnonzero(sizes <= EXACT_SUBSET_LIMIT)
+    values = elements[exact, :EXACT_SUBSET_LIMIT]
+    success[exact] = _rows_have_k_equal_sums(values, _needed_lengths(values), k)
     for r in np.flatnonzero(sizes > EXACT_SUBSET_LIMIT).tolist():
         success[r] = _randomized_trial(elements[r, :sizes[r]].tolist(), seed, first + r).k_max >= k
     return success
@@ -607,8 +622,8 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     """Fraction of trials in which A /\\ [D^c, D] has k equal subset sums.
 
     The trials are decided in batches, with the same outcomes as one trial at
-    a time: _log_set_rows samples a batch's sets in lockstep, and the exact
-    trials of each set size share one row-batched census.
+    a time: _log_set_rows samples a batch's sets in lockstep, and its exact
+    trials share one level walk.
 
     The estimate is monotone nonincreasing in c up to CI width; no finite-D
     agreement with the asymptotic thresholds is claimed (convergence in D is

@@ -2,6 +2,8 @@ import math
 import resource
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,14 +294,99 @@ def _walk_cases():
                     yield edge
 
 
-def test_row_walk_matches_the_int64_walk():
+def test_row_walk_matches_the_int64_walk(monkeypatch):
+    # each case walks its full rows, then the same rows cut to seeded lengths
+    # in one call, one of them 0 and one the full width; the oracle walks the
+    # rows of each length apart.  The small caps defer rows on many levels.
+    rng, caps = S.substream(65, 0), (S.BATCH_SUMS, 1 << 7, 1)
     largest = set()
     for values in _walk_cases():
+        R, n = values.shape
+        cut = rng.integers(0, n, size=R, endpoint=True)
+        cut[0], cut[-1] = 0, n
         largest.add(int(values.sum(axis=1).max(initial=0)))
-        for k in range(1, 5):
-            assert (S._rows_have_k_equal_sums(values, k) == _int64_level_walk(values, k)).all(), (values, k)
+        for lengths in (np.full(R, n), cut):
+            for k in range(1, 5):
+                want = np.zeros(R, dtype=bool)
+                for m in set(lengths.tolist()):
+                    want[lengths == m] = _int64_level_walk(values[lengths == m, :m], k)
+                for batch_sums in caps:
+                    monkeypatch.setattr(S, "BATCH_SUMS", batch_sums)
+                    got = S._rows_have_k_equal_sums(values, lengths, k)
+                    assert (got == want).all(), (values, lengths, k, batch_sums)
     assert {(1 << 31) - 1, 1 << 31} <= largest
     assert S._sum_dtype((1 << 31) - 1) == np.int32 and S._sum_dtype(1 << 31) == np.int64
+
+
+# The prefix rule: past the last element a_m that is at most the sum of the
+# elements below it, subsets with equal sums hold the same elements, so the
+# census of a_1..a_m decides the set.  Checked against a brute-force Counter
+# over all 2^n subset sums and the dict walk, on seeded sets alone, with a
+# tail of elements that each exceed the sum before them (dominated), and
+# with one more element equal to that sum (needed).
+
+
+def _counter_multiplicity(A):
+    values = sorted(set(A))
+    sums = [0]  # indexed by subset mask
+    for v in values:
+        sums += [s + v for s in sums]
+    counts = Counter(sums)
+    k_max = max(counts.values())
+    witness_sum = min(s for s, c in counts.items() if c == k_max)
+    witnesses = tuple(tuple(i for i in range(len(values)) if mask >> i & 1)
+                      for mask, s in enumerate(sums) if s == witness_sum)
+    return S.MultiplicityResult(k_max, witness_sum, witnesses, True)
+
+
+def _needed_length(values):
+    return max((j for j in range(1, len(values) + 1) if values[j - 1] <= sum(values[:j - 1])), default=0)
+
+
+def _prefix_rule_cases():
+    rng = S.substream(66, 0)
+    for t in range(80):
+        top = int(rng.choice([6, 50, 1000, 1 << 20]))
+        base = sorted(set(rng.integers(1, top, size=int(rng.integers(0, 11)), endpoint=True).tolist()))
+        tail = list(base)
+        for _ in range(int(rng.integers(1, 5))):
+            tail.append(sum(tail) + int(rng.integers(1, 4)))
+        yield base, tail
+        if len(base) >= 2:
+            yield base + [sum(base)], base + [sum(base), 2 * sum(base) + 1]
+
+
+def test_prefix_rule_keeps_every_multiplicity():
+    rows = []
+    for A, with_tail in _prefix_rule_cases():
+        assert _needed_length(with_tail) == _needed_length(A), (A, with_tail)
+        for B in (A, with_tail):
+            rows.append(B)
+            assert S.max_subset_sum_multiplicity(B, "exact") == _counter_multiplicity(B), B
+            for k in range(1, 5):
+                assert S.has_k_equal_sums(B, k) == _dict_walk_has_k_equal_sums(B, k), (B, k)
+    assert any(_needed_length(B) == len(B) > 0 for B in rows)  # the equal element is needed
+    assert any(_needed_length(B) == 0 < len(B) for B in rows)
+    # every row in one call, zero-padded
+    padded = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for r, B in enumerate(rows):
+        padded[r, :len(B)] = B
+    assert S._needed_lengths(padded).tolist() == [_needed_length(B) for B in rows]
+
+
+def test_dominated_powers_of_two_need_no_walk():
+    # each power of two exceeds the sum of those below it, so m = 0: the
+    # 26 of them are decided on level 0, with no 2^26-sum buffer
+    A = [1 << i for i in range(26)]
+    assert S._needed_lengths(np.array([A], dtype=np.int64)).tolist() == [0]
+    tracemalloc.start()
+    try:
+        assert not S.has_k_equal_sums(A, 2)
+        assert S.max_subset_sum_multiplicity(A, "exact") == S.MultiplicityResult(1, 0, ((),), True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("A", [[0, 1], [3, S.MAX_ELEMENT + 1]])
@@ -346,6 +433,25 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _conway_guy(n):
+    # the Conway-Guy sum-distinct set of n elements: u_0 = 0, u_1 = 1,
+    # u_{i+1} = 2 u_i - u_{i - round(sqrt(2 i))}, and the set {u_n - u_i : i < n}.
+    # Its largest element is at most the sum of the others, so every census
+    # of it walks all 2^n sums; for n = 26 they sum below 2^31
+    u = [0, 1]
+    for i in range(1, n):
+        u.append(2 * u[i] - u[i - round(math.sqrt(2 * i))])
+    return sorted(u[n] - u[i] for i in range(n))
+
+
+def test_conway_guy_sets_walk_every_level():
+    for n in (12, 24, 26):
+        A = _conway_guy(n)
+        assert S._needed_lengths(np.array([A, [a << 20 for a in A]], dtype=np.int64)).tolist() == [n, n]
+    assert sum(_conway_guy(26)) == 413708110
+    assert not S.has_k_equal_sums(_conway_guy(12), 2)  # sum-distinct
+
+
 def test_has_k_equal_sums_memory_bounded():
     # 2^24 distinct subset sums must fit in 1 GiB of address space
     # (a dict of Python ints needs several times that)
@@ -353,7 +459,7 @@ def test_has_k_equal_sums_memory_bounded():
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "from cubeflags.simlab import has_k_equal_sums\n"
-        "print(has_k_equal_sums([1 << i for i in range(24)], 2))\n"
+        f"print(has_k_equal_sums({_conway_guy(24)!r}, 2))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -363,10 +469,12 @@ def test_has_k_equal_sums_memory_bounded():
     assert proc.stdout == "False\n"
 
 
-# Two sum-distinct sets of 26 elements: the powers of two, whose levels are
-# already sorted, and powers of two raised by 2^40, whose levels interleave
-# and need the sort's merge buffer.
-@pytest.mark.parametrize("A", ["[1 << i for i in range(26)]", "[(1 << 40) + (1 << i) for i in range(26)]"])
+# Two sum-distinct sets of 26 elements that every census walks in full: the
+# Conway-Guy set, whose sums fit int32, and powers of two raised by 2^40,
+# whose sums are int64.  Both interleave their levels and need the sort's
+# merge buffer.
+@pytest.mark.parametrize("A", [pytest.param(repr(_conway_guy(26)), id="conway-guy-26"),
+                               "[(1 << 40) + (1 << i) for i in range(26)]"])
 def test_exact_multiplicity_memory_bounded(A):
     # the full exact census of 2^26 distinct sums, the most the guard allows,
     # must fit in 1 GiB of address space
@@ -415,22 +523,23 @@ def test_equal_sums_walk_peak_rss():
 
 
 def test_equal_sums_walk_on_int32_sums_peak_rss():
-    # the powers of two sum below 2^31: their 2^26 sums take 256 MB as int32
-    result, peak = _child_peak_rss("has_k_equal_sums([1 << i for i in range(26)], 2)")
+    # the Conway-Guy set sums below 2^31: its 2^26 sums take 256 MB as int32
+    result, peak = _child_peak_rss(f"has_k_equal_sums({_conway_guy(26)!r}, 2)")
     assert result == "False"
     assert peak < 0.4e9
 
 
 def test_row_batches_memory_bounded():
-    # two 26-element trials each fill a row batch alone: the first batch's
-    # 512 MB buffer must be gone before the second allocates, within 1 GiB
-    # (powers of two from 2^6 sum past 2^31, so their sums are int64)
+    # two 26-element trials each need a lone row's pass past 2^22 sums: the
+    # first pass's 512 MB buffer must be gone before the second allocates,
+    # within 1 GiB (the Conway-Guy set times 2^20 sums past 2^31, so its sums
+    # are int64)
     src = str(Path(S.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import numpy as np\n"
         "from cubeflags.simlab import _decide_trials\n"
-        "rows = np.array([[1 << (i + 6) for i in range(26)]] * 2, dtype=np.int64)\n"
+        f"rows = np.array([[a << 20 for a in {_conway_guy(26)!r}]] * 2, dtype=np.int64)\n"
         "print(_decide_trials(0, rows, np.array([26, 26]), 2, 0).tolist())\n"
     )
     proc = subprocess.run(
@@ -548,10 +657,12 @@ def test_equal_sums_probability_matches_per_trial_loop(D, k):
         assert S.equal_sums_probability(D, c, k, trials, seed) == expected, (c, seed)
 
 
-@pytest.mark.parametrize("batch_sums, trial_batch", [(S.BATCH_SUMS, S.TRIAL_BATCH), (1 << 10, 7), (1, 1)])
+@pytest.mark.parametrize("batch_sums, trial_batch",
+                         [(S.BATCH_SUMS, S.TRIAL_BATCH), (1 << 10, 7), (1 << 6, 50), (1, 1)])
 def test_equal_sums_batches_match_per_trial_loop(monkeypatch, batch_sums, trial_batch):
     # trial by trial, so that rows swapped within a batch show; the small caps
-    # split every size group and every run into many batches
+    # defer rows to later passes on several levels of one walk (2^6 sums: on
+    # every level from the first), and one trial per batch walks alone
     monkeypatch.setattr(S, "BATCH_SUMS", batch_sums)
     monkeypatch.setattr(S, "TRIAL_BATCH", trial_batch)
     for D, c, k, seed in ((1e6, 0.3, 2, 5), (1e8, 0.02, 3, 6), (1e5, 0.02, 1, 7)):
