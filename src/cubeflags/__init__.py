@@ -59,7 +59,6 @@ from .rho import (
 )
 from .simlab import (
     DeltaSample,
-    LogRandomSet,
     MultiplicityResult,
     amplify_demo,
     delta_integer,
@@ -68,8 +67,6 @@ from .simlab import (
     equal_sums_probability,
     irreducible_count,
     max_subset_sum_multiplicity,
-    sample_cycle_type,
-    sample_log_set,
     substream,
 )
 

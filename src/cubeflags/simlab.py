@@ -9,9 +9,9 @@ aggregation is restricted to order-independent reductions over trial-indexed
 rows.  Philox word s is a pure function of the key and the counter
 1 + s // 4, so _philox_keys and _philox_words compute the words of a whole
 batch of substreams in numpy, bit for bit, with no Generator built.  The
-equal-sums sets and the randomized search's masks, the delta-int integers
-(numpy's bounded draws) and the delta-perm uniforms all come from them;
-only amplify and delta-poly (negative binomial and Poisson draws) build a
+equal-sums and amplify sets, the randomized search's masks, the delta-int
+integers (numpy's bounded draws) and the delta-perm uniforms all come from
+them; only delta-poly (negative binomial and Poisson draws) builds a
 Generator per trial.
 
 Subset sums are exact integers end to end: every census holds them as
@@ -202,19 +202,6 @@ def _philox_integers(keys: np.ndarray, high: int, start: int, size: int) -> np.n
 # Logarithmic random sets
 
 
-@dataclass(frozen=True)
-class LogRandomSet:
-    """A sample of {i in (lo, hi] : independent coin of bias 1/i came up}."""
-
-    lo: int
-    hi: int
-    elements: tuple[int, ...]
-    seed_info: str = ""
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def _log_set_rows(lo: int, hi: int, rows: int, draw):
     """Sample `rows` logarithmic random sets on (lo, hi], in lockstep.
 
@@ -250,30 +237,11 @@ def _log_set_rows(lo: int, hi: int, rows: int, draw):
     return elements, np.count_nonzero(elements, axis=1)
 
 
-def _generator_draws(rngs: Sequence[np.random.Generator], block: int = 32):
-    """Draw source over Generators: rng.random(block) gives the same doubles
-    as block scalar draws, in order, so each generator is left past its last
-    block."""
-    return lambda live, start: np.array([rngs[r].random(block) for r in live])
-
-
 def _key_draws(keys: np.ndarray, block: int = 32):
-    """Draw source over Philox keys: the doubles _generator_draws gives on
-    the generators they key, computed without one."""
+    """Draw source over Philox keys: for each row in live, the doubles start
+    .. start + block - 1 that random() gives on the Generator its key seeds,
+    computed without one."""
     return lambda live, start: _philox_uniforms(keys[live], start, block)
-
-
-def sample_log_set(lo: int, hi: int, rng: np.random.Generator, seed_info: str = "") -> LogRandomSet:
-    """Sample a logarithmic random set on (lo, hi]: the one-row case of
-    _log_set_rows.  rng is left past exactly the n + 1 draws the set used.
-
-    Cost is proportional to the expected output size log(hi/lo), so
-    astronomically wide ranges are fine.
-    """
-    if not (1 <= lo < hi <= MAX_ELEMENT):
-        raise ValueError(f"need 1 <= lo < hi <= 2^50, got ({lo}, {hi})")
-    elements, sizes = _log_set_rows(lo, hi, 1, _generator_draws([rng], block=1))
-    return LogRandomSet(lo, hi, tuple(elements[0, :sizes[0]].tolist()), seed_info)
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +425,15 @@ def _witnesses(words: np.ndarray, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
 
 
-def max_subset_sum_multiplicity(
-    A: Sequence[int],
-    mode: str = "exact",
-    rng: Optional[np.random.Generator] = None,
-    samples: int = RANDOMIZED_SAMPLES,
-) -> MultiplicityResult:
-    """Maximum number of distinct subsets of A sharing one sum.
+def max_subset_sum_multiplicity(A: Sequence[int]) -> MultiplicityResult:
+    """Maximum number of distinct subsets of A sharing one sum, exact.
 
-    exact mode walks all 2^m sorted subset sums of the prefix that
-    has_k_equal_sums describes (m <= n <= 26), takes the longest run, and
-    recovers its k_max witnesses by meet in the middle; randomized
-    mode draws subsets uniformly at random (deduplicated), giving a
-    lower-bound witness.  Ties go to the least sum, and witnesses are listed
-    by ascending subset mask.
+    Walks all 2^m sorted subset sums of the prefix that has_k_equal_sums
+    describes (m <= n <= 26), takes the longest run, and recovers its k_max
+    witnesses by meet in the middle.  Ties go to the least sum, and witnesses
+    are listed by ascending subset mask.
     """
-    values = _distinct_values(A, EXACT_SUBSET_LIMIT if mode == "exact" else RANDOMIZED_SUBSET_LIMIT)
-    if mode == "randomized":
-        if rng is None:
-            raise ValueError("randomized mode needs an rng")
-        return _randomized_search(values, samples, lambda high, size: rng.integers(0, high, size, np.uint64))
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
+    values = _distinct_values(A, EXACT_SUBSET_LIMIT)
     values = values[:int(_needed_lengths(np.array([values], dtype=np.int64))[0])]
     sums = _census_sums(values, merge=True)
     k_max, witness_sum = _longest_run(sums)
@@ -488,9 +443,11 @@ def max_subset_sum_multiplicity(
 
 
 def _randomized_search(values: list[int], samples: int, integers) -> MultiplicityResult:
-    """The randomized mode of max_subset_sum_multiplicity on the checked
-    values: integers(high, size) gives `size` uniform uint64 draws below high,
-    in the order of the Generator's integers(0, high, size)."""
+    """A lower-bound witness of max_subset_sum_multiplicity on the checked
+    values, from `samples` subsets drawn uniformly at random (deduplicated):
+    integers(high, size) gives `size` uniform uint64 draws below high, in the
+    order of the Generator's integers(0, high, size).  Ties go to the least
+    sum, and witnesses are listed by ascending subset mask."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = len(values)
@@ -507,9 +464,9 @@ def _randomized_search(values: list[int], samples: int, integers) -> Multiplicit
     for base in range(0, n, 8):  # each byte of the masks indexes its census table
         w, shift = divmod(base, width)
         sums += _census_sums(values[base:base + 8])[(rows[:, w] >> np.uint64(shift)) & np.uint64(0xFF)]
-    uniq, inverse, counts = np.unique(sums, return_inverse=True, return_counts=True)
+    uniq, counts = np.unique(sums, return_counts=True)
     best = int(np.argmax(counts))  # first maximum: the least sum
-    witnesses = _witnesses(rows[inverse == best], width)
+    witnesses = _witnesses(rows[sums == uniq[best]], width)
     return MultiplicityResult(int(counts[best]), int(uniq[best]), witnesses, False)
 
 
@@ -611,13 +568,6 @@ def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, 
     return success
 
 
-def equal_sums_trial(D: float, c: float, k: int, seed: int, trial: int) -> tuple[bool, bool, int]:
-    """One trial: (success, was_exact, set size)."""
-    batch = next(_trial_batches(D, c, seed, trial, trial + 1))
-    n = int(batch[2][0])
-    return bool(_decide_trials(*batch, k, seed)[0]), n <= EXACT_SUBSET_LIMIT, n
-
-
 def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -> EqualSumsEstimate:
     """Fraction of trials in which A /\\ [D^c, D] has k equal subset sums.
 
@@ -649,7 +599,7 @@ def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> list[
     for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
         for r, n in enumerate(sizes.tolist()):
             values = elements[r, :n].tolist()
-            res = (max_subset_sum_multiplicity(values, "exact") if n <= EXACT_SUBSET_LIMIT
+            res = (max_subset_sum_multiplicity(values) if n <= EXACT_SUBSET_LIMIT
                    else _randomized_trial(values, seed, first + r))
             rows.append({"trial": first + r, "set_size": n, "k_max": res.k_max, "exact": int(res.exact)})
     return rows
@@ -663,8 +613,11 @@ def amplify_demo(
     Splits [D1, D2] into windows [D2^(alpha^(i+1)), D2^(alpha^i)), finds k
     equal subset sums inside each window that admits them, and returns the
     union family: picking one of the k witnesses per successful window gives
-    k^(#successes) distinct sets, all with the same total.
+    k^(#successes) distinct sets, all with the same total.  The set is drawn
+    on (D1 - 1, D2] from substream(seed, trial), computed from its key.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if not 2 <= D1 < D2 <= MAX_ELEMENT:
@@ -676,9 +629,9 @@ def amplify_demo(
                                 f"[{D1}, {D2}] into more than {MAX_AMPLIFY_WINDOWS} windows")
         windows.append((lower, D2 ** (alpha ** len(windows))))
 
-    rng = substream(seed, trial)
-    A = sample_log_set(D1 - 1, D2, rng)
-    elements = A.elements
+    key = _philox_keys(seed, np.array([trial], dtype=np.uint64))
+    rows, sizes = _log_set_rows(D1 - 1, D2, 1, _key_draws(key))
+    elements = rows[0, :sizes[0]].tolist()
     index_of = {e: i for i, e in enumerate(elements)}
 
     chosen: list[list[tuple[int, ...]]] = []  # per successful window: k index tuples
@@ -687,7 +640,7 @@ def amplify_demo(
         W = [e for e in elements if lower <= e < upper]
         ok = False
         if 2 <= len(W) <= EXACT_SUBSET_LIMIT:
-            res = max_subset_sum_multiplicity(W, "exact")
+            res = max_subset_sum_multiplicity(W)
             if res.k_max >= k:  # W is ascending and distinct: witnesses index into it
                 ok = True
                 chosen.append([tuple(index_of[W[i]] for i in w) for w in res.witnesses[:k]])
@@ -911,11 +864,6 @@ def _cycle_types(n: int, draw) -> list[tuple[int, ...]]:
     return [tuple(sorted(lengths[a:b])) for a, b in zip([0, *ends], ends)]
 
 
-def sample_cycle_type(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Cycle type of one uniform random permutation: _cycle_types on rng."""
-    return _cycle_types(n, lambda m: rng.random((1, m)))[0]
-
-
 def _max_coeff_of_product(factor_counts: dict[int, int]) -> int:
     """Largest coefficient of prod_j (1 + x^j)^(c_j), exact: one big-integer
     product at x = 2^(8b) (Kronecker substitution), whose b-byte digits are
@@ -954,8 +902,9 @@ def delta_perm_bruteforce(cycle_type: Sequence[int]) -> int:
 
 def sample_delta_perm(n: int, samples: int, seed: int) -> DeltaStats:
     """delta_perm on uniform random permutations of n symbols: sample t is
-    sample_cycle_type(n, substream(seed, t)), its uniforms computed from its
-    Philox key, BLOCK_WORDS of them at a time."""
+    the cycle type _cycle_types gives on the first n uniforms of
+    substream(seed, t), computed from its Philox key, BLOCK_WORDS of them at a
+    time."""
     out: list[DeltaSample] = []
     for _, keys in _key_batches(seed, 0, samples, max(1, min(TRIAL_BATCH, BLOCK_WORDS // max(1, n)))):
         out += map(delta_perm, _cycle_types(n, lambda m: _philox_uniforms(keys, 0, m)))

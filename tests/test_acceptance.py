@@ -348,9 +348,10 @@ def test_criterion_11_simulator_determinism_and_oracles(capsys, tmp_path):
         rng = simlab.substream(777, t)
         size = int(rng.integers(6, 15))
         vals = sorted({int(x) for x in rng.integers(1, 2000, size=size)})
-        exact = simlab.max_subset_sum_multiplicity(vals, "exact")
-        rand = simlab.max_subset_sum_multiplicity(
-            vals, "randomized", simlab.substream(778, t), samples=2000
+        exact = simlab.max_subset_sum_multiplicity(vals)
+        draws = simlab.substream(778, t)
+        rand = simlab._randomized_search(
+            vals, 2000, lambda high, m: draws.integers(0, high, m, dtype="uint64")
         )
         if rand.k_max > exact.k_max:
             dominance_violations += 1
@@ -360,7 +361,7 @@ def test_criterion_11_simulator_determinism_and_oracles(capsys, tmp_path):
     for t in range(300):
         rng = simlab.substream(779, t)
         n = int(rng.integers(1, 21))
-        ct = simlab.sample_cycle_type(n, rng)
+        ct = simlab._cycle_types(n, lambda m: rng.random((1, m)))[0]
         if simlab.delta_perm(ct).delta != simlab.delta_perm_bruteforce(ct):
             perm_mismatch += 1
 

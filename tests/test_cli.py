@@ -441,6 +441,14 @@ def test_simulate_amplify_alpha_near_one_fails_fast(capsys):
     assert err.startswith("error: amplify window guard") and "100000 windows" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_simulate_amplify_needs_positive_k(capsys, k):
+    # with k <= 0 every window would succeed with no witness
+    code, out, err = run(capsys, "simulate", "amplify", "--D1", "10", "--D2", "1000000",
+                         "--k", k, "--alpha", "0.5")
+    assert (code, out, err) == (1, "", "usage error: k must be >= 1\n")
+
+
 def test_simulate_delta_int(capsys):
     code, out, _ = run(
         capsys, "simulate", "delta-int", "--X", "100000", "--samples", "20",

@@ -26,28 +26,35 @@ def test_substream_determinism_and_independence():
     assert a != c
 
 
-def test_sample_log_set_empty_range():
-    with pytest.raises(ValueError):
-        S.sample_log_set(5, 5, S.substream(0, 0))
+def _generator_draws(rngs, block=32):
+    # the draw source of _log_set_rows over Generators: rng.random(block) gives
+    # the same doubles as block scalar draws, so each is left past its last block
+    return lambda live, start: np.array([rngs[r].random(block) for r in live])
+
+
+def _log_set(lo, hi, rng):
+    # the set on (lo, hi] drawn one uniform at a time from rng, which is left
+    # past exactly the n + 1 draws the set used
+    elements, sizes = S._log_set_rows(lo, hi, 1, _generator_draws([rng], block=1))
+    return elements[0, :sizes[0]].tolist()
 
 
 def test_sample_log_set_bounds_and_determinism():
-    A = S.sample_log_set(10, 10**9, S.substream(3, 7))
-    assert all(10 < e <= 10**9 for e in A.elements)
-    assert list(A.elements) == sorted(A.elements)
-    B = S.sample_log_set(10, 10**9, S.substream(3, 7))
-    assert A.elements == B.elements
+    A = _log_set(10, 10**9, S.substream(3, 7))
+    assert all(10 < e <= 10**9 for e in A)
+    assert A == sorted(A)
+    assert A == _log_set(10, 10**9, S.substream(3, 7))
 
 
 def test_sample_log_set_huge_range_is_cheap():
-    A = S.sample_log_set(2, 1 << 50, S.substream(4, 0))
+    A = _log_set(2, 1 << 50, S.substream(4, 0))
     assert len(A) < 200  # expected size ~ 34
 
 
 def _lockstep_sets(lo, hi, seed, n):
     # the sets of streams (seed, 0..n-1), sampled in lockstep: each row is the
-    # set sample_log_set gives on that stream
-    return S._log_set_rows(lo, hi, n, S._generator_draws([S.substream(seed, t) for t in range(n)]))
+    # set _log_set gives on that stream
+    return S._log_set_rows(lo, hi, n, _generator_draws([S.substream(seed, t) for t in range(n)]))
 
 
 def test_log_set_expected_count():
@@ -110,7 +117,7 @@ def test_multiplicity_examples():
 
 def test_multiplicity_guard():
     with pytest.raises(CapacityError):
-        S.max_subset_sum_multiplicity(list(range(1, 28)), "exact")
+        S.max_subset_sum_multiplicity(list(range(1, 28)))
 
 
 def test_witnesses_have_equal_sums():
@@ -126,8 +133,8 @@ def test_randomized_lower_bounds_exact():
     for t in range(60):
         rng = S.substream(100, t)
         vals = sorted(set(int(x) for x in rng.integers(1, 500, size=12)))
-        exact = S.max_subset_sum_multiplicity(vals, "exact")
-        rand = S.max_subset_sum_multiplicity(vals, "randomized", S.substream(101, t), samples=4000)
+        exact = S.max_subset_sum_multiplicity(vals)
+        rand = _randomized(vals, S.substream(101, t), 4000)
         assert rand.k_max <= exact.k_max
         assert not rand.exact
 
@@ -136,13 +143,19 @@ def test_has_k_equal_sums_matches_census():
     for t in range(80):
         rng = S.substream(55, t)
         vals = sorted(set(int(x) for x in rng.integers(1, 200, size=10)))
-        res = S.max_subset_sum_multiplicity(vals, "exact")
+        res = S.max_subset_sum_multiplicity(vals)
         for k in (2, 3, res.k_max, res.k_max + 1):
             assert S.has_k_equal_sums(vals, k) == (res.k_max >= k)
 
 
 # Loop references for the census: a Python-int dict walk for
 # has_k_equal_sums and a per-mask bit loop for the randomized search.
+
+
+def _randomized(A, rng, samples):
+    # the randomized search on A's distinct elements, drawing rng.integers
+    values = S._distinct_values(A, S.RANDOMIZED_SUBSET_LIMIT)
+    return S._randomized_search(values, samples, lambda high, size: rng.integers(0, high, size, np.uint64))
 
 
 def _dict_walk_has_k_equal_sums(A, k):
@@ -224,14 +237,14 @@ def _exact_cases():
 
 def test_exact_multiplicity_matches_full_census():
     for A in _exact_cases():
-        assert S.max_subset_sum_multiplicity(A, "exact") == _census_unique_exact(A), A
+        assert S.max_subset_sum_multiplicity(A) == _census_unique_exact(A), A
 
 
 def test_exact_multiplicity_without_merge_scratch(monkeypatch):
     # no scratch: every census merges its last level by the in-place sort
     monkeypatch.setattr(S, "MERGE_SCRATCH_SUMS", 0)
     for A in _exact_cases():
-        assert S.max_subset_sum_multiplicity(A, "exact") == _census_unique_exact(A), A
+        assert S.max_subset_sum_multiplicity(A) == _census_unique_exact(A), A
 
 
 def test_has_k_equal_sums_matches_dict_walk():
@@ -239,7 +252,7 @@ def test_has_k_equal_sums_matches_dict_walk():
     for t in range(240):
         A = _random_multiset(t)
         n = len(set(A))
-        k_max = S.max_subset_sum_multiplicity(A, "exact").k_max
+        k_max = S.max_subset_sum_multiplicity(A).k_max
         for k in (0, 1, 2, 3, k_max, k_max + 1, 2**n + 1):
             got = S.has_k_equal_sums(A, k)
             assert got == _dict_walk_has_k_equal_sums(A, k), (t, A, k)
@@ -362,7 +375,7 @@ def test_prefix_rule_keeps_every_multiplicity():
         assert _needed_length(with_tail) == _needed_length(A), (A, with_tail)
         for B in (A, with_tail):
             rows.append(B)
-            assert S.max_subset_sum_multiplicity(B, "exact") == _counter_multiplicity(B), B
+            assert S.max_subset_sum_multiplicity(B) == _counter_multiplicity(B), B
             for k in range(1, 5):
                 assert S.has_k_equal_sums(B, k) == _dict_walk_has_k_equal_sums(B, k), (B, k)
     assert any(_needed_length(B) == len(B) > 0 for B in rows)  # the equal element is needed
@@ -382,7 +395,7 @@ def test_dominated_powers_of_two_need_no_walk():
     tracemalloc.start()
     try:
         assert not S.has_k_equal_sums(A, 2)
-        assert S.max_subset_sum_multiplicity(A, "exact") == S.MultiplicityResult(1, 0, ((),), True)
+        assert S.max_subset_sum_multiplicity(A) == S.MultiplicityResult(1, 0, ((),), True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -407,26 +420,26 @@ def test_randomized_multiplicity_matches_bit_loop():
     cases += [(list(range(1, n + 1)), 2000) for n in (70, 97)]
     for i, (A, samples) in enumerate(cases):
         for draws in (1, samples):
-            got = S.max_subset_sum_multiplicity(A, "randomized", S.substream(63, i), draws)
+            got = _randomized(A, S.substream(63, i), draws)
             assert got == _bit_loop_randomized(A, S.substream(63, i), draws), (i, A)
 
 
 @pytest.mark.parametrize("n", [3, 70])
 def test_randomized_multiplicity_needs_a_sample(n):
     with pytest.raises(ValueError, match="samples must be >= 1"):
-        S.max_subset_sum_multiplicity(range(1, n + 1), "randomized", S.substream(0, 0), samples=0)
+        _randomized(range(1, n + 1), S.substream(0, 0), 0)
 
 
-class _NoDraws:
-    def integers(self, *args, **kwargs):
-        raise AssertionError("the guard must fire before any sample is drawn")
+def _no_draws(*args, **kwargs):
+    raise AssertionError("the guard must fire before any sample is drawn")
 
 
-def test_randomized_multiplicity_guards_int64_sums():
+def test_randomized_multiplicity_guards_int64_sums(monkeypatch):
     # 8192 elements of up to 2^50 can sum to 2^63, past int64
     assert S.RANDOMIZED_SUBSET_LIMIT == 8191
+    monkeypatch.setattr(S, "_philox_integers", _no_draws)
     with pytest.raises(CapacityError, match="8192 > 8191"):
-        S.max_subset_sum_multiplicity(range(1, 8193), "randomized", _NoDraws())
+        S._randomized_trial(list(range(1, 8193)), 0, 0)
 
 
 def _limit_address_space():
@@ -482,7 +495,7 @@ def test_exact_multiplicity_memory_bounded(A):
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "from cubeflags.simlab import max_subset_sum_multiplicity\n"
-        f"print(max_subset_sum_multiplicity({A}, 'exact').k_max)\n"
+        f"print(max_subset_sum_multiplicity({A}).k_max)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -510,7 +523,7 @@ def _child_peak_rss(call):
 def test_exact_census_peak_rss():
     # 2^26 sums take 512 MB; with interleaving levels the last merge may add
     # no more than its 32 MB of scratch (timsort's buffer alone would be 256 MB)
-    _, peak = _child_peak_rss("max_subset_sum_multiplicity([(1 << 40) + (1 << i) for i in range(26)], 'exact').k_max")
+    _, peak = _child_peak_rss("max_subset_sum_multiplicity([(1 << 40) + (1 << i) for i in range(26)]).k_max")
     assert peak < 0.65e9
 
 
@@ -570,13 +583,14 @@ def test_exact_equal_sums_command_needs_no_generator():
 
 
 def test_delta_and_randomized_commands_need_no_generator():
-    # delta-int, delta-perm and the randomized equal-sums search all draw from
-    # the Philox keys, so numpy.random is never imported
+    # delta-int, delta-perm, the randomized equal-sums search and amplify all
+    # draw from the Philox keys, so numpy.random is never imported
     src = str(Path(S.__file__).resolve().parents[1])
     seed = ["--seed", "20260810", "--json"]
     commands = [["simulate", "delta-int", "--X", "1125899906842624", "--samples", "200", *seed],
                 ["simulate", "delta-perm", "--n", "400", "--samples", "100", *seed],
-                ["simulate", "equal-sums", "--D", "1e8", "--c", "0.02", "--k", "2", "--trials", "500", *seed]]
+                ["simulate", "equal-sums", "--D", "1e8", "--c", "0.02", "--k", "2", "--trials", "500", *seed],
+                ["simulate", "amplify", "--D1", "2", "--D2", "10000000000000", "--alpha", "0.25", *seed]]
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "from cubeflags.cli import main\n"
@@ -586,7 +600,23 @@ def test_delta_and_randomized_commands_need_no_generator():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert '"inexact_trials": 13,' in proc.stdout
-    assert proc.stdout.endswith("[0, 0, 0]\nFalse\n")
+    assert proc.stdout.endswith("[0, 0, 0, 0]\nFalse\n")
+
+
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a Generator was built")
+
+
+def test_samplers_draw_from_the_keys_alone(monkeypatch):
+    # every sampler but delta-poly computes its draws from the Philox keys
+    monkeypatch.setattr(S, "substream", _no_generator)
+    monkeypatch.setattr(np.random, "Generator", _no_generator)
+    # D = 1e8, c = 0.02, seed 1: trials 0 and 17 take the randomized search
+    assert S.equal_sums_probability(1e8, 0.02, 2, 20, 1).inexact_trials == 2
+    assert [r["trial"] for r in S.equal_sums_rows(1e8, 0.02, 2, 20, 1) if not r["exact"]] == [0, 17]
+    assert S.amplify_demo(2, 10**13, 2, 0.25, seed=76).k_max == 4
+    assert len(S.sample_delta_integer(10**9, 20, 5).samples) == 20
+    assert len(S.sample_delta_perm(40, 20, 5).samples) == 20
 
 
 @pytest.mark.parametrize("k, trials, message", [(2, 0, "trials"), (2, -3, "trials"), (0, 5, "k")])
@@ -642,7 +672,7 @@ def _per_trial_outcomes(D, c, k, trials, seed):
         if len(A) <= S.EXACT_SUBSET_LIMIT:
             outcomes.append((_level_walk_has_k_equal_sums(A, k), True))
         else:
-            outcomes.append((S.max_subset_sum_multiplicity(A, "randomized", rng).k_max >= k, False))
+            outcomes.append((_randomized(A, rng, S.RANDOMIZED_SAMPLES).k_max >= k, False))
     return outcomes
 
 
@@ -677,8 +707,10 @@ def test_equal_sums_trial_is_one_row_of_the_batch(monkeypatch):
     # D = 1e8, c = 0.02, seed 1: trials 0 and 17 are too large for the exact census
     outcomes = _per_trial_outcomes(1e8, 0.02, 2, 20, 1)
     assert [t for t, (_, exact) in enumerate(outcomes) if not exact] == [0, 17]
-    for t, (success, exact) in enumerate(outcomes):
-        assert S.equal_sums_trial(1e8, 0.02, 2, 1, t)[:2] == (success, exact), t
+    for t, (success, exact) in enumerate(outcomes):  # a batch of one trial
+        first, elements, sizes = next(S._trial_batches(1e8, 0.02, 1, t, t + 1))
+        assert S._decide_trials(first, elements, sizes, 2, 1).tolist() == [success], t
+        assert (sizes[0] <= S.EXACT_SUBSET_LIMIT) == exact, t
     # the search continues each stream after exactly the n + 1 draws of its
     # set: its masks are the Generator's next integers
     masks = []
@@ -709,7 +741,7 @@ def test_randomized_trial_masks_continue_the_stream(monkeypatch, n):
     monkeypatch.setattr(S, "RANDOMIZED_SAMPLES", 301)
     rng = S.substream(20260810, n)
     rng.random(n + 1)
-    want = S.max_subset_sum_multiplicity(values, "randomized", rng, 301)
+    want = _randomized(values, rng, 301)
     assert S._randomized_trial(values, 20260810, n) == want
 
 
@@ -739,7 +771,7 @@ def test_philox_kernel_matches_substream(seed):
     for lo, hi in ((1, 10**8), (2, S.MAX_ELEMENT)):
         for block in (4, 32):
             rngs = [S.substream(seed, t) for t in ORACLE_TRIALS]
-            want = S._log_set_rows(lo, hi, len(rngs), S._generator_draws(rngs, block))
+            want = S._log_set_rows(lo, hi, len(rngs), _generator_draws(rngs, block))
             got = S._log_set_rows(lo, hi, len(keys), S._key_draws(keys, block))
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), (lo, hi, block)
 
@@ -749,7 +781,7 @@ def test_trial_batches_sample_the_substreams(start):
     first, elements, sizes = next(S._trial_batches(1e6, 0.02, 20260810, start, start + 40))
     rngs = [S.substream(20260810, t) for t in range(start, start + 40)]
     lo, hi = S._window_bounds(1e6, 0.02)
-    want = S._log_set_rows(lo - 1, hi, 40, S._generator_draws(rngs))
+    want = S._log_set_rows(lo - 1, hi, 40, _generator_draws(rngs))
     assert first == start
     assert np.array_equal(elements, want[0]) and np.array_equal(sizes, want[1])
 
@@ -761,7 +793,7 @@ class _Zeros:
 
 def test_log_set_rows_stop_at_hi():
     # a draw of 0.0 is u = 1: each step adds one, and the walk ends on hi itself
-    elements, sizes = S._log_set_rows(5, 8, 1, S._generator_draws([_Zeros()], block=2))
+    elements, sizes = S._log_set_rows(5, 8, 1, _generator_draws([_Zeros()], block=2))
     assert elements.tolist() == [[6, 7, 8]] and sizes.tolist() == [3]
     assert _scalar_log_set(5, 8, _Zeros()) == [6, 7, 8]
 
@@ -771,14 +803,14 @@ def test_log_set_rows_match_scalar_loop():
     for lo, hi in ((1, 10), (9, 10**5), (1, 10**8), (2, S.MAX_ELEMENT)):
         for block in (1, 4, 32):
             rngs = [S.substream(71, t) for t in range(200)]
-            elements, sizes = S._log_set_rows(lo, hi, 200, S._generator_draws(rngs, block))
+            elements, sizes = S._log_set_rows(lo, hi, 200, _generator_draws(rngs, block))
             for t in range(200):
                 assert elements[t, :sizes[t]].tolist() == _scalar_log_set(lo, hi, S.substream(71, t))
                 assert not elements[t, sizes[t]:].any()
     # the one-row case leaves its generator past exactly the draws the set used
     for t in range(50):
         rng, ref = S.substream(72, t), S.substream(72, t)
-        assert list(S.sample_log_set(1, 10**8, rng).elements) == _scalar_log_set(1, 10**8, ref)
+        assert _log_set(1, 10**8, rng) == _scalar_log_set(1, 10**8, ref)
         assert rng.random() == ref.random()
 
 
@@ -823,10 +855,35 @@ def test_amplify_window_guard_boundary(monkeypatch):
 
 def test_amplify_witness_sums_agree():
     res = S.amplify_demo(2, 10**13, 2, 0.25, seed=76)
-    A = S.sample_log_set(1, 10**13, S.substream(76, 0))
-    elements = A.elements
+    elements = _log_set(1, 10**13, S.substream(76, 0))
     sums = {sum(elements[i] for i in w) for w in res.witnesses}
     assert sums == {res.witness_sum}
+
+
+@pytest.mark.parametrize("seed", [0, 76, 20260810, (1 << 32) + 7, (1 << 40) + 3])
+def test_amplify_samples_the_substream(monkeypatch, seed):
+    # the set amplify splits is the one drawn from substream(seed, trial)
+    sets = []
+    log_set_rows = S._log_set_rows
+    monkeypatch.setattr(S, "_log_set_rows", lambda *args: sets.append(log_set_rows(*args)) or sets[-1])
+    for D1, D2, trial in ((2, 10**13, 0), (10, 10**6, 3), (2, S.MAX_ELEMENT, 1)):
+        windows = S.amplify_demo(D1, D2, 2, 0.5, seed, trial).detail["windows"]
+        elements, sizes = sets.pop()
+        want = _scalar_log_set(D1 - 1, D2, S.substream(seed, trial))
+        assert elements[0, :sizes[0]].tolist() == want, (D1, D2, trial)
+        assert [w["size"] for w in windows] == [
+            sum(w["lower"] <= e < w["upper"] for e in want) for w in windows]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 10**6, 0, 0.5), "k must be >= 1"),
+    ((2, 10**6, -1, 0.5), "k must be >= 1"),
+    ((5, 5, 2, 0.5), "need 2 <= D1 < D2"),  # an empty range
+])
+def test_amplify_rejects_arguments_before_sampling(monkeypatch, args, message):
+    monkeypatch.setattr(S, "_log_set_rows", _no_draws)
+    with pytest.raises(ValueError, match=message):
+        S.amplify_demo(*args, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -963,8 +1020,13 @@ def test_sample_delta_integer_rejects_x_outside_range():
 # Permutations
 
 
+def _cycle_type(n, rng):
+    # one permutation's cycle type, from n of rng's uniforms
+    return S._cycle_types(n, lambda m: rng.random((1, m)))[0]
+
+
 def test_cycle_type_n1():
-    assert S.sample_cycle_type(1, S.substream(0, 0)) == (1,)
+    assert _cycle_type(1, S.substream(0, 0)) == (1,)
 
 
 def _scalar_cycle_type(n, rng):
@@ -982,13 +1044,13 @@ def test_cycle_type_matches_scalar_loop():
     for n in (1, 2, 3, 7, 50, 400):
         for t in range(300):
             rng, ref = S.substream(81, t), S.substream(81, t)
-            assert S.sample_cycle_type(n, rng) == _scalar_cycle_type(n, ref), (n, t)
+            assert _cycle_type(n, rng) == _scalar_cycle_type(n, ref), (n, t)
             assert rng.random() == ref.random()  # both use n draws
 
 
 def test_cycle_type_partitions_n():
     for t in range(50):
-        ct = S.sample_cycle_type(37, S.substream(6, t))
+        ct = _cycle_type(37, S.substream(6, t))
         assert sum(ct) == 37
         assert all(c >= 1 for c in ct)
 
@@ -997,7 +1059,7 @@ def test_cycle_count_distribution():
     # E[#cycles] = H_n; check within 4 standard errors
     n, trials = 40, 3000
     h = sum(1.0 / i for i in range(1, n + 1))
-    counts = [len(S.sample_cycle_type(n, S.substream(13, t))) for t in range(trials)]
+    counts = [len(_cycle_type(n, S.substream(13, t))) for t in range(trials)]
     mean = sum(counts) / trials
     var = sum(1.0 / i - 1.0 / i**2 for i in range(1, n + 1))
     se = math.sqrt(var / trials)
@@ -1008,7 +1070,7 @@ def test_cycle_length_1_frequency():
     # P(a uniform permutation has a fixed point) = 1 - sum_k (-1)^k / k!
     trials = 4000
     n = 25
-    hit = sum(1 in S.sample_cycle_type(n, S.substream(14, t)) for t in range(trials))
+    hit = sum(1 in _cycle_type(n, S.substream(14, t)) for t in range(trials))
     target = 1.0 - sum((-1) ** k / math.factorial(k) for k in range(n + 1))
     assert abs(hit / trials - target) < 4 * math.sqrt(target * (1 - target) / trials)
 
@@ -1025,7 +1087,7 @@ def test_cycle_type_exact_distribution_n4():
     trials = 20000
     counts: dict = {}
     for t in range(trials):
-        ct = S.sample_cycle_type(4, S.substream(19, t))
+        ct = _cycle_type(4, S.substream(19, t))
         counts[ct] = counts.get(ct, 0) + 1
     assert set(counts) == set(expected)
     for ct, p in expected.items():
@@ -1042,7 +1104,7 @@ def test_delta_perm_examples():
 
 def test_delta_perm_equals_bruteforce():
     for t in range(60):
-        ct = S.sample_cycle_type(int(S.substream(21, t).integers(1, 21)), S.substream(22, t))
+        ct = _cycle_type(int(S.substream(21, t).integers(1, 21)), S.substream(22, t))
         assert S.delta_perm(ct).delta == S.delta_perm_bruteforce(ct)
 
 
@@ -1057,7 +1119,7 @@ def test_sample_delta_perm_draws_the_substreams(monkeypatch, n):
     monkeypatch.setattr(S, "BLOCK_WORDS", 7 * n)
     stats = S.sample_delta_perm(n, 40, seed=20260810)
     assert list(stats.samples) == [
-        S.delta_perm(S.sample_cycle_type(n, S.substream(20260810, t))) for t in range(40)]
+        S.delta_perm(_cycle_type(n, S.substream(20260810, t))) for t in range(40)]
 
 
 def _poly_loop_max_coeff(factor_counts):
