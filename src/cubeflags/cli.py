@@ -257,8 +257,7 @@ def _cmd_rho_limit(args, config: dict) -> int:
 def _cmd_theta(args, config: dict) -> int:
     table_j = min(max(args.r - 1, 1), rho.CHAIN_J)
     sol, _ = rho.solve_rho_chain(table_j)
-    lim = rho.rho_limit()
-    val = rho.theta(args.r, sol, lim.value)
+    val = rho.theta(args.r, sol)
     padded = args.r - 1 > len(sol.rhos)
     if args.json:
         _emit_json(
@@ -299,9 +298,7 @@ def _cmd_check(args, config: dict) -> int:
 
 def _cmd_measures(args, config: dict) -> int:
     flag = _build_flag(args)
-    data = optmeas.optimal_measure(flag)
-    optmeas.optimal_parameters(data)
-    _emit_json(optmeas.measures_json_dict(data), args.out)
+    _emit_json(optmeas.measures_json_dict(optmeas.optimal_measure(flag)), args.out)
     return 0
 
 

@@ -17,8 +17,6 @@ Coset grouping is exact, by int64 coset keys under an overflow guard
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -68,9 +66,6 @@ class Measure:
 
     def support(self) -> list[tuple]:
         return sorted(p for p, w in self.weights.items() if w > 0)
-
-    def mass(self, point) -> float:
-        return self.weights.get(tuple(point), 0)
 
     @staticmethod
     def uniform(points: Sequence[tuple]) -> "Measure":
@@ -169,7 +164,6 @@ class EReport:
     entries: tuple[EEntry, ...]
     min_slack: float  # over proper subflags
     argmin: int
-    universe: str
     tight_ids: tuple[int, ...]  # |slack| <= TIGHT_BAND, proper subflags
     holds: bool  # every proper slack >= -TIGHT_BAND
 
@@ -179,7 +173,7 @@ class EReport:
             "e_full": self.e_full,
             "min_slack": self.min_slack,
             "argmin": self.argmin,
-            "universe": self.universe,
+            "universe": SUBFLAG_UNIVERSE_TAG,
             "holds": self.holds,
             "tight_ids": list(self.tight_ids),
             "entries": [
@@ -194,14 +188,6 @@ class EReport:
                 for e in self.entries
             ],
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "e_value", "slack"])
-        for e in self.entries:
-            writer.writerow([e.id, f"{e.e_value:.16g}", f"{e.slack:.16g}"])
-        return buf.getvalue()
 
 
 def check_entropy_condition(system: System, cap: int = SUBFLAG_SPACE_CAP) -> EReport:
@@ -250,7 +236,6 @@ def score_entries(c: Sequence[float], flag_dims: Sequence[int], entries: Sequenc
         entries=tuple(scored),
         min_slack=min_slack,
         argmin=argmin,
-        universe=SUBFLAG_UNIVERSE_TAG,
         tight_ids=tuple(e.id for e in proper if abs(e.slack) <= TIGHT_BAND),
         holds=all(e.slack >= -TIGHT_BAND for e in proper),
     )

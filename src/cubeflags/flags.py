@@ -351,9 +351,6 @@ class CellTree:
     levels: tuple[tuple[Cell, ...], ...]  # levels[i] = cells at level i
     child_ids: tuple[tuple[tuple[int, ...], ...], ...]  # child_ids[i][c] at level i-1
 
-    def cells(self, level: int) -> tuple[Cell, ...]:
-        return self.levels[level]
-
     def children(self, level: int, idx: int) -> tuple[Cell, ...]:
         return tuple(self.levels[level - 1][j] for j in self.child_ids[level][idx])
 
@@ -534,11 +531,11 @@ SUBFLAG_UNIVERSE_TAG = "spans of the all-ones vector and cube points of each V_i
 # Text format and JSON dump
 
 
-def parse_flag_text(text: str, kind: str = "custom") -> Flag:
+def parse_flag_text(text: str) -> Flag:
     """Parse a flag from text: one line per level, 0/1 generator strings.
 
     Level i's space is the span of the all-ones vector and the generators on
-    line i; '#' starts a comment.  Nesting is validated.
+    line i; '#' starts a comment.  Nesting is validated; the kind is "custom".
     """
     lines = []
     for raw in text.splitlines():
@@ -556,7 +553,7 @@ def parse_flag_text(text: str, kind: str = "custom") -> Flag:
     spaces = [span([ones(k)])]
     for gens in gens_per_level:
         spaces.append(span([ones(k)] + gens, k))
-    return make_flag(spaces, kind, check=True)
+    return make_flag(spaces, "custom", check=True)
 
 
 def format_flag_text(flag: Flag) -> str:
@@ -573,17 +570,14 @@ def format_flag_text(flag: Flag) -> str:
 def tree_json_dict(flag: Flag) -> dict:
     """Cell-tree dump: per level, each cell's genotype mask (hex) and members."""
     tree = cell_tree(flag)
-    levels = []
-    for i in range(flag.order + 1):
-        cells = []
-        for c in tree.cells(i):
-            cells.append(
-                {
-                    "genotype_mask": format(c.genotype.mask, "x") if c.genotype else None,
-                    "members": [point_to_string(p) for p in c.members],
-                }
-            )
-        levels.append({"level": i, "cells": cells})
+    levels = [
+        {"level": i, "cells": [
+            {"genotype_mask": format(c.genotype.mask, "x") if c.genotype else None,
+             "members": [point_to_string(p) for p in c.members]}
+            for c in cells
+        ]}
+        for i, cells in enumerate(tree.levels)
+    ]
     return {
         "schema": "cubeflags.tree.v1",
         "kind": flag.kind,

@@ -9,10 +9,11 @@ down the cell tree from mu*(Gamma_r) = 1, splitting the bottom cell {0, 1}
 by the convention mu*(1) = 0 (harmless: 0 and 1 share a coset of every
 subflag space, so no entropy ever sees the split).  Only the subtree of
 Gamma_r carries mass, so f is evaluated on Gamma_r's cell tree alone, as
-the rho equations are (rho.solve_flag_rhos).  The restrictions mu*_j of mu* to
-Gamma_j and the threshold vector c* that makes every basic subflag's
-e-value tie with the full flag assemble into a system whose entropy
-condition can then be checked over the enumerated subflag universe.
+the rho equations are (rho.solve_flag_rhos).  mu* comes whole with its
+restrictions mu*_j to Gamma_j and their entropy matrix H, from which the
+thresholds c* tying every basic subflag's e-value to the full flag's are
+solved; all assemble into a system whose entropy condition can then be
+checked over the enumerated subflag universe.
 
 certify_system runs the whole pipeline and reports: basic-subflag tightness,
 positivity of all other enumerated slacks, the two entropy-gap inequality
@@ -43,6 +44,7 @@ from .entropy import (
 from .errors import DegenerateParametersError
 from .flags import (
     SUBFLAG_SPACE_CAP,
+    SUBFLAG_UNIVERSE_TAG,
     Flag,
     Genotype,
     automorphism_generators,
@@ -65,21 +67,20 @@ NONBASIC_SLACK_MIN = 1e-6
 PERTURB_EPSILONS = (1e-3, 1e-4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimalData:
-    """The solved measure/threshold data attached to a flag."""
+    """The extremal measure of a flag, its restrictions and their entropies."""
 
     flag: Flag
     rho: RhoSolution
     mu_star: Measure
     restrictions: tuple[Measure, ...]  # mu*_1 .. mu*_r
     gamma_masses: tuple[float, ...]  # mu*(Gamma_j), j = 0..r
-    entropy: Optional[tuple[tuple[float, ...], ...]] = None  # H[j][m], j=1..r
-    c_star: Optional[tuple[float, ...]] = None
+    entropy: tuple[tuple[float, ...], ...]  # H[j][m], j=1..r
 
 
 def optimal_measure(flag: Flag, sol: Optional[RhoSolution] = None) -> OptimalData:
-    """Build mu* and its restrictions by telescoping down the cell tree."""
+    """Build mu*, its restrictions (telescoping down the cell tree) and their H."""
     if sol is None:
         sol = solve_rho_chain(flag.order - 1)[0] if flag.kind == "binary" else solve_flag_rhos(flag)
     if len(sol.rhos) < flag.order - 1:
@@ -120,23 +121,20 @@ def optimal_measure(flag: Flag, sol: Optional[RhoSolution] = None) -> OptimalDat
         if j >= 1:
             sub = {p: w / gm for p, w in weights.items() if p in pts}
             restrictions.append(Measure(k, sub))
-    return OptimalData(flag, sol, mu_star, tuple(restrictions), tuple(gamma_masses))
+    return OptimalData(flag, sol, mu_star, tuple(restrictions), tuple(gamma_masses),
+                       entropy_matrix(flag, restrictions))
 
 
-def entropy_matrix(data: OptimalData) -> tuple[tuple[float, ...], ...]:
-    """H[j][m] = H_{mu*_j}(V_m) for 1 <= j <= r, 0 <= m <= r (direct route)."""
-    if data.entropy is None:
-        flag = data.flag
-        r = flag.order
-        H = tuple(
-            tuple(
-                0.0 if m >= j else coset_entropy(data.restrictions[j - 1], flag.spaces[m])
-                for m in range(r + 1)
-            )
-            for j in range(1, r + 1)
+def entropy_matrix(flag: Flag, restrictions: Sequence[Measure]) -> tuple[tuple[float, ...], ...]:
+    """H[j][m] = H_{mu_j}(V_m), mu_j = restrictions[j-1], 1 <= j <= r, 0 <= m <= r (direct)."""
+    r = flag.order
+    return tuple(
+        tuple(
+            0.0 if m >= j else coset_entropy(restrictions[j - 1], flag.spaces[m])
+            for m in range(r + 1)
         )
-        data.entropy = H
-    return data.entropy
+        for j in range(1, r + 1)
+    )
 
 
 def entropy_matrix_genotype(r: int, sol: RhoSolution) -> tuple[tuple[float, ...], ...]:
@@ -196,7 +194,7 @@ def optimal_parameters(data: OptimalData) -> tuple[float, ...]:
     flag = data.flag
     r = flag.order
     d = [W.dim for W in flag.spaces]
-    H = entropy_matrix(data)
+    H = data.entropy
     c = [0.0] * (r + 2)  # 1-indexed: c[1..r+1]
     c[r + 1] = 1.0
     for m in range(r - 1, -1, -1):
@@ -219,7 +217,6 @@ def optimal_parameters(data: OptimalData) -> tuple[float, ...]:
     out = tuple(x / scale for x in c[1:])
     if not all(a > b > 0.0 for a, b in zip(out, out[1:])):
         raise DegenerateParametersError(f"thresholds not strictly descending: {out}")
-    data.c_star = out
     return out
 
 
@@ -330,9 +327,9 @@ def certify_system(
                                  failures=failures)
 
     r = flag.order
-    c_star = data.c_star
+    c_star = system.thresholds
     d = [W.dim for W in flag.spaces]
-    H = entropy_matrix(data)
+    H = data.entropy
 
     report = check_entropy_condition(system, cap=cap)
 
@@ -443,7 +440,7 @@ def certify_system(
         invariant_intermediate=invariant_info,
         perturbed=perturbed,
         perturbed_ok=perturbed_ok,
-        universe=report.universe,
+        universe=SUBFLAG_UNIVERSE_TAG,
         failures=failures,
         ok=not failures,
     )
@@ -455,8 +452,7 @@ def measures_json_dict(data: OptimalData) -> dict:
     from .flags import point_to_string
 
     flag = data.flag
-    H = entropy_matrix(data)
-    c = data.c_star if data.c_star is not None else optimal_parameters(data)
+    c = optimal_parameters(data)
     return {
         "schema": "cubeflags.measures.v1",
         "flag": {"kind": flag.kind, "order": flag.order, "ambient_dim": flag.ambient_dim},
@@ -466,5 +462,5 @@ def measures_json_dict(data: OptimalData) -> dict:
             point_to_string(p): float(w) for p, w in sorted(data.mu_star.weights.items())
         },
         "gamma_masses": [float(x) for x in data.gamma_masses],
-        "entropy_matrix": [[float(x) for x in row] for row in H],
+        "entropy_matrix": [[float(x) for x in row] for row in data.entropy],
     }

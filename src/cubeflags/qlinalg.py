@@ -15,22 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, DimensionMismatchError
 
-#: A vector in Q^k: a tuple of exact rationals (ints allowed).
-RationalVector = Tuple[Fraction, ...]
-
 CUBE_ENUM_MAX_DIM = 24
-
-
-def as_vector(entries: Sequence, dim: int | None = None) -> RationalVector:
-    """Normalize a sequence of int/Fraction/str entries to a Fraction tuple."""
-    vec = tuple(Fraction(x) for x in entries)
-    if dim is not None and len(vec) != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {len(vec)}")
-    return vec
 
 
 def _normalize_int_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -45,11 +34,11 @@ def _normalize_int_row(row: Sequence[int]) -> tuple[int, ...]:
 
 
 def _int_row(v: Sequence) -> tuple[list[int], int]:
-    """(nums, den) with v == nums/den, den > 0; int entries pass through as they are."""
+    """(nums, den) with v == nums/den, den > 0; int entries pass through, others via Fraction."""
     nums = list(v)
     if all(type(x) is int for x in nums):
         return nums, 1
-    vec = as_vector(nums)
+    vec = [Fraction(x) for x in nums]
     den = lcm(*(x.denominator for x in vec))
     return [x.numerator * (den // x.denominator) for x in vec], den
 

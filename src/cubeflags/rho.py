@@ -213,12 +213,11 @@ class RhoSolution:
         if any(x > self.rhos[0] + 1e-12 for x in self.rhos):
             raise NumericInstabilityError(f"rho_j must not exceed rho_1: {self.rhos}")
 
-    def padded(self, n: int, limit: Optional[float] = None) -> tuple[float, ...]:
+    def padded(self, n: int) -> tuple[float, ...]:
         """First n rho values, reusing the limit beyond the solved range."""
         if n <= len(self.rhos):
             return self.rhos[:n]
-        fill = rho_limit().value if limit is None else limit
-        return self.rhos + (fill,) * (n - len(self.rhos))
+        return self.rhos + (rho_limit().value,) * (n - len(self.rhos))
 
 
 def _solve_chain(n: int, equation, what: str) -> RhoSolution:
@@ -359,14 +358,14 @@ def eta(rho: float) -> float:
     return LOG2 / log(2.0 / rho)
 
 
-def gamma_res(dims: Sequence[int], sol: RhoSolution, limit: Optional[float] = None) -> float:
+def gamma_res(dims: Sequence[int], sol: RhoSolution) -> float:
     """(log 3 - 1) / (log 3 + sum_i dims[i-1] / (rho_1 ... rho_i)).
 
     dims lists the increments dim(V_{i+1}/V_i) for i = 1..r-1.  Raises
     NumericInstabilityError once the product of the rhos underflows to 0 or
     the sum overflows, rather than dividing by zero or returning 0.
     """
-    rhos = sol.padded(len(dims), limit)
+    rhos = sol.padded(len(dims))
     s = LOG3
     prod = 1.0
     for i, (d, x) in enumerate(zip(dims, rhos), start=1):
@@ -379,11 +378,11 @@ def gamma_res(dims: Sequence[int], sol: RhoSolution, limit: Optional[float] = No
     return (LOG3 - 1.0) / s
 
 
-def theta(r: int, sol: RhoSolution, limit: Optional[float] = None) -> float:
+def theta(r: int, sol: RhoSolution) -> float:
     """theta_r: gamma_res of the order-r binary flag (increments 2^i)."""
     if r < 1:
         raise ValueError(f"theta_r needs r >= 1, got r = {r}")
-    return gamma_res([2**i for i in range(1, r)], sol, limit)
+    return gamma_res([2**i for i in range(1, r)], sol)
 
 
 @dataclass(frozen=True)
@@ -431,7 +430,7 @@ def constants() -> ConstantsReport:
     xi = (LOG2 - log_e1) / log(1.5)
     lam = (LOG2 - log_e1) / (1.0 + LOG2 - log_e1 - log1p(2.0 ** (1.0 - xi)))
     kappa = (LOG2 - log_e1) / (LOG2 + 1.0 - log_e1)
-    thetas = {r: theta(r, sol, lim.value) for r in range(1, MAX_THETA_R + 1)}
+    thetas = {r: theta(r, sol) for r in range(1, MAX_THETA_R + 1)}
     return ConstantsReport(
         rho_limit=lim.value,
         eta=eta(lim.value),

@@ -37,7 +37,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, log
@@ -483,7 +483,8 @@ def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
     return k <= 1 or bool(_rows_have_k_equal_sums(values, _needed_lengths(values), k)[0])
 
 
-def wilson_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.96  # 95%
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -529,6 +530,14 @@ def _check_counts(k: int, trials: int) -> None:
         raise ValueError("k must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+
+
+def _check_size(what: str, x: int, low: int, cap: int) -> None:
+    # below low is a bad input (usage error); past the cap, a size guard
+    if x < low:
+        raise ValueError(f"{what} must be >= {low}, got {x}")
+    if x > cap:
+        raise CapacityError(f"{what} guard: {x} > {cap}")
 
 
 def _key_batches(seed: int, start: int, stop: int, rows: int):
@@ -790,12 +799,11 @@ def divisors_of(factors: dict[int, int]) -> list[int]:
 
 @dataclass(frozen=True)
 class DeltaSample:
-    """One observation of a divisor-window statistic; delta >= 1 always."""
+    """One divisor-window observation: param is the integer, or the permutation's
+    or polynomial's n, and delta >= 1 always; the kind is its DeltaStats'."""
 
-    kind: str  # "integer" | "permutation" | "polynomial"
-    param: object
+    param: int
     delta: int
-    aux: dict = field(default_factory=dict)
 
 
 def _max_log_window(logs: list[float]) -> int:
@@ -808,7 +816,7 @@ def delta_integer(n: int, factors: Optional[dict[int, int]] = None) -> DeltaSamp
     factors is factorize(n) when the caller has it."""
     divs = divisors_of(factorize(n) if factors is None else factors)
     delta = _max_log_window([log(d) for d in divs])
-    return DeltaSample("integer", n, delta, {"tau": len(divs)})
+    return DeltaSample(n, delta)
 
 
 @dataclass(frozen=True)
@@ -854,8 +862,7 @@ def _cycle_types(n: int, draw) -> list[tuple[int, ...]]:
     1/(n - g), one uniform draw each; the cycle lengths are the gaps between
     closing positions.
     """
-    if not 1 <= n <= MAX_PERM_N:
-        raise CapacityError(f"permutation size guard: n = {n} not in 1..{MAX_PERM_N}")
+    _check_size("permutation size n", n, 1, MAX_PERM_N)
     closes = draw(n) < 1.0 / (n - np.arange(n))  # g = n - 1 always closes
     # gaps between flat positions: each row's last symbol closes, so its
     # first gap counts from the previous row's end
@@ -886,7 +893,7 @@ def delta_perm(cycle_type: Sequence[int]) -> DeltaSample:
         raise CapacityError(f"permutation size guard: n = {n} > {MAX_PERM_N}")
     counts = Counter(int(c) for c in cycle_type)
     delta = _max_coeff_of_product(counts)
-    return DeltaSample("permutation", n, delta, {"cycle_type": tuple(sorted(cycle_type))})
+    return DeltaSample(n, delta)
 
 
 def delta_perm_bruteforce(cycle_type: Sequence[int]) -> int:
@@ -934,18 +941,15 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=64)  # irreducible_count and every delta-poly sample check q
-def _prime_power_base(q: int) -> int:
-    f = factorize(q)
-    if len(f) != 1:
+def _check_q(q: int) -> None:
+    _check_size("q", q, 2, MAX_POLY_Q)
+    if len(factorize(q)) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    return next(iter(f))
 
 
 def irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducible degree-d polynomials over F_q (exact)."""
-    if not 2 <= q <= MAX_POLY_Q:
-        raise CapacityError(f"q guard: {q} not in 2..{MAX_POLY_Q}")
-    _prime_power_base(q)
+    _check_q(q)
     if d < 1:
         raise ValueError("d must be >= 1")
     total = 0
@@ -964,6 +968,8 @@ def lemma_degree_range(n: int) -> tuple[int, int]:
     Empty (lo > hi) for n <= ~8000; at desk scale callers should pass an
     explicit range to get a nonvacuous simulation.
     """
+    if n < 2:
+        raise ValueError(f"the window [10 log n, n / (10 log n)] needs n >= 2, got n = {n}; pass --dmin/--dmax")
     ln = log(n)
     return math.ceil(10 * ln), math.floor(n / (10 * ln))
 
@@ -1014,11 +1020,8 @@ def sample_poly_degrees(
     arithmetic the NB law is sampled as Poisson(m / (q^d - 1)), which is
     within O(q^-d) of it in total variation.
     """
-    if not 1 <= n <= MAX_POLY_N:
-        raise CapacityError(f"poly degree guard: n = {n} not in 1..{MAX_POLY_N}")
-    if not 2 <= q <= MAX_POLY_Q:
-        raise CapacityError(f"q guard: {q} not in 2..{MAX_POLY_Q}")
-    _prime_power_base(q)
+    _check_size("poly degree n", n, 1, MAX_POLY_N)
+    _check_q(q)
     d_lo, d_hi = d_range if d_range is not None else lemma_degree_range(n)
     degrees, nb_m, nb_p, means = _poly_draw_params(q, model, d_lo, min(d_hi, n))
     ys = rng.negative_binomial(nb_m, nb_p).tolist() + rng.poisson(means).tolist()
@@ -1030,7 +1033,7 @@ def delta_poly(degree_counts: dict[int, int]) -> DeltaSample:
     irreducible factors: largest coefficient of prod_d (1 + x^d)^(Y_d)."""
     n = sum(d * y for d, y in degree_counts.items())
     delta = _max_coeff_of_product(dict(degree_counts))
-    return DeltaSample("polynomial", n, delta, {"degrees": dict(sorted(degree_counts.items()))})
+    return DeltaSample(n, delta)
 
 
 def sample_delta_poly(

@@ -170,7 +170,7 @@ def test_criterion_07_theta_identities(capsys):
     sol, _ = rho.solve_rho_chain(13)
     lim = rho.rho_limit().value
     d1 = abs(rho.theta(1, sol) - (1 - 1 / math.log(3)))
-    errs = [abs(rho.theta(r, sol, lim) ** (1.0 / r) - lim / 2.0) for r in range(5, 21)]
+    errs = [abs(rho.theta(r, sol) ** (1.0 / r) - lim / 2.0) for r in range(5, 21)]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     ok = d1 <= 1e-14 and monotone
     with capsys.disabled():

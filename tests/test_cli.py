@@ -537,6 +537,40 @@ def test_simulate_delta_poly_half_window_usage_error(capsys, given, missing):
     assert err == f"usage error: --dmin and --dmax go together: {missing} is missing\n"
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_simulate_delta_poly_default_window_needs_n_2(capsys, n):
+    # 10 log n is not positive below n = 2, so there is no default window;
+    # at n = 1 a ZeroDivisionError escaped main
+    code, out, err = run(capsys, "simulate", "delta-poly", "--n", n, "--samples", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+    assert f"needs n >= 2, got n = {n}" in err and "--dmin/--dmax" in err
+
+
+def test_simulate_delta_poly_explicit_window_at_n_1(capsys):
+    code, out, _ = run(capsys, "simulate", "delta-poly", "--n", "1", "--dmin", "1", "--dmax", "1",
+                       "--samples", "3", "--json")
+    assert code == 0 and json.loads(out)["samples"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("delta-perm", "--n", "0"), 1), (("delta-perm", "--n", "-3"), 1),
+     (("delta-perm", "--n", "401"), 2),
+     (("delta-poly", "--q", "1", "--dmin", "1", "--dmax", "2"), 1),
+     (("delta-poly", "--q", "0", "--dmin", "1", "--dmax", "2"), 1),
+     (("delta-poly", "--q", str(2**21), "--dmin", "1", "--dmax", "2"), 2),
+     (("delta-poly", "--n", "0", "--dmin", "1", "--dmax", "2"), 1)],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_simulate_delta_bounds_below_domain_vs_past_cap(capsys, argv, code):
+    # a value below the domain is a usage error (exit 1); one past the cap
+    # is a size guard (exit 2)
+    got, out, err = run(capsys, "simulate", *argv, "--samples", "3")
+    assert (got, out) == (code, "")
+    assert err.startswith("usage error:" if code == 1 else "error:")
+
+
 def test_rho_invariant_violation_is_numeric_error(capsys, tmp_path):
     # a well-formed chain in Q^6 (dims 1, 3, 4, 5) whose solved
     # rho_2 = 0.3310... exceeds rho_1 = 0.2972...: a numeric fault, exit 2

@@ -37,7 +37,6 @@ from cubeflags.flags import (
 )
 from cubeflags.optmeas import (
     certify_system,
-    entropy_matrix,
     entropy_matrix_genotype,
     optimal_measure,
     optimal_parameters,
@@ -148,7 +147,7 @@ def test_mu_star_automorphism_invariance():
 def test_H_diagonal_zero():
     for flag in (binary_flag(2), mt_flag(3)):
         data = optimal_measure(flag)
-        H = entropy_matrix(data)
+        H = data.entropy
         r = flag.order
         for j in range(1, r + 1):
             for m in range(j, r + 1):
@@ -158,7 +157,7 @@ def test_H_diagonal_zero():
 def test_H_gap_inequalities_binary():
     for r in (2, 3):
         data = optimal_measure(binary_flag(r))
-        H = entropy_matrix(data)
+        H = data.entropy
         for m in range(r):
             assert H[m][m] > 2**m
         for i in range(2, r + 1):
@@ -170,7 +169,7 @@ def test_H_genotype_dp_agrees_with_direct():
     for r in (1, 2, 3):
         sol, _ = solve_rho_chain(max(r - 1, 1))
         data = optimal_measure(binary_flag(r), sol)
-        H_direct = entropy_matrix(data)
+        H_direct = data.entropy
         H_dp = entropy_matrix_genotype(r, sol)
         for row_a, row_b in zip(H_direct, H_dp):
             for a, b in zip(row_a, row_b):
@@ -179,7 +178,7 @@ def test_H_genotype_dp_agrees_with_direct():
 
 def test_H10_is_log3():
     data = optimal_measure(binary_flag(1))
-    H = entropy_matrix(data)
+    H = data.entropy
     assert abs(H[0][0] - LOG3) < 1e-14
 
 

@@ -453,19 +453,18 @@ def test_theta_gamma_res_consistency():
 def test_gamma_res_raises_once_the_rho_product_underflows():
     # zero increments keep the sum finite, so the product reaches 0 first
     sol, _ = solve_rho_chain(3)
-    lim = rho_limit().value
     with pytest.raises(NumericInstabilityError, match="underflows"):
-        rho.gamma_res([0] * 1000, sol, lim)
+        rho.gamma_res([0] * 1000, sol)
     # the last r whose theta is still a positive double
-    assert 0.0 < rho.theta(362, sol, lim) < 1e-300
+    assert 0.0 < rho.theta(362, sol) < 1e-300
     with pytest.raises(NumericInstabilityError, match="overflows at i = 362"):
-        rho.theta(363, sol, lim)
+        rho.theta(363, sol)
 
 
 def test_theta_root_monotone_approach():
     sol, _ = solve_rho_chain(13)
     lim = rho_limit().value
-    errs = [abs(rho.theta(r, sol, lim) ** (1.0 / r) - lim / 2.0) for r in range(5, 21)]
+    errs = [abs(rho.theta(r, sol) ** (1.0 / r) - lim / 2.0) for r in range(5, 21)]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 

@@ -962,7 +962,7 @@ def test_delta_integer_bounds():
         rng = S.substream(88, t)
         n = int(rng.integers(2, 10**12))
         s = S.delta_integer(n)
-        assert 1 <= s.delta <= s.aux["tau"]
+        assert 1 <= s.delta <= len(S.divisors_of(S.factorize(n)))
 
 
 def test_delta_integer_bruteforce_window():
