@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 capacity/guard/numeric-bound error,
 printed at 16 significant digits, and every JSON document carries a schema
 field, so identical (command, seed) invocations are byte-identical across
 runs.  Every computation runs serially; --workers is accepted and ignored.
+There is no preset file: each command reads only its own options, and the
+size guards (such as the subflag cap, flags.SUBFLAG_SPACE_CAP) are module
+constants, past which a command exits 2.
 """
 
 from __future__ import annotations
@@ -82,29 +85,6 @@ def _emit_rows(rows: list[dict], header: list[str], fmt: str, out: Optional[str]
     _write(text, out)
 
 
-# workers is accepted and ignored, like --workers
-_CONFIG_KEYS = ("subflag_cap", "workers")
-
-
-def _load_config(path: Optional[str]) -> dict:
-    """key=value presets ('#' comments); command-line flags override."""
-    if not path:
-        return {}
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"unknown config key {key!r}")
-            out[key] = val
-    return out
-
-
 def _build_flag(args) -> flags_mod.Flag:
     if args.flag == "binary":
         return flags_mod.binary_flag(args.order)
@@ -126,7 +106,6 @@ def build_parser() -> _Parser:
             "random sets and the concentration of divisors."
         ),
     )
-    p.add_argument("--config", help="key=value preset file (flags override)")
     p.add_argument("--workers", type=int, default=None,
                    help="accepted and ignored: every computation runs serially")
     sub = p.add_subparsers(dest="command", required=True)
@@ -223,7 +202,7 @@ def build_parser() -> _Parser:
     return p
 
 
-def _cmd_rho_table(args, config: dict) -> int:
+def _cmd_rho_table(args) -> int:
     sol, _ = rho.solve_rho_chain(args.max_j)
     rows = [
         {"j": j, "rho_j": _fmt(x), "residual": _fmt(res)}
@@ -236,7 +215,7 @@ def _cmd_rho_table(args, config: dict) -> int:
     return 0
 
 
-def _cmd_rho_limit(args, config: dict) -> int:
+def _cmd_rho_limit(args) -> int:
     res = rho.rho_limit(args.tol)
     if args.json:
         _emit_json(
@@ -254,7 +233,7 @@ def _cmd_rho_limit(args, config: dict) -> int:
     return 0
 
 
-def _cmd_theta(args, config: dict) -> int:
+def _cmd_theta(args) -> int:
     table_j = min(max(args.r - 1, 1), rho.CHAIN_J)
     sol, _ = rho.solve_rho_chain(table_j)
     val = rho.theta(args.r, sol)
@@ -275,50 +254,45 @@ def _cmd_theta(args, config: dict) -> int:
     return 0
 
 
-def _cmd_eta(args, config: dict) -> int:
+def _cmd_eta(args) -> int:
     print(_fmt(rho.eta(rho.rho_limit().value)))
     return 0
 
 
-def _cmd_constants(args, config: dict) -> int:
+def _cmd_constants(args) -> int:
     _emit_json(rho.constants().to_json_dict(), args.out)
     return 0
 
 
-def _cmd_check(args, config: dict) -> int:
+def _cmd_check(args) -> int:
     flag = _build_flag(args)
     eps = list(optmeas.PERTURB_EPSILONS)
     if args.perturb:
         eps.extend(args.perturb)
-    cap = int(config.get("subflag_cap", flags_mod.SUBFLAG_SPACE_CAP))
-    _system, cert = optmeas.certify_system(flag, eps_list=eps, cap=cap)
+    _system, cert = optmeas.certify_system(flag, eps_list=eps)
     _emit_json(cert.to_json_dict(), args.out)
     return 0 if cert.ok else 3
 
 
-def _cmd_measures(args, config: dict) -> int:
+def _cmd_measures(args) -> int:
     flag = _build_flag(args)
     _emit_json(optmeas.measures_json_dict(optmeas.optimal_measure(flag)), args.out)
     return 0
 
 
-def _cmd_tree(args, config: dict) -> int:
+def _cmd_tree(args) -> int:
     flag = _build_flag(args)
     # the tree document holds no floats, so it needs no _round16 walk
     _write(json.dumps(flags_mod.tree_json_dict(flag), indent=2) + "\n", args.out)
     return 0
 
 
-def _cmd_simulate(args, config: dict) -> int:
+def _cmd_simulate(args) -> int:
     if args.experiment == "equal-sums":
-        if args.out:  # one census per trial gives both the rows and the estimate
+        est = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
+        if args.out:
             rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
-            est = simlab.EqualSumsEstimate.from_counts(
-                args.D, args.c, args.k, len(rows), sum(r["k_max"] >= args.k for r in rows),
-                sum(not r["exact"] for r in rows))
             _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
-        else:
-            est = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
         doc = {
             "schema": "cubeflags.equalsums.v1",
             "D": est.D,
@@ -414,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, _load_config(args.config))
+        return _COMMANDS[args.command](args)
     except CubeflagsError as exc:  # first: DimensionMismatchError is also a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qlinalg
 from .errors import DimensionMismatchError
-from .flags import SUBFLAG_SPACE_CAP, SUBFLAG_UNIVERSE_TAG, Flag, Subflag, coset_ids, subflag_chains
+from .flags import SUBFLAG_UNIVERSE_TAG, Flag, Subflag, coset_ids, subflag_chains
 from .qlinalg import Subspace, contains
 
 MASS_TOL = 1e-12
@@ -190,14 +190,14 @@ class EReport:
         }
 
 
-def check_entropy_condition(system: System, cap: int = SUBFLAG_SPACE_CAP) -> EReport:
+def check_entropy_condition(system: System) -> EReport:
     """Evaluate e over the enumerated subflags, which include every basic one.
 
     Entries carry their deterministic enumeration id; argmin ties break to
     the lowest id.
     """
     flag, r = system.flag, system.flag.order
-    universes, chains = subflag_chains(flag, cap)
+    universes, chains = subflag_chains(flag)
     H = [[coset_entropy(mu, U) for U in universe] for mu, universe in zip(system.measures, universes)]
     # at[i - 1][m]: the index of V_m in level i's universe, None if absent
     at = [[next((u for u, U in enumerate(universe) if U == V), None) for V in flag.spaces[: i + 1]]

@@ -497,7 +497,7 @@ def level_universe(W: Subspace, cap: int, level: int) -> tuple[Subspace, ...]:
     return tuple(sorted(seen, key=lambda U: (U.dim, U.basis)))
 
 
-def subflag_chains(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> tuple[tuple, list[tuple[int, ...]]]:
+def subflag_chains(flag: Flag) -> tuple[tuple, list[tuple[int, ...]]]:
     """The level universes, and in ascending lexicographic order every nested
     chain (u_1, ..., u_r) of indices into them, V'_i = universes[i - 1][u_i].
 
@@ -505,9 +505,10 @@ def subflag_chains(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> tuple[tuple, lis
     so the chains cover all basic subflags.  The lattice of arbitrary rational
     subspaces is infinite, so any certificate built on these chains must state
     this universe.  Containment is tested once per pair of spaces at
-    consecutive levels; every universe space contains <1>.
+    consecutive levels; every universe space contains <1>.  Each level is
+    capped at SUBFLAG_SPACE_CAP spaces, read at the call.
     """
-    universes = tuple(level_universe(flag.spaces[i], cap, i) for i in range(1, flag.order + 1))
+    universes = tuple(level_universe(flag.spaces[i], SUBFLAG_SPACE_CAP, i) for i in range(1, flag.order + 1))
     chains = [(u,) for u in range(len(universes[0]))]
     for lower, upper in zip(universes, universes[1:]):
         # above[u]: the ascending indices of the upper spaces that contain lower[u]
@@ -516,9 +517,9 @@ def subflag_chains(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> tuple[tuple, lis
     return universes, chains
 
 
-def enumerate_subflags(flag: Flag, cap: int = SUBFLAG_SPACE_CAP) -> Iterator[Subflag]:
+def enumerate_subflags(flag: Flag) -> Iterator[Subflag]:
     """Yield the `Subflag` of each chain of `subflag_chains`, in its order."""
-    universes, chains = subflag_chains(flag, cap)
+    universes, chains = subflag_chains(flag)
     v0 = span([ones(flag.ambient_dim)])
     for chain in chains:
         yield Subflag(flag, (v0, *(U[u] for U, u in zip(universes, chain))))

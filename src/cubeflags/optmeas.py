@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from math import log
 from typing import Optional, Sequence
 
+from . import flags
 from .entropy import (
     TIGHT_BAND,
     EReport,
@@ -43,7 +44,6 @@ from .entropy import (
 )
 from .errors import DegenerateParametersError
 from .flags import (
-    SUBFLAG_SPACE_CAP,
     SUBFLAG_UNIVERSE_TAG,
     Flag,
     Genotype,
@@ -299,25 +299,26 @@ class Certificate:
 
 
 def certify_system(
-    flag: Flag,
-    sol: Optional[RhoSolution] = None,
-    eps_list: Sequence[float] = PERTURB_EPSILONS,
-    cap: int = SUBFLAG_SPACE_CAP,
+    flag: Flag, eps_list: Sequence[float] = PERTURB_EPSILONS
 ) -> tuple[Optional[System], Certificate]:
     """Build the extremal system for a flag and verify everything checkable.
 
     Failures are collected in the certificate rather than raised, so a
     failing flag still yields a complete diagnostic record.  Every epsilon
     must be finite and > 0; one too coarse for c* is recorded as infeasible.
+
+    A binary flag's rho is solve_rho_chain(max(r - 1, 1)): mu* of order r
+    reads rho_1 .. rho_{r-1}, so order 1 reads none, yet its certificate
+    reports rho_1 where `measures` reports no rho; the check-binary-1 digest
+    pins that field.
     """
     if not all(0.0 < eps < math.inf for eps in eps_list):
         raise ValueError(f"perturbation epsilons must be finite and > 0, got {list(eps_list)}")
     failures: list[str] = []
-    if sol is None:
-        if flag.kind == "binary":
-            sol = solve_rho_chain(max(flag.order - 1, 1))[0]
-        else:
-            sol = solve_flag_rhos(flag)
+    if flag.kind == "binary":
+        sol = solve_rho_chain(max(flag.order - 1, 1))[0]
+    else:
+        sol = solve_flag_rhos(flag)
 
     try:
         system, data = optimal_system(flag, sol)
@@ -331,7 +332,7 @@ def certify_system(
     d = [W.dim for W in flag.spaces]
     H = data.entropy
 
-    report = check_entropy_condition(system, cap=cap)
+    report = check_entropy_condition(system)
 
     basic_slacks = {
         e.basic_m: e.slack for e in report.entries if e.basic_m is not None
@@ -383,7 +384,7 @@ def certify_system(
         offenders = []
         scanned = 0
         for i in range(1, r + 1):
-            for W in level_universe(flag.spaces[i], cap, i):
+            for W in level_universe(flag.spaces[i], flags.SUBFLAG_SPACE_CAP, i):  # cached by the sweep
                 if W.dim <= flag.spaces[i - 1].dim or W.dim >= flag.spaces[i].dim:
                     continue
                 if not contains_subspace(W, flag.spaces[i - 1]):

@@ -33,8 +33,9 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import exp, log, log1p
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, NumericInstabilityError
 from .flags import Cell, CellTree, Flag, Genotype, cell_tree, cube_points, defects, span
@@ -213,11 +214,10 @@ class RhoSolution:
         if any(x > self.rhos[0] + 1e-12 for x in self.rhos):
             raise NumericInstabilityError(f"rho_j must not exceed rho_1: {self.rhos}")
 
-    def padded(self, n: int) -> tuple[float, ...]:
-        """First n rho values, reusing the limit beyond the solved range."""
-        if n <= len(self.rhos):
-            return self.rhos[:n]
-        return self.rhos + (rho_limit().value,) * (n - len(self.rhos))
+    def padded(self) -> Iterator[float]:
+        """The rho values, then the limit for ever (solved only if reached)."""
+        yield from self.rhos
+        yield from repeat(rho_limit().value)
 
 
 def _solve_chain(n: int, equation, what: str) -> RhoSolution:
@@ -358,17 +358,17 @@ def eta(rho: float) -> float:
     return LOG2 / log(2.0 / rho)
 
 
-def gamma_res(dims: Sequence[int], sol: RhoSolution) -> float:
+def gamma_res(dims: Iterable[int], sol: RhoSolution) -> float:
     """(log 3 - 1) / (log 3 + sum_i dims[i-1] / (rho_1 ... rho_i)).
 
-    dims lists the increments dim(V_{i+1}/V_i) for i = 1..r-1.  Raises
-    NumericInstabilityError once the product of the rhos underflows to 0 or
-    the sum overflows, rather than dividing by zero or returning 0.
+    dims lists the increments dim(V_{i+1}/V_i) for i = 1..r-1; they and the
+    rhos are consumed one at a time.  Raises NumericInstabilityError once the
+    product of the rhos underflows to 0 or the sum overflows, rather than
+    dividing by zero or returning 0.
     """
-    rhos = sol.padded(len(dims))
     s = LOG3
     prod = 1.0
-    for i, (d, x) in enumerate(zip(dims, rhos), start=1):
+    for i, (d, x) in enumerate(zip(dims, sol.padded()), start=1):
         prod *= x
         if prod == 0.0:
             raise NumericInstabilityError(f"rho_1 ... rho_{i} underflows to 0 in double precision")
@@ -382,7 +382,8 @@ def theta(r: int, sol: RhoSolution) -> float:
     """theta_r: gamma_res of the order-r binary flag (increments 2^i)."""
     if r < 1:
         raise ValueError(f"theta_r needs r >= 1, got r = {r}")
-    return gamma_res([2**i for i in range(1, r)], sol)
+    # lazily: on the chain's rhos the sum overflows at i = 362, whatever r is
+    return gamma_res((2**i for i in range(1, r)), sol)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,8 @@ MAX_DIVISORS = 10**6
 # every tested case a few; each window scans the whole set, and alpha nearer 1
 # made millions of them and ran out of memory
 MAX_AMPLIFY_WINDOWS = 10**5
+# every delta sample is kept, at about 0.4 KB each: 10^6 of them fit in 0.4 GB
+MAX_DELTA_SAMPLES = 10**6
 RANDOMIZED_SAMPLES = 20000
 BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 16 MB as int32, 32 as int64
 MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own, in sums: 16 or 32 MB
@@ -505,15 +507,6 @@ class EqualSumsEstimate:
     inexact_trials: int
     window: tuple[int, int]
 
-    @staticmethod
-    def from_counts(D: float, c: float, k: int, trials: int, successes: int, inexact: int) -> "EqualSumsEstimate":
-        """The estimate from the counts of trials, successes and trials
-        decided by the randomized search."""
-        lo, hi = wilson_ci(successes, trials)
-        return EqualSumsEstimate(
-            D, c, k, trials, successes, successes / trials, lo, hi, inexact, _window_bounds(D, c)
-        )
-
 
 def _window_bounds(D: float, c: float) -> tuple[int, int]:
     """The integers [lo, hi] of the window [D^c, D], sampled as (lo - 1, hi]."""
@@ -593,15 +586,15 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
         successes += int(np.count_nonzero(_decide_trials(first, elements, sizes, k, seed)))
         inexact += int(np.count_nonzero(sizes > EXACT_SUBSET_LIMIT))
-    return EqualSumsEstimate.from_counts(D, c, k, trials, successes, inexact)
+    lo, hi = wilson_ci(successes, trials)
+    return EqualSumsEstimate(D, c, k, trials, successes, successes / trials, lo, hi, inexact, _window_bounds(D, c))
 
 
 def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> list[dict]:
     """Per-trial census rows (trial, set_size, k_max, exact) for CSV export.
 
     The rows see the same sets and searches as equal_sums_probability, so
-    counting k_max >= k and exact == 0 over them gives its estimate through
-    from_counts.
+    counting k_max >= k and exact == 0 over them gives its counts.
     """
     _check_counts(k, trials)
     rows = []
@@ -828,12 +821,17 @@ class DeltaStats:
 
     @staticmethod
     def from_samples(kind: str, samples: Sequence[DeltaSample]) -> "DeltaStats":
-        if not samples:
-            raise ValueError("samples must be >= 1")
         deltas = [s.delta for s in samples]
         return DeltaStats(
             kind, tuple(samples), sum(deltas) / len(deltas), max(deltas)
         )
+
+
+def _check_samples(samples: int) -> None:
+    # checked before any sampling: every sample is kept until the stats
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    _check_size("samples", samples, 1, MAX_DELTA_SAMPLES)
 
 
 def sample_delta_integer(X: int, samples: int, seed: int) -> DeltaStats:
@@ -842,6 +840,7 @@ def sample_delta_integer(X: int, samples: int, seed: int) -> DeltaStats:
     each batch of samples is factored together."""
     if not 1 <= X <= 1 << 50:
         raise ValueError(f"X must be in [1, 2^50], got {X}")
+    _check_samples(samples)
     out: list[DeltaSample] = []
     for _, keys in _key_batches(seed, 0, samples, TRIAL_BATCH):
         ns = (_philox_integers(keys, X, 0, 1)[:, 0] + np.uint64(1)).tolist()
@@ -912,6 +911,7 @@ def sample_delta_perm(n: int, samples: int, seed: int) -> DeltaStats:
     the cycle type _cycle_types gives on the first n uniforms of
     substream(seed, t), computed from its Philox key, BLOCK_WORDS of them at a
     time."""
+    _check_samples(samples)
     out: list[DeltaSample] = []
     for _, keys in _key_batches(seed, 0, samples, max(1, min(TRIAL_BATCH, BLOCK_WORDS // max(1, n)))):
         out += map(delta_perm, _cycle_types(n, lambda m: _philox_uniforms(keys, 0, m)))
@@ -1044,6 +1044,7 @@ def sample_delta_poly(
     seed: int,
     d_range: Optional[tuple[int, int]] = None,
 ) -> DeltaStats:
+    _check_samples(samples)
     return DeltaStats.from_samples("polynomial", [
         delta_poly(sample_poly_degrees(q, n, model, substream(seed, t), d_range)) for t in range(samples)
     ])

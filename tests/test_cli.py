@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from cubeflags import flags as flags_mod
 from cubeflags.cli import UsageError, build_parser, main
+from cubeflags.errors import EnumerationLimitError
 from cubeflags.flags import parse_flag_text
 
 TABLE = [
@@ -28,6 +32,13 @@ TABLE = [
     "0.2812113496964",
     "0.2812113496964",
 ]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def run(capsys, *argv):
@@ -89,6 +100,19 @@ def test_theta_past_double_range_is_numeric_error(capsys, r):
     code, out, err = run(capsys, "theta", "--r", r)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "overflows" in err
+
+
+def test_theta_cost_does_not_grow_with_r():
+    # the increments 2^i and the padded rhos are consumed lazily, so r = 10^6
+    # fails at i = 362 inside 1 GiB, as r = 363 does
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {SRC!r})\nfrom cubeflags.cli import main\nsys.exit(main(sys.argv[1:]))",
+         "theta", "--r", str(10**6)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the gamma denominator overflows at i = 362\n"
 
 
 def test_theta_json_padding_metadata(capsys):
@@ -477,16 +501,23 @@ def test_simulate_delta_poly(capsys):
     assert code == 0 and doc["kind"] == "polynomial"
 
 
-@pytest.mark.parametrize(
-    "experiment",
-    [("delta-int", "--X", "1000"), ("delta-perm", "--n", "10"),
-     ("delta-poly", "--dmin", "2", "--dmax", "5")],
-    ids=lambda e: e[0],
-)
+DELTA_EXPERIMENTS = [("delta-int", "--X", "1000"), ("delta-perm", "--n", "10"),
+                     ("delta-poly", "--dmin", "2", "--dmax", "5")]
+
+
+@pytest.mark.parametrize("experiment", DELTA_EXPERIMENTS, ids=lambda e: e[0])
 def test_simulate_delta_zero_samples_usage_error(capsys, experiment):
     code, _, err = run(capsys, "simulate", *experiment, "--samples", "0")
     assert code == 1
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("experiment", DELTA_EXPERIMENTS, ids=lambda e: e[0])
+def test_simulate_delta_samples_past_cap_exits_2(capsys, experiment):
+    # every sample is kept, so the count is guarded before any is drawn
+    code, out, err = run(capsys, "simulate", *experiment, "--samples", "1000001")
+    assert (code, out) == (2, "")
+    assert err == "error: samples guard: 1000001 > 1000000\n"
 
 
 @pytest.mark.parametrize(
@@ -582,26 +613,48 @@ def test_rho_invariant_violation_is_numeric_error(capsys, tmp_path):
     assert err.startswith("error: rho_j must not exceed rho_1")
 
 
-def test_config_file_and_override(capsys, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("# presets\nworkers = 2\n")
-    code, out, _ = run(
-        capsys, "--config", str(cfg),
-        "simulate", "equal-sums", "--D", "10000", "--c", "0.2",
-        "--trials", "10", "--seed", "1", "--json",
-    )
-    assert code == 0
-    assert json.loads(out)["trials"] == 10
+def test_check_past_the_subflag_cap_exits_2(capsys, monkeypatch):
+    # the closure reads the cap when it is called: binary order 1's level-1
+    # universe holds 2 spaces, one past a cap of 1
+    monkeypatch.setattr(flags_mod, "SUBFLAG_SPACE_CAP", 1)
+    code, out, err = run(capsys, "check", "--flag", "binary", "--order", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {EnumerationLimitError(1, 2, 1)}\n"
 
 
-def test_config_unknown_key_usage_error(capsys, tmp_path):
-    # a misspelt subflag_cap must not run silently with the default cap
-    cfg = tmp_path / "cfg"
-    cfg.write_text("subflag_cpa = 1\n")
-    code, out, err = run(capsys, "--config", str(cfg), "check", "--flag", "binary", "--order", "1")
-    assert code == 1
-    assert out == ""
-    assert err == "usage error: unknown config key 'subflag_cpa'\n"
+def _long_options(parser, path=()):
+    # {subcommand path: its sorted long options}, for every nested subparser
+    out = {" ".join(path): sorted(o for a in parser._actions for o in a.option_strings if o.startswith("--"))}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_long_options(sub, path + (name,)))
+    return out
+
+
+def test_option_surface_is_pinned(capsys):
+    # a setting added or removed shows up here; there is no preset file
+    assert _long_options(build_parser()) == {
+        "": ["--help", "--workers"],
+        "rho-table": ["--format", "--help", "--max-j", "--out"],
+        "rho-limit": ["--help", "--json", "--tol"],
+        "theta": ["--help", "--json", "--r"],
+        "eta": ["--help"],
+        "constants": ["--help", "--out"],
+        "check": ["--file", "--flag", "--help", "--order", "--out", "--perturb"],
+        "measures": ["--file", "--flag", "--help", "--order", "--out"],
+        "tree": ["--file", "--flag", "--help", "--order", "--out"],
+        "simulate": ["--help"],
+        "simulate equal-sums": ["--D", "--c", "--help", "--json", "--k", "--out", "--seed", "--trials"],
+        "simulate amplify": ["--D1", "--D2", "--alpha", "--help", "--json", "--k", "--seed"],
+        "simulate delta-int": ["--X", "--help", "--json", "--out", "--samples", "--seed", "--trials"],
+        "simulate delta-perm": ["--help", "--json", "--n", "--out", "--samples", "--seed", "--trials"],
+        "simulate delta-poly": ["--dmax", "--dmin", "--help", "--json", "--model", "--n", "--out", "--q",
+                                "--samples", "--seed", "--trials"],
+    }
+    code, out, err = run(capsys, "--config=presets.cfg", "eta")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "--config" in err
 
 
 def test_unknown_subcommand_usage(capsys):
@@ -635,9 +688,8 @@ def test_readme_commands_parse():
 
 
 def _in_fresh_interpreter(code):
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n" + code],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -489,11 +489,13 @@ def test_subflag_enumeration_deterministic():
     assert a == b
 
 
-def test_subflag_cap():
+def test_subflag_cap(monkeypatch):
     from cubeflags.errors import EnumerationLimitError
 
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_subflags(binary_flag(2), cap=2))
+    # read at the call: level 2 of binary 2 holds 18 spaces
+    monkeypatch.setattr(flags, "SUBFLAG_SPACE_CAP", 2)
+    with pytest.raises(EnumerationLimitError, match="at level 2 exceeded 2"):
+        list(enumerate_subflags(binary_flag(2)))
 
 
 def test_level_universe_complete_against_bounded_bruteforce():

@@ -659,8 +659,9 @@ def _scalar_log_set(lo, hi, rng):
 
 def _estimate(D, c, k, outcomes):
     # the estimate from one (success, was_exact) pair per trial
-    return S.EqualSumsEstimate.from_counts(
-        D, c, k, len(outcomes), sum(ok for ok, _ in outcomes), sum(not exact for _, exact in outcomes))
+    trials, successes = len(outcomes), sum(ok for ok, _ in outcomes)
+    return S.EqualSumsEstimate(D, c, k, trials, successes, successes / trials, *S.wilson_ci(successes, trials),
+                               sum(not exact for _, exact in outcomes), S._window_bounds(D, c))
 
 
 def _per_trial_outcomes(D, c, k, trials, seed):
