@@ -13,12 +13,13 @@ constants, past which a command exits 2.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import gc
-import io
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import flags as flags_mod
 from . import optmeas, rho, simlab
@@ -57,32 +58,33 @@ def _round16(obj):
     return obj
 
 
+def _open(out: Optional[str]):
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _write(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open(out) as fh:
+        fh.write(text)
 
 
 def _emit_json(doc: dict, out: Optional[str]):
     _write(json.dumps(_round16(doc), indent=2) + "\n", out)
 
 
-def _emit_rows(rows: list[dict], header: list[str], fmt: str, out: Optional[str]):
+def _emit_rows(rows: Iterable[dict], header: list[str], fmt: str, out: Optional[str]):
+    """Write rows as CSV, each as it comes (a stopped run leaves the rows
+    written so far), or as an aligned table of the list rows."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:  # aligned table
-        widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) if rows else len(h) for h in header}
-        lines = ["  ".join(h.ljust(widths[h]) for h in header)]
-        for r in rows:
-            lines.append("  ".join(str(r[h]).ljust(widths[h]) for h in header))
-        text = "\n".join(lines) + "\n"
-    _write(text, out)
+        with _open(out) as fh:
+            writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        return
+    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) if rows else len(h) for h in header}
+    lines = ["  ".join(h.ljust(widths[h]) for h in header)]
+    for r in rows:
+        lines.append("  ".join(str(r[h]).ljust(widths[h]) for h in header))
+    _write("\n".join(lines) + "\n", out)
 
 
 def _build_flag(args) -> flags_mod.Flag:
@@ -90,12 +92,17 @@ def _build_flag(args) -> flags_mod.Flag:
         return flags_mod.binary_flag(args.order)
     if args.flag == "mt":
         return flags_mod.mt_flag(args.order)
-    if args.flag == "file":
-        if not args.file:
-            raise UsageError("--flag file requires --file PATH")
-        with open(args.file) as fh:
-            return flags_mod.parse_flag_text(fh.read())
-    raise UsageError(f"unknown flag kind {args.flag!r}")
+    if not args.file:  # --flag file
+        raise UsageError("--flag file requires --file PATH")
+    with open(args.file) as fh:
+        return flags_mod.parse_flag_text(fh.read())
+
+
+def _add_flag_options(s: argparse.ArgumentParser):
+    s.add_argument("--flag", choices=("binary", "mt", "file"), required=True)
+    s.add_argument("--order", type=int, default=2)
+    s.add_argument("--file", help="flag specification file (with --flag file)")
+    s.add_argument("--out")
 
 
 def build_parser() -> _Parser:
@@ -135,24 +142,15 @@ def build_parser() -> _Parser:
         "check",
         help="build the extremal system of a flag and emit its entropy certificate",
     )
-    s.add_argument("--flag", choices=("binary", "mt", "file"), required=True)
-    s.add_argument("--order", type=int, default=2)
-    s.add_argument("--file", help="flag specification file (with --flag file)")
+    _add_flag_options(s)
     s.add_argument("--perturb", type=float, action="append", default=None,
                    help="extra threshold perturbation epsilon (repeatable)")
-    s.add_argument("--out")
 
     s = sub.add_parser("measures", help="dump the extremal measure, thresholds, entropies")
-    s.add_argument("--flag", choices=("binary", "mt", "file"), required=True)
-    s.add_argument("--order", type=int, default=2)
-    s.add_argument("--file")
-    s.add_argument("--out")
+    _add_flag_options(s)
 
     s = sub.add_parser("tree", help="dump the cell tree (levels, genotypes, members)")
-    s.add_argument("--flag", choices=("binary", "mt", "file"), required=True)
-    s.add_argument("--order", type=int, default=2)
-    s.add_argument("--file")
-    s.add_argument("--out")
+    _add_flag_options(s)
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo experiments")
     simsub = sim.add_subparsers(dest="experiment", required=True)
@@ -330,9 +328,9 @@ def _cmd_simulate(args) -> int:
             print(f"multiplicity {res.k_max} from {succ} successful windows; common sum {res.witness_sum}")
         return 0
     if args.experiment == "delta-int":
-        stats = simlab.sample_delta_integer(args.X, args.samples, args.seed)
+        kind, samples = "integer", simlab.sample_delta_integer(args.X, args.samples, args.seed)
     elif args.experiment == "delta-perm":
-        stats = simlab.sample_delta_perm(args.n, args.samples, args.seed)
+        kind, samples = "permutation", simlab.sample_delta_perm(args.n, args.samples, args.seed)
     else:  # delta-poly
         d_range = None
         if (args.dmin is None) != (args.dmax is None):
@@ -348,26 +346,28 @@ def _cmd_simulate(args) -> int:
                     "pass --dmin/--dmax for a nonvacuous simulation",
                     file=sys.stderr,
                 )
-        stats = simlab.sample_delta_poly(args.q, args.n, args.model, args.samples, args.seed, d_range)
-    rows = [
-        {"trial": i, "param": str(s.param), "delta": s.delta}
-        for i, s in enumerate(stats.samples)
-    ]
+        kind, samples = "polynomial", simlab.sample_delta_poly(
+            args.q, args.n, args.model, args.samples, args.seed, d_range)
+    count = total = top = 0  # the summary, folded as the samples go by: the sum is exact
+
+    def rows():
+        nonlocal count, total, top
+        for count, s in enumerate(samples, 1):
+            total, top = total + s.delta, max(top, s.delta)
+            yield {"trial": count - 1, "param": s.param, "delta": s.delta}
+
     if args.out:
-        _emit_rows(rows, ["trial", "param", "delta"], "csv", args.out)
+        _emit_rows(rows(), ["trial", "param", "delta"], "csv", args.out)
+    else:
+        collections.deque(rows(), maxlen=0)
     if args.json:
         _emit_json(
-            {
-                "schema": "cubeflags.delta.v1",
-                "kind": stats.kind,
-                "samples": len(stats.samples),
-                "mean_delta": stats.mean_delta,
-                "max_delta": stats.max_delta,
-            },
+            {"schema": "cubeflags.delta.v1", "kind": kind, "samples": count, "mean_delta": total / count,
+             "max_delta": top},
             None,
         )
     else:
-        print(f"samples {len(stats.samples)}  mean delta {_fmt(stats.mean_delta)}  max {stats.max_delta}")
+        print(f"samples {count}  mean delta {_fmt(total / count)}  max {top}")
     return 0
 
 

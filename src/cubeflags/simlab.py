@@ -12,7 +12,7 @@ batch of substreams in numpy, bit for bit, with no Generator built.  The
 equal-sums and amplify sets, the randomized search's masks, the delta-int
 integers (numpy's bounded draws) and the delta-perm uniforms all come from
 them; only delta-poly (negative binomial and Poisson draws) builds a
-Generator per trial.
+Generator per trial, on its key.
 
 Subset sums are exact integers end to end: every census holds them as
 int32 when its largest sum is at most 2^31 - 1, else as int64 (the
@@ -58,7 +58,8 @@ MAX_DIVISORS = 10**6
 # every tested case a few; each window scans the whole set, and alpha nearer 1
 # made millions of them and ran out of memory
 MAX_AMPLIFY_WINDOWS = 10**5
-# every delta sample is kept, at about 0.4 KB each: 10^6 of them fit in 0.4 GB
+# the delta samplers stream their samples, so this bounds the run time only:
+# 10^6 delta-perm --n 400 samples take ~100 s at ~10,000 a second (2-core VM)
 MAX_DELTA_SAMPLES = 10**6
 RANDOMIZED_SAMPLES = 20000
 BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 16 MB as int32, 32 as int64
@@ -103,6 +104,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ value >> _U16
 
 
+def _seed_words(seed: int) -> list[int]:
+    """The 32-bit words of a seed, low first (one word for 0), as SeedSequence checks them."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return [seed >> s & 0xFFFFFFFF for s in range(0, max(1, seed.bit_length()), 32)]
+
+
 def _philox_keys(seed: int, trials: np.ndarray) -> np.ndarray:
     """(len(trials), 2) uint64: row i is SeedSequence([seed, trials[i]])
     .generate_state(2, np.uint64), the Philox key of substream(seed,
@@ -113,10 +122,7 @@ def _philox_keys(seed: int, trials: np.ndarray) -> np.ndarray:
     SeedSequence pads) fill the pool, and each later word is mixed into it;
     rows whose entropy has ended keep their pool.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(1, seed.bit_length()), 32)]
+    seed_words = _seed_words(seed)
     s = len(seed_words)
     entropy = np.zeros((len(trials), max(4, s + 2)), dtype=np.uint64)
     entropy[:, :s] = seed_words
@@ -427,19 +433,20 @@ def _witnesses(words: np.ndarray, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
 
 
-def max_subset_sum_multiplicity(A: Sequence[int]) -> MultiplicityResult:
-    """Maximum number of distinct subsets of A sharing one sum, exact.
-
-    Walks all 2^m sorted subset sums of the prefix that has_k_equal_sums
-    describes (m <= n <= 26), takes the longest run, and recovers its k_max
-    witnesses by meet in the middle.  Ties go to the least sum, and witnesses
-    are listed by ascending subset mask.
-    """
-    values = _distinct_values(A, EXACT_SUBSET_LIMIT)
+def _k_max(values: list[int]) -> tuple[int, int, list[int]]:
+    """(k_max, its least sum, the prefix walked) of the checked ascending
+    values: the longest run of all 2^m sorted subset sums of the prefix that
+    has_k_equal_sums describes (m <= n <= 26).  The census is freed on return."""
     values = values[:int(_needed_lengths(np.array([values], dtype=np.int64))[0])]
-    sums = _census_sums(values, merge=True)
-    k_max, witness_sum = _longest_run(sums)
-    del sums  # freed before the witnesses are built
+    return (*_longest_run(_census_sums(values, merge=True)), values)
+
+
+def max_subset_sum_multiplicity(A: Sequence[int]) -> MultiplicityResult:
+    """Maximum number of distinct subsets of A sharing one sum, exact: _k_max,
+    and its k_max witnesses recovered by meet in the middle.  Ties go to the
+    least sum, and witnesses are listed by ascending subset mask.
+    """
+    k_max, witness_sum, values = _k_max(_distinct_values(A, EXACT_SUBSET_LIMIT))
     masks = _masks_with_sum(values, witness_sum)[:, None]
     return MultiplicityResult(k_max, witness_sum, _witnesses(masks, len(values)), True)
 
@@ -533,20 +540,23 @@ def _check_size(what: str, x: int, low: int, cap: int) -> None:
         raise CapacityError(f"{what} guard: {x} > {cap}")
 
 
-def _key_batches(seed: int, start: int, stop: int, rows: int):
-    """Yield (first trial, Philox keys) for trials start..stop-1, `rows` at a
-    time: the keys of substream(seed, trial) for the block's trials."""
-    for first in range(start, stop, rows):
-        yield first, _philox_keys(seed, np.arange(first, min(stop, first + rows), dtype=np.uint64))
+def _key_batches(seed: int, start: int, stop: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first trial, Philox keys) for trials start..stop-1, `rows` at a time:
+    the keys of substream(seed, trial) for the block's trials.  The seed is
+    checked at the call, and each block's keys are made when it is reached."""
+    _seed_words(seed)
+    return ((first, _philox_keys(seed, np.arange(first, min(stop, first + rows), dtype=np.uint64)))
+            for first in range(start, stop, rows))
 
 
 def _trial_batches(D: float, c: float, seed: int, start: int, stop: int):
-    """Yield (first trial, elements, sizes) for trials start..stop-1, at most
+    """(first trial, elements, sizes) for trials start..stop-1, at most
     TRIAL_BATCH at a time: each trial's set, sampled by _log_set_rows from
-    the first draws of its substream(seed, trial), computed from its key."""
+    the first draws of its substream(seed, trial), computed from its key.
+    The window and the seed are checked at the call."""
     lo, hi = _window_bounds(D, c)
-    for first, keys in _key_batches(seed, start, stop, TRIAL_BATCH):
-        yield (first, *_log_set_rows(lo - 1, hi, len(keys), _key_draws(keys)))
+    return ((first, *_log_set_rows(lo - 1, hi, len(keys), _key_draws(keys)))
+            for first, keys in _key_batches(seed, start, stop, TRIAL_BATCH))
 
 
 def _randomized_trial(values: list[int], seed: int, trial: int) -> MultiplicityResult:
@@ -590,21 +600,24 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     return EqualSumsEstimate(D, c, k, trials, successes, successes / trials, lo, hi, inexact, _window_bounds(D, c))
 
 
-def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> list[dict]:
-    """Per-trial census rows (trial, set_size, k_max, exact) for CSV export.
+def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> Iterator[dict]:
+    """Per-trial census rows (trial, set_size, k_max, exact) for CSV export,
+    sampled a batch of trials at a time as they are read.  The arguments are
+    checked at the call.
 
     The rows see the same sets and searches as equal_sums_probability, so
     counting k_max >= k and exact == 0 over them gives its counts.
     """
     _check_counts(k, trials)
-    rows = []
-    for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
-        for r, n in enumerate(sizes.tolist()):
-            values = elements[r, :n].tolist()
-            res = (max_subset_sum_multiplicity(values) if n <= EXACT_SUBSET_LIMIT
-                   else _randomized_trial(values, seed, first + r))
-            rows.append({"trial": first + r, "set_size": n, "k_max": res.k_max, "exact": int(res.exact)})
-    return rows
+    batches = _trial_batches(D, c, seed, 0, trials)
+
+    def rows():
+        for first, elements, sizes in batches:
+            for r, n in enumerate(sizes.tolist()):
+                values, exact = elements[r, :n].tolist(), n <= EXACT_SUBSET_LIMIT
+                k_max = _k_max(values)[0] if exact else _randomized_trial(values, seed, first + r).k_max
+                yield {"trial": first + r, "set_size": n, "k_max": k_max, "exact": int(exact)}
+    return rows()
 
 
 def amplify_demo(
@@ -793,7 +806,7 @@ def divisors_of(factors: dict[int, int]) -> list[int]:
 @dataclass(frozen=True)
 class DeltaSample:
     """One divisor-window observation: param is the integer, or the permutation's
-    or polynomial's n, and delta >= 1 always; the kind is its DeltaStats'."""
+    or polynomial's n, and delta >= 1 always."""
 
     param: int
     delta: int
@@ -812,40 +825,29 @@ def delta_integer(n: int, factors: Optional[dict[int, int]] = None) -> DeltaSamp
     return DeltaSample(n, delta)
 
 
-@dataclass(frozen=True)
-class DeltaStats:
-    kind: str
-    samples: tuple[DeltaSample, ...]
-    mean_delta: float
-    max_delta: int
-
-    @staticmethod
-    def from_samples(kind: str, samples: Sequence[DeltaSample]) -> "DeltaStats":
-        deltas = [s.delta for s in samples]
-        return DeltaStats(
-            kind, tuple(samples), sum(deltas) / len(deltas), max(deltas)
-        )
-
-
-def _check_samples(samples: int) -> None:
-    # checked before any sampling: every sample is kept until the stats
+def _sample_keys(samples: int, seed: int, rows: int = TRIAL_BATCH) -> Iterator[tuple[int, np.ndarray]]:
+    """_key_batches of samples 0 .. samples - 1, the count checked first.
+    Each delta sampler checks every argument at the call, then returns an
+    iterator that draws its samples a batch at a time as they are read."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_size("samples", samples, 1, MAX_DELTA_SAMPLES)
+    return _key_batches(seed, 0, samples, rows)
 
 
-def sample_delta_integer(X: int, samples: int, seed: int) -> DeltaStats:
+def sample_delta_integer(X: int, samples: int, seed: int) -> Iterator[DeltaSample]:
     """delta on uniform random integers in [1, X]: sample t is
     substream(seed, t).integers(1, X + 1), drawn from its Philox key, and
     each batch of samples is factored together."""
     if not 1 <= X <= 1 << 50:
         raise ValueError(f"X must be in [1, 2^50], got {X}")
-    _check_samples(samples)
-    out: list[DeltaSample] = []
-    for _, keys in _key_batches(seed, 0, samples, TRIAL_BATCH):
-        ns = (_philox_integers(keys, X, 0, 1)[:, 0] + np.uint64(1)).tolist()
-        out += map(delta_integer, ns, _factorize_rows(ns))
-    return DeltaStats.from_samples("integer", out)
+    batches = _sample_keys(samples, seed)
+
+    def draw():
+        for _, keys in batches:
+            ns = (_philox_integers(keys, X, 0, 1)[:, 0] + np.uint64(1)).tolist()
+            yield from map(delta_integer, ns, _factorize_rows(ns))
+    return draw()
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +863,6 @@ def _cycle_types(n: int, draw) -> list[tuple[int, ...]]:
     1/(n - g), one uniform draw each; the cycle lengths are the gaps between
     closing positions.
     """
-    _check_size("permutation size n", n, 1, MAX_PERM_N)
     closes = draw(n) < 1.0 / (n - np.arange(n))  # g = n - 1 always closes
     # gaps between flat positions: each row's last symbol closes, so its
     # first gap counts from the previous row's end
@@ -906,16 +907,15 @@ def delta_perm_bruteforce(cycle_type: Sequence[int]) -> int:
     return max(census.values())
 
 
-def sample_delta_perm(n: int, samples: int, seed: int) -> DeltaStats:
+def sample_delta_perm(n: int, samples: int, seed: int) -> Iterator[DeltaSample]:
     """delta_perm on uniform random permutations of n symbols: sample t is
     the cycle type _cycle_types gives on the first n uniforms of
     substream(seed, t), computed from its Philox key, BLOCK_WORDS of them at a
     time."""
-    _check_samples(samples)
-    out: list[DeltaSample] = []
-    for _, keys in _key_batches(seed, 0, samples, max(1, min(TRIAL_BATCH, BLOCK_WORDS // max(1, n)))):
-        out += map(delta_perm, _cycle_types(n, lambda m: _philox_uniforms(keys, 0, m)))
-    return DeltaStats.from_samples("permutation", out)
+    batches = _sample_keys(samples, seed, max(1, min(TRIAL_BATCH, BLOCK_WORDS // max(1, n))))
+    _check_size("permutation size n", n, 1, MAX_PERM_N)
+    return (sample for _, keys in batches
+            for sample in map(delta_perm, _cycle_types(n, lambda m: _philox_uniforms(keys, 0, m))))
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +940,7 @@ def _mobius(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=64)  # irreducible_count and every delta-poly sample check q
+@lru_cache(maxsize=64)  # irreducible_count checks q at every degree of a window
 def _check_q(q: int) -> None:
     _check_size("q", q, 2, MAX_POLY_Q)
     if len(factorize(q)) != 1:
@@ -979,14 +979,18 @@ def nb_mean(q: int, d: int) -> Fraction:
     return Fraction(irreducible_count(q, d), q**d - 1)
 
 
-# sample_delta_poly draws many samples over one (q, model, window)
+# sample_delta_poly draws many samples over one (q, n, model, window)
 @lru_cache(maxsize=64)
-def _poly_draw_params(q: int, model: str, d_lo: int, d_hi: int):
+def _poly_draw_params(q: int, n: int, model: str, d_range: Optional[tuple[int, int]]):
     """The degrees of the window, the NB(m, p) parameters of the degrees
-    with q^d < 2^52 and the Poisson means of the rest, as read-only arrays.
-    q^d grows with d, so the NB block is the low end of the window and one
-    call per block draws in the scalar loop's order."""
-    degrees = range(max(1, d_lo), d_hi + 1)
+    with q^d < 2^52 and the Poisson means of the rest, as read-only arrays,
+    once n, q, the window and the model are checked.  q^d grows with d, so
+    the NB block is the low end of the window and one call per block draws in
+    the scalar loop's order."""
+    _check_size("poly degree n", n, 1, MAX_POLY_N)
+    _check_q(q)
+    d_lo, d_hi = d_range if d_range is not None else lemma_degree_range(n)
+    degrees = range(max(1, d_lo), min(d_hi, n) + 1)
     if model == "poisson":
         nb_degrees = range(0)
         means = [1.0 / d for d in degrees]
@@ -1020,10 +1024,7 @@ def sample_poly_degrees(
     arithmetic the NB law is sampled as Poisson(m / (q^d - 1)), which is
     within O(q^-d) of it in total variation.
     """
-    _check_size("poly degree n", n, 1, MAX_POLY_N)
-    _check_q(q)
-    d_lo, d_hi = d_range if d_range is not None else lemma_degree_range(n)
-    degrees, nb_m, nb_p, means = _poly_draw_params(q, model, d_lo, min(d_hi, n))
+    degrees, nb_m, nb_p, means = _poly_draw_params(q, n, model, d_range)
     ys = rng.negative_binomial(nb_m, nb_p).tolist() + rng.poisson(means).tolist()
     return {d: y for d, y in zip(degrees, ys) if y}
 
@@ -1036,15 +1037,11 @@ def delta_poly(degree_counts: dict[int, int]) -> DeltaSample:
     return DeltaSample(n, delta)
 
 
-def sample_delta_poly(
-    q: int,
-    n: int,
-    model: str,
-    samples: int,
-    seed: int,
-    d_range: Optional[tuple[int, int]] = None,
-) -> DeltaStats:
-    _check_samples(samples)
-    return DeltaStats.from_samples("polynomial", [
-        delta_poly(sample_poly_degrees(q, n, model, substream(seed, t), d_range)) for t in range(samples)
-    ])
+def sample_delta_poly(q: int, n: int, model: str, samples: int, seed: int,
+                      d_range: Optional[tuple[int, int]] = None) -> Iterator[DeltaSample]:
+    """delta_poly on sample_poly_degrees: sample t draws from the Generator
+    of substream(seed, t), built on its Philox key."""
+    batches = _sample_keys(samples, seed)
+    _poly_draw_params(q, n, model, d_range)  # checks n, q, the window and the model
+    return (delta_poly(sample_poly_degrees(q, n, model, np.random.Generator(np.random.Philox(key=key)), d_range))
+            for _, keys in batches for key in keys)

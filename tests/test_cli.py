@@ -3,10 +3,7 @@ import hashlib
 import json
 import math
 import re
-import resource
 import shlex
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -34,11 +31,7 @@ TABLE = [
 ]
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+CLI_MAIN = "from cubeflags.cli import main\nsys.exit(main(sys.argv[1:]))"  # run with fresh()
 
 
 def run(capsys, *argv):
@@ -102,17 +95,12 @@ def test_theta_past_double_range_is_numeric_error(capsys, r):
     assert err.startswith("error:") and "overflows" in err
 
 
-def test_theta_cost_does_not_grow_with_r():
+def test_theta_cost_does_not_grow_with_r(fresh):
     # the increments 2^i and the padded rhos are consumed lazily, so r = 10^6
     # fails at i = 362 inside 1 GiB, as r = 363 does
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {SRC!r})\nfrom cubeflags.cli import main\nsys.exit(main(sys.argv[1:]))",
-         "theta", "--r", str(10**6)],
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: the gamma denominator overflows at i = 362\n"
+    child = fresh(CLI_MAIN, "theta", "--r", str(10**6), limit_memory=True, timeout=60)
+    assert (child.code, child.stdout) == (2, "")
+    assert child.stderr == "error: the gamma denominator overflows at i = 362\n"
 
 
 def test_theta_json_padding_metadata(capsys):
@@ -514,10 +502,54 @@ def test_simulate_delta_zero_samples_usage_error(capsys, experiment):
 
 @pytest.mark.parametrize("experiment", DELTA_EXPERIMENTS, ids=lambda e: e[0])
 def test_simulate_delta_samples_past_cap_exits_2(capsys, experiment):
-    # every sample is kept, so the count is guarded before any is drawn
+    # the cap bounds the run time; the count is guarded before any sample is drawn
     code, out, err = run(capsys, "simulate", *experiment, "--samples", "1000001")
     assert (code, out) == (2, "")
     assert err == "error: samples guard: 1000001 > 1000000\n"
+
+
+@pytest.mark.parametrize("argv, summary, rows", [
+    (("delta-int", "--X", "100000", "--samples", "40"),
+     "80add8589f24636d06a1b3c119db48e4ec3868563dcf464fe48ac7e3e9f3e757",
+     "02d9bf9d8b31d0b6243023857fd42002964e5bcbc761f4ff407d4aafc3048ace"),
+    (("delta-perm", "--n", "50", "--samples", "40"),
+     "c0830f23f4c7d60111f8a8f2f4558002962542f4d23d47a21d06a891b38730a1",
+     "9ba02e969e8e145f062628865c2ae25dd9555cc54e866f42ed23a7b9f3c33573"),
+    (("delta-poly", "--q", "2", "--n", "2000", "--model", "nb", "--samples", "12",
+      "--dmin", "2", "--dmax", "30"),
+     "091e216fd0188481fa9264149844ec2b14f071377dba73de48fe13f6e3fc32fe",
+     "2fd0f4358bf8c6020d50aca5f846c348e3d29071193fae6017d7e77fd0d4a61b"),
+], ids=["delta-int", "delta-perm", "delta-poly"])
+def test_simulate_delta_out_bytes_pinned(capsys, tmp_path, argv, summary, rows):
+    # digests recorded while every sample was kept in memory: the summary
+    # folded from the stream and the rows written as they come keep their bytes
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "simulate", *argv, "--seed", "3", "--json", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert _sha256(out.encode()) == summary
+    assert _sha256(out_path.read_bytes()) == rows
+
+
+@pytest.mark.parametrize("experiment, bad, code, message", [
+    *[(e, ("--seed", "-1"), 1, "usage error: expected non-negative integer\n") for e in DELTA_EXPERIMENTS],
+    *[(e, ("--samples", "0"), 1, "usage error: samples must be >= 1\n") for e in DELTA_EXPERIMENTS],
+    (DELTA_EXPERIMENTS[1], ("--n", "401"), 2, "error: permutation size n guard: 401 > 400\n"),
+    (DELTA_EXPERIMENTS[2], ("--q", "6"), 1, "usage error: q = 6 is not a prime power\n"),
+], ids=[f"{e[0]}-{bad}" for bad in ("seed", "samples") for e in DELTA_EXPERIMENTS] + ["delta-perm-n", "delta-poly-q"])
+def test_simulate_delta_refused_run_writes_no_file(capsys, tmp_path, experiment, bad, code, message):
+    # the samplers check every argument before the CSV is opened
+    out_path = tmp_path / "rows.csv"
+    assert run(capsys, "simulate", *experiment, *bad, "--json", "--out", str(out_path)) == (code, "", message)
+    assert not out_path.exists()
+
+
+def test_simulate_delta_summary_memory_does_not_grow_with_samples(fresh):
+    # the summary is folded as the samples stream past: 200,000 of them once
+    # peaked at 107 MB, when every sample was kept
+    child = fresh(CLI_MAIN, "simulate", "delta-perm", "--n", "2", "--samples", "200000", "--json")
+    assert (child.code, child.stderr) == (0, "")
+    assert json.loads(child.stdout)["samples"] == 200000
+    assert child.peak_rss < 64 << 20
 
 
 @pytest.mark.parametrize(
@@ -687,25 +719,15 @@ def test_readme_commands_parse():
             pytest.fail(f"README line `cubeflags {' '.join(argv)}`: {exc}")
 
 
-def _in_fresh_interpreter(code):
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n" + code],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_import_heap_is_frozen_by_the_cli_only():
+def test_import_heap_is_frozen_by_the_cli_only(fresh):
     # the library leaves a host process's collector alone; the CLI moves the
     # import-time heap into the permanent generation
-    assert _in_fresh_interpreter("import gc, cubeflags\nprint(gc.get_freeze_count())") == "0\n"
-    frozen = _in_fresh_interpreter("import gc, cubeflags.cli\nprint(gc.get_freeze_count())")
-    assert int(frozen) > 0
+    assert fresh("import gc, cubeflags\nprint(gc.get_freeze_count())")[:2] == (0, "0\n")
+    frozen = fresh("import gc, cubeflags.cli\nprint(gc.get_freeze_count())")
+    assert frozen.code == 0 and int(frozen.stdout) > 0
 
 
-def test_cli_import_leaves_no_cyclic_garbage():
+def test_cli_import_leaves_no_cyclic_garbage(fresh):
     # why no collect() precedes the freeze: were an import-time change to
     # leave cyclic garbage, the freeze would keep it alive for the whole run
-    code = "import gc, cubeflags.cli\ngc.unfreeze()\nprint(gc.collect())"
-    assert _in_fresh_interpreter(code) == "0\n"
+    assert fresh("import gc, cubeflags.cli\ngc.unfreeze()\nprint(gc.collect())")[:2] == (0, "0\n")

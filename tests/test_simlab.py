@@ -1,11 +1,7 @@
 import math
-import resource
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,10 +438,6 @@ def test_randomized_multiplicity_guards_int64_sums(monkeypatch):
         S._randomized_trial(list(range(1, 8193)), 0, 0)
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 def _conway_guy(n):
     # the Conway-Guy sum-distinct set of n elements: u_0 = 0, u_1 = 1,
     # u_{i+1} = 2 u_i - u_{i - round(sqrt(2 i))}, and the set {u_n - u_i : i < n}.
@@ -465,21 +457,13 @@ def test_conway_guy_sets_walk_every_level():
     assert not S.has_k_equal_sums(_conway_guy(12), 2)  # sum-distinct
 
 
-def test_has_k_equal_sums_memory_bounded():
+def test_has_k_equal_sums_memory_bounded(fresh):
     # 2^24 distinct subset sums must fit in 1 GiB of address space
     # (a dict of Python ints needs several times that)
-    src = str(Path(S.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r})\n"
-        "from cubeflags.simlab import has_k_equal_sums\n"
-        f"print(has_k_equal_sums({_conway_guy(24)!r}, 2))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120, preexec_fn=_limit_address_space,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    child = fresh(f"from cubeflags.simlab import has_k_equal_sums\nprint(has_k_equal_sums({_conway_guy(24)!r}, 2))",
+                  limit_memory=True)
+    assert child.code == 0, child.stderr
+    assert child.stdout == "False\n"
 
 
 # Two sum-distinct sets of 26 elements that every census walks in full: the
@@ -488,119 +472,93 @@ def test_has_k_equal_sums_memory_bounded():
 # merge buffer.
 @pytest.mark.parametrize("A", [pytest.param(repr(_conway_guy(26)), id="conway-guy-26"),
                                "[(1 << 40) + (1 << i) for i in range(26)]"])
-def test_exact_multiplicity_memory_bounded(A):
+def test_exact_multiplicity_memory_bounded(fresh, A):
     # the full exact census of 2^26 distinct sums, the most the guard allows,
     # must fit in 1 GiB of address space
-    src = str(Path(S.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r})\n"
-        "from cubeflags.simlab import max_subset_sum_multiplicity\n"
-        f"print(max_subset_sum_multiplicity({A}).k_max)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120, preexec_fn=_limit_address_space,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n"
+    child = fresh(f"from cubeflags.simlab import max_subset_sum_multiplicity\n"
+                  f"print(max_subset_sum_multiplicity({A}).k_max)", limit_memory=True)
+    assert child.code == 0, child.stderr
+    assert child.stdout == "1\n"
 
 
-def _child_peak_rss(call):
+def _child_peak_rss(fresh, call):
     # (printed result of call, peak RSS in bytes) in a fresh interpreter
-    src = str(Path(S.__file__).resolve().parents[1])
-    code = (
-        f"import resource, sys; sys.path.insert(0, {src!r})\n"
-        "from cubeflags.simlab import *\n"
-        f"print({call})\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result, peak_kb = proc.stdout.splitlines()
-    return result, int(peak_kb) * 1024
+    child = fresh(f"from cubeflags.simlab import *\nprint({call})")
+    assert child.code == 0, child.stderr
+    return child.stdout.rstrip("\n"), child.peak_rss
 
 
-def test_exact_census_peak_rss():
+def test_exact_census_peak_rss(fresh):
     # 2^26 sums take 512 MB; with interleaving levels the last merge may add
     # no more than its 32 MB of scratch (timsort's buffer alone would be 256 MB)
-    _, peak = _child_peak_rss("max_subset_sum_multiplicity([(1 << 40) + (1 << i) for i in range(26)]).k_max")
+    _, peak = _child_peak_rss(fresh, "max_subset_sum_multiplicity([(1 << 40) + (1 << i) for i in range(26)]).k_max")
     assert peak < 0.65e9
 
 
-def test_equal_sums_walk_peak_rss():
+def test_equal_sums_walk_peak_rss(fresh):
     # the same set in the has_k_equal_sums walk: a lone row merges with the
     # census's bounded scratch, and its run check builds no 64 MB mask
-    result, peak = _child_peak_rss("has_k_equal_sums([(1 << 40) + (1 << i) for i in range(26)], 2)")
+    result, peak = _child_peak_rss(fresh, "has_k_equal_sums([(1 << 40) + (1 << i) for i in range(26)], 2)")
     assert result == "False"
     assert peak < 0.65e9
 
 
-def test_equal_sums_walk_on_int32_sums_peak_rss():
+def test_equal_sums_walk_on_int32_sums_peak_rss(fresh):
     # the Conway-Guy set sums below 2^31: its 2^26 sums take 256 MB as int32
-    result, peak = _child_peak_rss(f"has_k_equal_sums({_conway_guy(26)!r}, 2)")
+    result, peak = _child_peak_rss(fresh, f"has_k_equal_sums({_conway_guy(26)!r}, 2)")
     assert result == "False"
     assert peak < 0.4e9
 
 
-def test_row_batches_memory_bounded():
+def test_row_batches_memory_bounded(fresh):
     # two 26-element trials each need a lone row's pass past 2^22 sums: the
     # first pass's 512 MB buffer must be gone before the second allocates,
     # within 1 GiB (the Conway-Guy set times 2^20 sums past 2^31, so its sums
     # are int64)
-    src = str(Path(S.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r})\n"
+    child = fresh(
         "import numpy as np\n"
         "from cubeflags.simlab import _decide_trials\n"
         f"rows = np.array([[a << 20 for a in {_conway_guy(26)!r}]] * 2, dtype=np.int64)\n"
-        "print(_decide_trials(0, rows, np.array([26, 26]), 2, 0).tolist())\n"
+        "print(_decide_trials(0, rows, np.array([26, 26]), 2, 0).tolist())\n",
+        limit_memory=True,
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120, preexec_fn=_limit_address_space,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False]\n"
+    assert child.code == 0, child.stderr
+    assert child.stdout == "[False, False]\n"
 
 
-def test_exact_equal_sums_command_needs_no_generator():
+def test_exact_equal_sums_command_needs_no_generator(fresh):
     # every trial of this command is exact, so it builds no Generator (the
     # draws come from the Philox kernel) and groups sizes without np.unique,
     # whose first call imports numpy.ma
-    src = str(Path(S.__file__).resolve().parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r})\n"
         "from cubeflags.cli import main\n"
         "main(['simulate', 'equal-sums', '--D', '1e6', '--c', '0.3', '--trials', '2000',"
         " '--seed', '20260810', '--json'])\n"
         "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    doc, imported = proc.stdout.rsplit("\n", 2)[:2]
+    child = fresh(code)
+    assert child.code == 0, child.stderr
+    doc, imported = child.stdout.rsplit("\n", 2)[:2]
     assert '"inexact_trials": 0,' in doc
     assert imported == "[]"
 
 
-def test_delta_and_randomized_commands_need_no_generator():
+def test_delta_and_randomized_commands_need_no_generator(fresh):
     # delta-int, delta-perm, the randomized equal-sums search and amplify all
     # draw from the Philox keys, so numpy.random is never imported
-    src = str(Path(S.__file__).resolve().parents[1])
     seed = ["--seed", "20260810", "--json"]
     commands = [["simulate", "delta-int", "--X", "1125899906842624", "--samples", "200", *seed],
                 ["simulate", "delta-perm", "--n", "400", "--samples", "100", *seed],
                 ["simulate", "equal-sums", "--D", "1e8", "--c", "0.02", "--k", "2", "--trials", "500", *seed],
                 ["simulate", "amplify", "--D1", "2", "--D2", "10000000000000", "--alpha", "0.25", *seed]]
-    code = (
-        f"import sys; sys.path.insert(0, {src!r})\n"
+    child = fresh(
         "from cubeflags.cli import main\n"
         f"print([main(argv) for argv in {commands!r}])\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert '"inexact_trials": 13,' in proc.stdout
-    assert proc.stdout.endswith("[0, 0, 0, 0]\nFalse\n")
+    assert child.code == 0, child.stderr
+    assert '"inexact_trials": 13,' in child.stdout
+    assert child.stdout.endswith("[0, 0, 0, 0]\nFalse\n")
 
 
 def _no_generator(*args, **kwargs):
@@ -615,8 +573,8 @@ def test_samplers_draw_from_the_keys_alone(monkeypatch):
     assert S.equal_sums_probability(1e8, 0.02, 2, 20, 1).inexact_trials == 2
     assert [r["trial"] for r in S.equal_sums_rows(1e8, 0.02, 2, 20, 1) if not r["exact"]] == [0, 17]
     assert S.amplify_demo(2, 10**13, 2, 0.25, seed=76).k_max == 4
-    assert len(S.sample_delta_integer(10**9, 20, 5).samples) == 20
-    assert len(S.sample_delta_perm(40, 20, 5).samples) == 20
+    assert len(list(S.sample_delta_integer(10**9, 20, 5))) == 20
+    assert len(list(S.sample_delta_perm(40, 20, 5))) == 20
 
 
 @pytest.mark.parametrize("k, trials, message", [(2, 0, "trials"), (2, -3, "trials"), (0, 5, "k")])
@@ -820,6 +778,31 @@ def test_equal_sums_probability_near_empty_window():
     assert est.estimate < 0.02
 
 
+def _sum_distinct_probability(hi):
+    # P(A /\ [2, hi] is sum-distinct) when i is in A with probability 1/i:
+    # a set S has probability prod_{i <= hi} (1 - 1/i) * prod_{i in S} 1/(i - 1)
+    # = prod_{i in S} 1/(i - 1) / hi, summed by a DFS over the sum-distinct
+    # sets, each held as the bitset of its subset sums
+    def extensions(first, sums):
+        total = 1.0
+        for a in range(first, hi + 1):
+            if not sums & sums << a:
+                total += extensions(a + 1, sums | sums << a) / (a - 1)
+        return total
+
+    return extensions(2, 1) / hi
+
+
+@pytest.mark.parametrize("hi, law", [(20, 0.197814327358), (40, 0.268890325859)])
+def test_equal_sums_probability_matches_the_exact_law(hi, law):
+    # the window [2, hi] (c = 0.1 rounds D^c up to 2) against the exact k = 2
+    # law; z = 4 was fixed before the first run
+    assert abs(1 - _sum_distinct_probability(hi) - law) < 1e-12
+    est = S.equal_sums_probability(hi, 0.1, 2, 40000, seed=20261020)
+    assert est.window == (2, hi)
+    assert abs(est.estimate - law) < 4 * math.sqrt(law * (1 - law) / 40000)
+
+
 def test_equal_sums_probability_small_c_smoke():
     est = S.equal_sums_probability(1e6, 0.02, 2, 500, seed=10)
     assert est.estimate > 0.5
@@ -827,8 +810,9 @@ def test_equal_sums_probability_small_c_smoke():
 
 
 def test_equal_sums_rows_deterministic():
-    rows = S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3)
-    assert rows == S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3)
+    rows = list(S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3))
+    assert len(rows) == 60
+    assert rows == list(S.equal_sums_rows(1e5, 0.1, 2, 60, seed=3))
 
 
 def test_amplify_product_construction():
@@ -978,11 +962,10 @@ def test_delta_integer_bruteforce_window():
 
 
 def test_sample_delta_integer():
-    stats = S.sample_delta_integer(10**6, 50, seed=4)
-    assert len(stats.samples) == 50
-    assert stats.max_delta >= 1
-    again = S.sample_delta_integer(10**6, 50, seed=4)
-    assert stats == again
+    samples = list(S.sample_delta_integer(10**6, 50, seed=4))
+    assert len(samples) == 50
+    assert min(s.delta for s in samples) >= 1
+    assert samples == list(S.sample_delta_integer(10**6, 50, seed=4))
 
 
 # numpy's bounded draws: X = 1 takes none, X <= 2^32 takes 32-bit halves
@@ -995,8 +978,7 @@ REJECTING_X = 1125831191559937
 
 @pytest.mark.parametrize("X", DELTA_INT_X)
 def test_sample_delta_integer_draws_the_substreams(X):
-    stats = S.sample_delta_integer(X, 60, seed=20260810)
-    assert list(stats.samples) == [
+    assert list(S.sample_delta_integer(X, 60, seed=20260810)) == [
         S.delta_integer(int(S.substream(20260810, t).integers(1, X + 1))) for t in range(60)]
 
 
@@ -1118,8 +1100,7 @@ def test_delta_perm_guard():
 def test_sample_delta_perm_draws_the_substreams(monkeypatch, n):
     # blocks of 7 rows: the flat gaps restart at each row of every block
     monkeypatch.setattr(S, "BLOCK_WORDS", 7 * n)
-    stats = S.sample_delta_perm(n, 40, seed=20260810)
-    assert list(stats.samples) == [
+    assert list(S.sample_delta_perm(n, 40, seed=20260810)) == [
         S.delta_perm(_cycle_type(n, S.substream(20260810, t))) for t in range(40)]
 
 
@@ -1294,7 +1275,35 @@ def test_delta_poly_product():
 
 
 def test_sample_delta_poly_deterministic():
-    a = S.sample_delta_poly(2, 2000, "poisson", 30, seed=2, d_range=(2, 40))
-    b = S.sample_delta_poly(2, 2000, "poisson", 30, seed=2, d_range=(2, 40))
+    a = list(S.sample_delta_poly(2, 2000, "poisson", 30, seed=2, d_range=(2, 40)))
+    b = list(S.sample_delta_poly(2, 2000, "poisson", 30, seed=2, d_range=(2, 40)))
     assert a == b
-    assert all(s.delta >= 1 for s in a.samples)
+    assert all(s.delta >= 1 for s in a)
+
+
+@pytest.mark.parametrize("model", ["poisson", "nb"])
+def test_sample_delta_poly_draws_the_substreams(model):
+    # each sample's Generator is built on its Philox key: the draws of substream(seed, t)
+    got = S.sample_delta_poly(3, 2000, model, 40, seed=20260810, d_range=(2, 60))
+    assert list(got) == [S.delta_poly(S.sample_poly_degrees(3, 2000, model, S.substream(20260810, t), (2, 60)))
+                         for t in range(40)]
+
+
+@pytest.mark.parametrize("sample, message", [
+    (lambda: S.sample_delta_integer(10, 5, seed=-1), "expected non-negative integer"),
+    (lambda: S.sample_delta_perm(401, 5, seed=0), "permutation size n guard"),
+    (lambda: S.sample_delta_perm(10, 0, seed=0), "samples must be >= 1"),
+    (lambda: S.sample_delta_poly(6, 100, "nb", 5, seed=0, d_range=(2, 5)), "not a prime power"),
+    (lambda: S.sample_delta_poly(2, 1, "nb", 5, seed=0), "needs n >= 2"),
+    (lambda: S.sample_delta_poly(2, 100, "binomial", 5, seed=0, d_range=(2, 5)), "unknown model"),
+    (lambda: S.sample_delta_poly(2, 100, "nb", 5, seed=-1, d_range=(2, 5)), "expected non-negative integer"),
+    (lambda: S.equal_sums_rows(1e6, 0.1, 2, 5, seed=-1), "expected non-negative integer"),
+    (lambda: S.equal_sums_rows(1.5, 0.1, 2, 5, seed=0), "need finite D and c"),
+], ids=["int-seed", "perm-n", "perm-samples", "poly-q", "poly-window", "poly-model", "poly-seed",
+        "rows-seed", "rows-window"])
+def test_streams_check_their_arguments_at_the_call(monkeypatch, sample, message):
+    # nothing is drawn before every argument is checked, so the CLI opens no
+    # --out file for a run it refuses
+    monkeypatch.setattr(S, "_philox_keys", _no_draws)
+    with pytest.raises((ValueError, CapacityError), match=message):
+        sample()
