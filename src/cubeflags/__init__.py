@@ -24,7 +24,6 @@ from .flags import (
     basic_subflag,
     binary_flag,
     cell_tree,
-    cells_at_level,
     enumerate_subflags,
     mt_flag,
     parse_flag_text,
@@ -47,7 +46,6 @@ from .qlinalg import (
     subspace_sum,
 )
 from .rho import (
-    ConstantsReport,
     RhoSolution,
     constants,
     eta,

@@ -258,7 +258,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    _emit_json(rho.constants().to_json_dict(), args.out)
+    _emit_json(rho.constants(), args.out)
     return 0
 
 
@@ -324,8 +324,8 @@ def _cmd_simulate(args) -> int:
         if args.json:
             _emit_json(doc, None)
         else:
-            succ = sum(1 for w in res.detail["windows"] if w["success"])
-            print(f"multiplicity {res.k_max} from {succ} successful windows; common sum {res.witness_sum}")
+            print(f"multiplicity {res.k_max} from {res.detail['successful_windows']} successful windows; "
+                  f"common sum {res.witness_sum}")
         return 0
     if args.experiment == "delta-int":
         kind, samples = "integer", simlab.sample_delta_integer(args.X, args.samples, args.seed)

@@ -331,11 +331,6 @@ def coset_ids(W: Subspace, rows: np.ndarray) -> np.ndarray:
     return np.array([first.setdefault(key, len(first)) for key in items], dtype=np.intp)
 
 
-def cells_at_level(flag: Flag, i: int) -> list[Cell]:
-    """The partition of {0,1}^k into cells of level i, sorted by least member."""
-    return list(cell_tree(flag).levels[i])
-
-
 def genotype_of(cell: Cell) -> Genotype:
     if cell.genotype is None:
         raise ValueError("genotype is defined only for cells of binary flags")
@@ -463,10 +458,6 @@ def basic_subflag(flag: Flag, m: int) -> Subflag:
     return Subflag(flag, spaces)
 
 
-def apply_automorphism(perm: Permutation, sf: Subflag) -> Subflag:
-    return Subflag(sf.parent, tuple(permute_subspace(perm, W) for W in sf.spaces))
-
-
 @lru_cache(maxsize=MAX_FLAG_ORDER)
 def level_universe(W: Subspace, cap: int, level: int) -> tuple[Subspace, ...]:
     """All distinct spans of <1> plus a subset of W /\\ {0,1}^k, sorted.
@@ -555,17 +546,6 @@ def parse_flag_text(text: str) -> Flag:
     for gens in gens_per_level:
         spaces.append(span([ones(k)] + gens, k))
     return make_flag(spaces, "custom", check=True)
-
-
-def format_flag_text(flag: Flag) -> str:
-    """Dump a flag as per-level cube generators (parse_flag_text inverse)."""
-    out = [f"# flag kind={flag.kind} k={flag.ambient_dim} dims={flag.dims()}"]
-    for W in flag.spaces[1:]:
-        chosen = _cube_generators(W)
-        if chosen is None:
-            raise ValueError("flag space not spanned by cube points and 1")
-        out.append(" ".join(point_to_string(p) for p in chosen))
-    return "\n".join(out) + "\n"
 
 
 def tree_json_dict(flag: Flag) -> dict:

@@ -118,10 +118,6 @@ def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspac
     return Subspace(k, tuple(_rref(rows)))
 
 
-def zero_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, ())
-
-
 def ones(ambient_dim: int) -> tuple[int, ...]:
     """The all-ones vector of Q^k."""
     return (1,) * ambient_dim

@@ -386,65 +386,30 @@ def theta(r: int, sol: RhoSolution) -> float:
     return gamma_res((2**i for i in range(1, r)), sol)
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
-    rho_limit: float
-    eta: float
-    theta: dict
-    beta2: float
-    beta3: float
-    beta4: float
-    xi: float
-    lam: float
-    mt_kappa: float
-    mt_rho1: float
-    mt_exponent_1984: float
-    mt_exponent_2009: float
-    mt_base: float
-    binary_base: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "cubeflags.constants.v1",
-            "rho_limit": self.rho_limit,
-            "eta": self.eta,
-            "beta2": self.beta2,
-            "beta3": self.beta3,
-            "beta4": self.beta4,
-            "xi": self.xi,
-            "lambda": self.lam,
-            "mt_kappa": self.mt_kappa,
-            "mt_rho1": self.mt_rho1,
-            "mt_exponent_1984": self.mt_exponent_1984,
-            "mt_exponent_2009": self.mt_exponent_2009,
-            "mt_base": self.mt_base,
-            "binary_base": self.binary_base,
-            "theta": {str(r): v for r, v in sorted(self.theta.items())},
-        }
-
-
-def constants() -> ConstantsReport:
-    """Evaluate every named constant from its closed form or solved chain."""
+def constants() -> dict:
+    """Every named constant, from its closed form or solved chain, as the
+    `cubeflags.constants.v1` document: 13 scalars, then theta_1 .. theta_20
+    keyed "1" .. "20"."""
     sol, _ = solve_rho_chain(CHAIN_J)
-    lim = rho_limit()
+    lim = rho_limit().value
     log_e1 = log(math.e - 1.0)
     xi = (LOG2 - log_e1) / log(1.5)
     lam = (LOG2 - log_e1) / (1.0 + LOG2 - log_e1 - log1p(2.0 ** (1.0 - xi)))
     kappa = (LOG2 - log_e1) / (LOG2 + 1.0 - log_e1)
-    thetas = {r: theta(r, sol) for r in range(1, MAX_THETA_R + 1)}
-    return ConstantsReport(
-        rho_limit=lim.value,
-        eta=eta(lim.value),
-        theta=thetas,
-        beta2=1.0 - 1.0 / LOG3,
-        beta3=(LOG3 - 1.0) / (LOG3 + 1.0 / xi),
-        beta4=(LOG3 - 1.0) / (LOG3 + 1.0 / xi + 1.0 / (xi * lam)),
-        xi=xi,
-        lam=lam,
-        mt_kappa=kappa,
-        mt_rho1=(LOG2 - log_e1) / LOG3,
-        mt_exponent_1984=-LOG2 / log(1.0 - 1.0 / LOG3),
-        mt_exponent_2009=LOG2 / log((1.0 - 1.0 / log(27.0)) / (1.0 - 1.0 / LOG3)),
-        mt_base=kappa,
-        binary_base=lim.value / 2.0,
-    )
+    return {
+        "schema": "cubeflags.constants.v1",
+        "rho_limit": lim,
+        "eta": eta(lim),
+        "beta2": 1.0 - 1.0 / LOG3,
+        "beta3": (LOG3 - 1.0) / (LOG3 + 1.0 / xi),
+        "beta4": (LOG3 - 1.0) / (LOG3 + 1.0 / xi + 1.0 / (xi * lam)),
+        "xi": xi,
+        "lambda": lam,
+        "mt_kappa": kappa,
+        "mt_rho1": (LOG2 - log_e1) / LOG3,
+        "mt_exponent_1984": -LOG2 / log(1.0 - 1.0 / LOG3),
+        "mt_exponent_2009": LOG2 / log((1.0 - 1.0 / log(27.0)) / (1.0 - 1.0 / LOG3)),
+        "mt_base": kappa,
+        "binary_base": lim / 2.0,
+        "theta": {str(r): theta(r, sol) for r in range(1, MAX_THETA_R + 1)},
+    }

@@ -58,9 +58,11 @@ MAX_DIVISORS = 10**6
 # every tested case a few; each window scans the whole set, and alpha nearer 1
 # made millions of them and ran out of memory
 MAX_AMPLIFY_WINDOWS = 10**5
-# the delta samplers stream their samples, so this bounds the run time only:
-# 10^6 delta-perm --n 400 samples take ~100 s at ~10,000 a second (2-core VM)
-MAX_DELTA_SAMPLES = 10**6
+# the delta samples and the equal-sums trials stream, so this cap on their
+# count bounds the run time only (2-core VM): 10^6 delta-perm --n 400 samples
+# take ~100 s; 10^6 equal-sums trials ~13 s at --D 1e6 --c 0.1 and ~135 s at
+# --D 1e8 --c 0.02, and with --out, a census per trial, ~12 min and ~3 h
+MAX_SAMPLES = 10**6
 RANDOMIZED_SAMPLES = 20000
 BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 16 MB as int32, 32 as int64
 MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own, in sums: 16 or 32 MB
@@ -261,8 +263,8 @@ class MultiplicityResult:
     """Witnessed subset-sum multiplicity of an integer set.
 
     witnesses are index tuples into the sorted element list; when exact is
-    True, k_max is the true maximum multiplicity over all 2^n subsets,
-    otherwise it is a lower bound found by randomized search.
+    True, k_max is the true maximum multiplicity over all 2^n subsets.
+    amplify_demo gives exact=False: its k_max counts the stacked family.
     """
 
     k_max: int
@@ -426,10 +428,9 @@ def _masks_with_sum(values: Sequence[int], target: int) -> np.ndarray:
     return (np.repeat(np.arange(len(high)), counts) << h | low_masks).astype(np.uint64)
 
 
-def _witnesses(words: np.ndarray, width: int) -> tuple[tuple[int, ...], ...]:
-    """Index tuples of the masks held as rows of `width`-bit words, low word first."""
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((words[:, :, None] >> shifts) & np.uint64(1)).reshape(len(words), -1)
+def _witnesses(masks: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
+    """Index tuples of the n-bit uint64 subset masks."""
+    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
 
 
@@ -447,36 +448,33 @@ def max_subset_sum_multiplicity(A: Sequence[int]) -> MultiplicityResult:
     least sum, and witnesses are listed by ascending subset mask.
     """
     k_max, witness_sum, values = _k_max(_distinct_values(A, EXACT_SUBSET_LIMIT))
-    masks = _masks_with_sum(values, witness_sum)[:, None]
+    masks = _masks_with_sum(values, witness_sum)
     return MultiplicityResult(k_max, witness_sum, _witnesses(masks, len(values)), True)
 
 
-def _randomized_search(values: list[int], samples: int, integers) -> MultiplicityResult:
-    """A lower-bound witness of max_subset_sum_multiplicity on the checked
-    values, from `samples` subsets drawn uniformly at random (deduplicated):
-    integers(high, size) gives `size` uniform uint64 draws below high, in the
-    order of the Generator's integers(0, high, size).  Ties go to the least
-    sum, and witnesses are listed by ascending subset mask."""
+def _randomized_search(values: list[int], samples: int, integers) -> int:
+    """A lower bound on the k_max of max_subset_sum_multiplicity of the
+    checked values: the most of `samples` subsets drawn uniformly at random
+    (deduplicated) that share one sum.  integers(high, size) gives `size`
+    uniform uint64 draws below high, in the order of the Generator's
+    integers(0, high, size)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = len(values)
     # each sampled mask is a row of words, low word first: one uint64 draw
     # per sample up to 62 elements, else one 32-bit draw per word
     if n <= 62:
-        width, rows = 64, np.sort(integers(1 << n, samples)).reshape(samples, 1)  # ascending masks
+        width, rows = 64, np.sort(integers(1 << n, samples)).reshape(samples, 1)
     else:
         width, rows = 32, integers(1 << 32, samples * ((n + 31) // 32)).reshape(samples, -1)
         rows[:, -1] &= np.uint64((1 << (n - 32 * (rows.shape[1] - 1))) - 1)
-        rows = rows[np.lexsort(rows.T)]  # ascending masks: the last word is the primary key
-    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+        rows = rows[np.lexsort(rows.T)]
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]  # sorted: drop the repeated masks
     sums = np.zeros(len(rows), dtype=np.int64)
     for base in range(0, n, 8):  # each byte of the masks indexes its census table
         w, shift = divmod(base, width)
         sums += _census_sums(values[base:base + 8])[(rows[:, w] >> np.uint64(shift)) & np.uint64(0xFF)]
-    uniq, counts = np.unique(sums, return_counts=True)
-    best = int(np.argmax(counts))  # first maximum: the least sum
-    witnesses = _witnesses(rows[sums == uniq[best]], width)
-    return MultiplicityResult(int(counts[best]), int(uniq[best]), witnesses, False)
+    return int(np.unique(sums, return_counts=True)[1].max())
 
 
 def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
@@ -530,6 +528,7 @@ def _check_counts(k: int, trials: int) -> None:
         raise ValueError("k must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_size("trials", trials, 1, MAX_SAMPLES)
 
 
 def _check_size(what: str, x: int, low: int, cap: int) -> None:
@@ -559,7 +558,7 @@ def _trial_batches(D: float, c: float, seed: int, start: int, stop: int):
             for first, keys in _key_batches(seed, start, stop, TRIAL_BATCH))
 
 
-def _randomized_trial(values: list[int], seed: int, trial: int) -> MultiplicityResult:
+def _randomized_trial(values: list[int], seed: int, trial: int) -> int:
     """The randomized search of a set too large for the exact census, on its
     trial's stream past the len(values) + 1 draws that sampled the set."""
     key = _philox_keys(seed, np.array([trial], dtype=np.uint64))
@@ -576,7 +575,7 @@ def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, 
     values = elements[exact, :EXACT_SUBSET_LIMIT]
     success[exact] = _rows_have_k_equal_sums(values, _needed_lengths(values), k)
     for r in np.flatnonzero(sizes > EXACT_SUBSET_LIMIT).tolist():
-        success[r] = _randomized_trial(elements[r, :sizes[r]].tolist(), seed, first + r).k_max >= k
+        success[r] = _randomized_trial(elements[r, :sizes[r]].tolist(), seed, first + r) >= k
     return success
 
 
@@ -615,7 +614,7 @@ def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> Itera
         for first, elements, sizes in batches:
             for r, n in enumerate(sizes.tolist()):
                 values, exact = elements[r, :n].tolist(), n <= EXACT_SUBSET_LIMIT
-                k_max = _k_max(values)[0] if exact else _randomized_trial(values, seed, first + r).k_max
+                k_max = _k_max(values)[0] if exact else _randomized_trial(values, seed, first + r)
                 yield {"trial": first + r, "set_size": n, "k_max": k_max, "exact": int(exact)}
     return rows()
 
@@ -831,7 +830,7 @@ def _sample_keys(samples: int, seed: int, rows: int = TRIAL_BATCH) -> Iterator[t
     iterator that draws its samples a batch at a time as they are read."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_size("samples", samples, 1, MAX_DELTA_SAMPLES)
+    _check_size("samples", samples, 1, MAX_SAMPLES)
     return _key_batches(seed, 0, samples, rows)
 
 

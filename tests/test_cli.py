@@ -1,4 +1,6 @@
 import argparse
+import ast
+import collections
 import hashlib
 import json
 import math
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cubeflags import flags as flags_mod
+from cubeflags import simlab
 from cubeflags.cli import UsageError, build_parser, main
 from cubeflags.errors import EnumerationLimitError
 from cubeflags.flags import parse_flag_text
@@ -571,6 +574,21 @@ def test_simulate_equal_sums_counts_usage_error(capsys, tmp_path, option, value,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["summary", "rows"])
+def test_simulate_equal_sums_trials_past_cap_exits_2(capsys, tmp_path, monkeypatch, out):
+    # the cap bounds the run time; the count is guarded before any set is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the guard must fire before any set is drawn")
+
+    monkeypatch.setattr(simlab, "_philox_keys", no_draws)
+    out_path = tmp_path / "rows.csv"
+    extra = ("--out", str(out_path)) if out else ()
+    code, stdout, err = run(capsys, "simulate", "equal-sums", "--trials", "1000001", "--json", *extra)
+    assert (code, stdout) == (2, "")
+    assert err == "error: trials guard: 1000001 > 1000000\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "D, c",
     [("inf", "0.1"), ("nan", "0.1"), ("1e6", "nan"), ("1e300", "0.1"), ("1e6", "1.5"),
@@ -717,6 +735,32 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except UsageError as exc:
             pytest.fail(f"README line `cubeflags {' '.join(argv)}`: {exc}")
+
+
+def test_every_public_name_has_a_caller():
+    # each top-level public function or class of the package is used by other
+    # package code (__init__'s re-exports do not count), named in the README,
+    # or used by the acceptance tests: a name with none of these is dead code
+    root = Path(__file__).resolve().parents[1]
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    users = collections.defaultdict(set)  # name -> the (file, top-level statement) that use it
+    public = []
+    for path in sorted((root / "src" / "cubeflags").glob("*.py")):
+        for i, top in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                public.append((path.name, i, top.name))
+            if path.name != "__init__.py":
+                for name in names(top):
+                    users[name].add((path.name, i))
+    readme = (root / "README.md").read_text()
+    acceptance = names(ast.parse((root / "tests" / "test_acceptance.py").read_text()))
+    dead = [f"{file}:{name}" for file, i, name in public
+            if not (users[name] - {(file, i)} or re.search(rf"\b{name}\b", readme) or name in acceptance)]
+    assert dead == []
 
 
 def test_import_heap_is_frozen_by_the_cli_only(fresh):

@@ -15,7 +15,6 @@ from cubeflags.qlinalg import (
     span,
     subspace_intersect,
     subspace_sum,
-    zero_subspace,
 )
 
 
@@ -119,7 +118,7 @@ def test_cube_points_full_space():
 
 
 def test_cube_points_zero_space():
-    assert cube_points(zero_subspace(3)) == [(0, 0, 0)]
+    assert cube_points(span([], 3)) == [(0, 0, 0)]
 
 
 def test_cube_points_bound_randomized():
@@ -134,7 +133,7 @@ def test_cube_points_bound_randomized():
 
 def test_cube_points_guard():
     with pytest.raises(CapacityError):
-        cube_points(zero_subspace(25))
+        cube_points(span([], 25))
 
 
 def test_coset_key_partitions():

@@ -470,17 +470,16 @@ def test_theta_root_monotone_approach():
 
 def test_constants_report():
     rep = rho.constants()
-    assert abs(rep.beta3 - 0.02616218797316965133) < 1e-14
-    assert abs(rep.beta4 - 0.01295186091360511918) < 1e-14
-    assert abs(rep.mt_exponent_1984 - 0.28754048957) < 1e-9
-    assert abs(rep.mt_exponent_2009 - 0.33827824168) < 1e-9
-    assert abs(rep.mt_base - 0.131810543) < 1e-8
-    assert abs(rep.binary_base - 0.140605674848) < 1e-10
-    assert abs(rep.eta - math.log(2.0) / math.log(2.0 / rep.rho_limit)) < 1e-15
-    assert rep.binary_base == rep.rho_limit / 2.0
-    assert abs(rep.beta2 - rep.theta[1]) < 1e-14
-    doc = rep.to_json_dict()
-    assert doc["schema"].startswith("cubeflags.constants")
+    assert abs(rep["beta3"] - 0.02616218797316965133) < 1e-14
+    assert abs(rep["beta4"] - 0.01295186091360511918) < 1e-14
+    assert abs(rep["mt_exponent_1984"] - 0.28754048957) < 1e-9
+    assert abs(rep["mt_exponent_2009"] - 0.33827824168) < 1e-9
+    assert abs(rep["mt_base"] - 0.131810543) < 1e-8
+    assert abs(rep["binary_base"] - 0.140605674848) < 1e-10
+    assert abs(rep["eta"] - math.log(2.0) / math.log(2.0 / rep["rho_limit"])) < 1e-15
+    assert rep["binary_base"] == rep["rho_limit"] / 2.0
+    assert abs(rep["beta2"] - rep["theta"]["1"]) < 1e-14
+    assert rep["schema"].startswith("cubeflags.constants")
 
 
 def test_genotype_level_guard():
