@@ -199,6 +199,9 @@ def test_check_certificate_failure_exit_code(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["failures"]
+    # the whole failure document: the defaults of a certificate in which no check ran
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "39b3e137f4df86c7335cf9587746825c8fd5fbadbc1de0cb75e494917933d3f6")
 
 
 def test_check_byte_identical_across_workers(capsys):
@@ -302,6 +305,15 @@ def test_check_mt4_bytes_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4bf4c49a72cb3549aa0257a832c12ea8d8439784212f7f57b91817c828ceb73b")
+
+
+def test_check_infeasible_perturbation_bytes_pinned(capsys):
+    # eps = 0.9 shifts c*_3 of the order-2 binary flag below 0: it is recorded
+    # as infeasible after the two default epsilons, in the order given
+    code, out, _ = run(capsys, "check", "--flag", "binary", "--order", "2", "--perturb", "0.9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b31b2fa202f4b102dd9b6d7b92c646ec3e1ca7967f6f649ff512f683b3fd6aa3")
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
@@ -433,6 +445,19 @@ def test_simulate_amplify_bytes_pinned(capsys):
     assert code == 0
     assert _sha256(out.encode()) == (
         "7c90211637b99a6fbe65ee011a498c6c164ff78433bd1f24a4b2170c6988b585")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("equal-sums", "--D", "1e6", "--c", "0.05", "--trials", "300", "--seed", "3"),
+     "c8b270f4323209bb89401c37e633643f80b38b6901e9a9b1b0695b44e931341e"),
+    (("amplify", "--D1", "2", "--D2", "10000000000000", "--alpha", "0.25", "--seed", "76"),
+     "9aa0a8bbb69e25b23e0ca5bf4c47fa863b70eac08db0994ac561e60a9a27fbd7"),
+], ids=["equal-sums", "amplify"])
+def test_simulate_text_line_bytes_pinned(capsys, argv, digest):
+    # the line printed without --json, which reads the same numbers as the document
+    code, out, err = run(capsys, "simulate", *argv)
+    assert (code, err) == (0, "")
+    assert _sha256(out.encode()) == digest
 
 
 def test_simulate_amplify(capsys):
