@@ -29,7 +29,6 @@ from .flags import (
     parse_flag_text,
 )
 from .optmeas import (
-    Certificate,
     OptimalData,
     certify_system,
     entropy_matrix,

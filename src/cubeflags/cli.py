@@ -58,8 +58,17 @@ def _round16(obj):
     return obj
 
 
+def _open_path(path: str, mode: str = "r"):
+    """open(path, mode), a path that cannot be opened (missing, a directory,
+    not permitted) being a usage error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _open(out: Optional[str]):
-    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    return _open_path(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _write(text: str, out: Optional[str]):
@@ -94,7 +103,7 @@ def _build_flag(args) -> flags_mod.Flag:
         return flags_mod.mt_flag(args.order)
     if not args.file:  # --flag file
         raise UsageError("--flag file requires --file PATH")
-    with open(args.file) as fh:
+    with _open_path(args.file) as fh:
         return flags_mod.parse_flag_text(fh.read())
 
 
@@ -268,8 +277,8 @@ def _cmd_check(args) -> int:
     if args.perturb:
         eps.extend(args.perturb)
     _system, cert = optmeas.certify_system(flag, eps_list=eps)
-    _emit_json(cert.to_json_dict(), args.out)
-    return 0 if cert.ok else 3
+    _emit_json(cert, args.out)
+    return 0 if cert["ok"] else 3
 
 
 def _cmd_measures(args) -> int:
@@ -287,45 +296,26 @@ def _cmd_tree(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.experiment == "equal-sums":
-        est = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
+        doc = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
         if args.out:
             rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
             _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
-        doc = {
-            "schema": "cubeflags.equalsums.v1",
-            "D": est.D,
-            "c": est.c,
-            "k": est.k,
-            "trials": est.trials,
-            "successes": est.successes,
-            "estimate": est.estimate,
-            "ci95": [est.ci_low, est.ci_high],
-            "inexact_trials": est.inexact_trials,
-            "window": list(est.window),
-            "note": "qualitative; no finite-D agreement with asymptotic thresholds is claimed",
-        }
         if args.json:
             _emit_json(doc, None)
         else:
+            lo, hi = doc["ci95"]
             print(
-                f"estimate {_fmt(est.estimate)}  ci95 [{_fmt(est.ci_low)}, {_fmt(est.ci_high)}]"
-                f"  successes {est.successes}/{est.trials}  window {est.window}"
+                f"estimate {_fmt(doc['estimate'])}  ci95 [{_fmt(lo)}, {_fmt(hi)}]"
+                f"  successes {doc['successes']}/{doc['trials']}  window {tuple(doc['window'])}"
             )
         return 0
     if args.experiment == "amplify":
-        res = simlab.amplify_demo(args.D1, args.D2, args.k, args.alpha, args.seed)
-        doc = {
-            "schema": "cubeflags.amplify.v1",
-            "k_max": res.k_max,
-            "witness_sum": res.witness_sum,
-            "witnesses": [list(w) for w in res.witnesses[:128]],
-            "windows": res.detail["windows"],
-        }
+        doc = simlab.amplify_demo(args.D1, args.D2, args.k, args.alpha, args.seed)
         if args.json:
             _emit_json(doc, None)
         else:
-            print(f"multiplicity {res.k_max} from {res.detail['successful_windows']} successful windows; "
-                  f"common sum {res.witness_sum}")
+            print(f"multiplicity {doc['k_max']} from {sum(w['success'] for w in doc['windows'])} "
+                  f"successful windows; common sum {doc['witness_sum']}")
         return 0
     if args.experiment == "delta-int":
         kind, samples = "integer", simlab.sample_delta_integer(args.X, args.samples, args.seed)
@@ -392,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CubeflagsError as exc:  # first: DimensionMismatchError is also a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

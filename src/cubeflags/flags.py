@@ -207,27 +207,26 @@ def make_flag(spaces: Sequence[Subspace], kind: str, check: bool = True) -> Flag
         if k > MAX_CELL_AMBIENT_DIM:
             raise CapacityError(f"cell enumeration guard: ambient dim {k} > {MAX_CELL_AMBIENT_DIM}")
         for W in spaces[1:]:
-            if _cube_generators(W) is None:
+            if not _spanned_by_cube_points(W):
                 raise ValueError("flag space is not spanned by cube vectors and the all-ones vector")
     return Flag(k, spaces, kind, _is_nondegenerate(spaces[-1]))
 
 
-def _cube_generators(W: Subspace) -> Optional[list[CubePoint]]:
-    """Cube points of W, each leaving the span of 1 and those before it, until
-    that span is W; None if all of W's cube points span less.
+def _spanned_by_cube_points(W: Subspace) -> bool:
+    """Is W spanned by 1 and its cube points?  The walk adds each cube point
+    that leaves the span of 1 and those added before it, and stops once that
+    span is W.
 
     The walk goes by popcount (ties in sorted order), so unit vectors and other
     sparse points come first; in sorted order 10...0 follows half the cube."""
     k = W.ambient_dim
-    chosen: list[CubePoint] = []
     current = span([ones(k)])
     for p in sorted(cube_points(W), key=sum):
         if current == W:
             break
         if not contains(current, p):
-            chosen.append(p)
             current = span(list(current.basis) + [p], k)
-    return chosen if current == W else None
+    return current == W
 
 
 def _check_order(r: int) -> None:

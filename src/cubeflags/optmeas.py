@@ -27,14 +27,13 @@ thresholds.  Certificates never claim more than their enumeration universe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log
 from typing import Optional, Sequence
 
 from . import flags
 from .entropy import (
     TIGHT_BAND,
-    EReport,
     Measure,
     System,
     check_entropy_condition,
@@ -230,82 +229,44 @@ def optimal_system(flag: Flag, sol: Optional[RhoSolution] = None) -> tuple[Syste
 # Certification
 
 
-@dataclass(frozen=True)
-class GapCheck:
-    label: str
-    value: float
-    bound: float
-    ok: bool
-
-
-@dataclass
-class Certificate:
-    """Full verification record for a flag's extremal system.
-
-    The defaults describe a record in which no check ran and none passed.
-    """
-
-    flag_kind: str
-    order: int
-    ambient_dim: int
-    rho: tuple[float, ...]
-    c_star: tuple[float, ...] = ()
-    ereport: Optional[EReport] = None
-    basic_slacks: dict = field(default_factory=dict)
-    basic_tight_ok: bool = False
-    nonbasic_min_slack: Optional[float] = None
-    nonbasic_ok: bool = False
-    gap_checks: list = field(default_factory=list)
-    gap_ok: bool = False
-    invariant_intermediate: Optional[dict] = None
-    perturbed: dict = field(default_factory=dict)  # eps -> {"min_slack":..., "ok":...}
-    perturbed_ok: bool = False
-    universe: str = ""
-    failures: list = field(default_factory=list)
-    ok: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "cubeflags.certificate.v1",
-            "flag": {
-                "kind": self.flag_kind,
-                "order": self.order,
-                "ambient_dim": self.ambient_dim,
-            },
-            "rho": list(self.rho),
-            "c_star": list(self.c_star),
-            "universe": self.universe,
-            "claim": (
-                "entropy condition certified over the stated enumeration "
-                "universe only; tight (non-strict) at basic subflags, strict "
-                "after threshold perturbation"
-            ),
-            "basic_slacks": {str(k): v for k, v in self.basic_slacks.items()},
-            "basic_tight_ok": self.basic_tight_ok,
-            "nonbasic_min_slack": self.nonbasic_min_slack,
-            "nonbasic_ok": self.nonbasic_ok,
-            "gap_checks": [
-                {"label": g.label, "value": g.value, "bound": g.bound, "ok": g.ok}
-                for g in self.gap_checks
-            ],
-            "gap_ok": self.gap_ok,
-            "invariant_intermediate": self.invariant_intermediate,
-            "perturbed": {str(k): v for k, v in self.perturbed.items()},
-            "perturbed_ok": self.perturbed_ok,
-            "failures": self.failures,
-            "ok": self.ok,
-            "entropy_report": self.ereport.to_json_dict() if self.ereport else None,
-        }
+def _certificate(flag: Flag, rho: Sequence[float]) -> dict:
+    """The cubeflags.certificate.v1 document of a flag on which no check ran
+    and none passed; certify_system updates the keys its checks set."""
+    return {
+        "schema": "cubeflags.certificate.v1",
+        "flag": {"kind": flag.kind, "order": flag.order, "ambient_dim": flag.ambient_dim},
+        "rho": list(rho),
+        "c_star": [],
+        "universe": "",
+        "claim": (
+            "entropy condition certified over the stated enumeration "
+            "universe only; tight (non-strict) at basic subflags, strict "
+            "after threshold perturbation"
+        ),
+        "basic_slacks": {},
+        "basic_tight_ok": False,
+        "nonbasic_min_slack": None,
+        "nonbasic_ok": False,
+        "gap_checks": [],
+        "gap_ok": False,
+        "invariant_intermediate": None,
+        "perturbed": {},  # str(eps) -> {"min_slack":..., "ok":...}
+        "perturbed_ok": False,
+        "failures": [],
+        "ok": False,
+        "entropy_report": None,
+    }
 
 
 def certify_system(
     flag: Flag, eps_list: Sequence[float] = PERTURB_EPSILONS
-) -> tuple[Optional[System], Certificate]:
+) -> tuple[Optional[System], dict]:
     """Build the extremal system for a flag and verify everything checkable.
 
-    Failures are collected in the certificate rather than raised, so a
-    failing flag still yields a complete diagnostic record.  Every epsilon
-    must be finite and > 0; one too coarse for c* is recorded as infeasible.
+    Returns the system and its cubeflags.certificate.v1 document.  Failures
+    are collected in the document rather than raised, so a failing flag still
+    yields a complete diagnostic record.  Every epsilon must be finite and
+    > 0; one too coarse for c* is recorded as infeasible.
 
     A binary flag's rho is solve_rho_chain(max(r - 1, 1)): mu* of order r
     reads rho_1 .. rho_{r-1}, so order 1 reads none, yet its certificate
@@ -314,18 +275,18 @@ def certify_system(
     """
     if not all(0.0 < eps < math.inf for eps in eps_list):
         raise ValueError(f"perturbation epsilons must be finite and > 0, got {list(eps_list)}")
-    failures: list[str] = []
     if flag.kind == "binary":
         sol = solve_rho_chain(max(flag.order - 1, 1))[0]
     else:
         sol = solve_flag_rhos(flag)
+    cert = _certificate(flag, sol.rhos)
+    failures = cert["failures"]
 
     try:
         system, data = optimal_system(flag, sol)
     except DegenerateParametersError as exc:
         failures.append(f"optimal parameters do not exist: {exc}")
-        return None, Certificate(flag.kind, flag.order, flag.ambient_dim, sol.rhos,
-                                 failures=failures)
+        return None, cert
 
     r = flag.order
     c_star = system.thresholds
@@ -353,29 +314,22 @@ def certify_system(
             f"non-basic enumerated slack {nonbasic_min} <= {NONBASIC_SLACK_MIN}"
         )
 
-    gap_checks: list[GapCheck] = []
+    gap_checks = []
     for m in range(r):
         val = H[m][m]
         bound = float(d[m + 1] - d[m])
-        gap_checks.append(
-            GapCheck(f"H(mu_{m + 1}, V_{m}) > dim(V_{m + 1}/V_{m})", val, bound, val > bound)
-        )
+        label = f"H(mu_{m + 1}, V_{m}) > dim(V_{m + 1}/V_{m})"
+        gap_checks.append({"label": label, "value": val, "bound": bound, "ok": val > bound})
     for i in range(2, r + 1):
         for m in range(1, i):
             val = H[i - 1][m - 1] - H[i - 1][m]
             bound = float(d[m] - d[m - 1])
-            gap_checks.append(
-                GapCheck(
-                    f"H(mu_{i}, V_{m - 1}) - H(mu_{i}, V_{m}) < dim(V_{m}/V_{m - 1})",
-                    val,
-                    bound,
-                    val < bound,
-                )
-            )
-    gap_ok = all(g.ok for g in gap_checks)
+            label = f"H(mu_{i}, V_{m - 1}) - H(mu_{i}, V_{m}) < dim(V_{m}/V_{m - 1})"
+            gap_checks.append({"label": label, "value": val, "bound": bound, "ok": val < bound})
+    gap_ok = all(g["ok"] for g in gap_checks)
     if not gap_ok:
         failures.append("entropy gap inequality failed: " + "; ".join(
-            g.label for g in gap_checks if not g.ok
+            g["label"] for g in gap_checks if not g["ok"]
         ))
 
     invariant_info = None
@@ -406,11 +360,11 @@ def certify_system(
         c_tilde = perturb_thresholds(c_star, eps)
         if c_tilde[-1] <= 0.0:
             # the shift exceeds c_{r+1}: this epsilon is too coarse here
-            perturbed[eps] = {"min_slack": None, "ok": None, "infeasible": True}
+            perturbed[str(eps)] = {"min_slack": None, "ok": None, "infeasible": True}
             return None
         rep = score_entries(c_tilde, d, report.entries)
         ok = rep.min_slack > 0.0
-        perturbed[eps] = {"min_slack": rep.min_slack, "ok": ok}
+        perturbed[str(eps)] = {"min_slack": rep.min_slack, "ok": ok}
         return ok
 
     outcomes = [_run_perturbed(eps) for eps in eps_list]
@@ -420,19 +374,15 @@ def certify_system(
         eps = c_star[-1] / 10.0
         while _run_perturbed(eps) is None:
             eps /= 10.0
-        outcomes.append(perturbed[eps]["ok"])
+        outcomes.append(perturbed[str(eps)]["ok"])
     perturbed_ok = all(o for o in outcomes if o is not None)
     if not perturbed_ok:
         failures.append("perturbed thresholds did not yield strictly positive slacks")
 
-    cert = Certificate(
-        flag_kind=flag.kind,
-        order=r,
-        ambient_dim=flag.ambient_dim,
-        rho=sol.rhos,
-        c_star=c_star,
-        ereport=report,
-        basic_slacks=basic_slacks,
+    cert.update(
+        c_star=list(c_star),
+        universe=SUBFLAG_UNIVERSE_TAG,
+        basic_slacks={str(m): slack for m, slack in basic_slacks.items()},
         basic_tight_ok=basic_tight_ok,
         nonbasic_min_slack=nonbasic_min,
         nonbasic_ok=nonbasic_ok,
@@ -441,9 +391,8 @@ def certify_system(
         invariant_intermediate=invariant_info,
         perturbed=perturbed,
         perturbed_ok=perturbed_ok,
-        universe=SUBFLAG_UNIVERSE_TAG,
-        failures=failures,
         ok=not failures,
+        entropy_report=report.to_json_dict(),
     )
     return system, cert
 

@@ -260,18 +260,18 @@ def _key_draws(keys: np.ndarray, block: int = 32):
 
 @dataclass(frozen=True)
 class MultiplicityResult:
-    """Witnessed subset-sum multiplicity of an integer set.
-
-    witnesses are index tuples into the sorted element list; when exact is
-    True, k_max is the true maximum multiplicity over all 2^n subsets.
-    amplify_demo gives exact=False: its k_max counts the stacked family.
-    """
+    """Witnessed subset-sum multiplicity of an integer set: k_max is the
+    maximum multiplicity over all 2^n subsets, and witnesses are index tuples
+    into the sorted element list."""
 
     k_max: int
     witness_sum: int
     witnesses: tuple[tuple[int, ...], ...]
-    exact: bool
-    detail: Optional[dict] = None
+
+    @property
+    def exact(self) -> bool:
+        """Always True: perfbench/tracer.py tags each call by it."""
+        return True
 
 
 def _distinct_values(A: Sequence[int], limit: int) -> list[int]:
@@ -449,7 +449,7 @@ def max_subset_sum_multiplicity(A: Sequence[int]) -> MultiplicityResult:
     """
     k_max, witness_sum, values = _k_max(_distinct_values(A, EXACT_SUBSET_LIMIT))
     masks = _masks_with_sum(values, witness_sum)
-    return MultiplicityResult(k_max, witness_sum, _witnesses(masks, len(values)), True)
+    return MultiplicityResult(k_max, witness_sum, _witnesses(masks, len(values)))
 
 
 def _randomized_search(values: list[int], samples: int, integers) -> int:
@@ -497,20 +497,6 @@ def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-@dataclass(frozen=True)
-class EqualSumsEstimate:
-    D: float
-    c: float
-    k: int
-    trials: int
-    successes: int
-    estimate: float
-    ci_low: float
-    ci_high: float
-    inexact_trials: int
-    window: tuple[int, int]
 
 
 def _window_bounds(D: float, c: float) -> tuple[int, int]:
@@ -579,8 +565,9 @@ def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, 
     return success
 
 
-def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -> EqualSumsEstimate:
-    """Fraction of trials in which A /\\ [D^c, D] has k equal subset sums.
+def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -> dict:
+    """The cubeflags.equalsums.v1 document of the fraction of trials in which
+    A /\\ [D^c, D] has k equal subset sums, with its 95% Wilson interval.
 
     The trials are decided in batches, with the same outcomes as one trial at
     a time: _log_set_rows samples a batch's sets in lockstep, and its exact
@@ -595,8 +582,19 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
         successes += int(np.count_nonzero(_decide_trials(first, elements, sizes, k, seed)))
         inexact += int(np.count_nonzero(sizes > EXACT_SUBSET_LIMIT))
-    lo, hi = wilson_ci(successes, trials)
-    return EqualSumsEstimate(D, c, k, trials, successes, successes / trials, lo, hi, inexact, _window_bounds(D, c))
+    return {
+        "schema": "cubeflags.equalsums.v1",
+        "D": D,
+        "c": c,
+        "k": k,
+        "trials": trials,
+        "successes": successes,
+        "estimate": successes / trials,
+        "ci95": list(wilson_ci(successes, trials)),
+        "inexact_trials": inexact,
+        "window": list(_window_bounds(D, c)),
+        "note": "qualitative; no finite-D agreement with asymptotic thresholds is claimed",
+    }
 
 
 def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> Iterator[dict]:
@@ -619,16 +617,18 @@ def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> Itera
     return rows()
 
 
-def amplify_demo(
-    D1: int, D2: int, k: int, alpha: float, seed: int, trial: int = 0
-) -> MultiplicityResult:
+def amplify_demo(D1: int, D2: int, k: int, alpha: float, seed: int, trial: int = 0) -> dict:
     """Stack per-window equal sums into a k^(#windows)-fold family.
 
     Splits [D1, D2] into windows [D2^(alpha^(i+1)), D2^(alpha^i)), finds k
-    equal subset sums inside each window that admits them, and returns the
-    union family: picking one of the k witnesses per successful window gives
-    k^(#successes) distinct sets, all with the same total.  The set is drawn
-    on (D1 - 1, D2] from substream(seed, trial), computed from its key.
+    equal subset sums inside each window that admits them, and stacks them:
+    picking one of the k witnesses per successful window gives k^(#successes)
+    distinct sets, all with the same total.  The set is drawn on (D1 - 1, D2]
+    from substream(seed, trial), computed from its key.
+
+    Returns the cubeflags.amplify.v1 document: the family's size k_max, its
+    common sum, its first 128 witnesses (sorted index lists into the set) and
+    one entry per window.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -666,13 +666,13 @@ def amplify_demo(
         witnesses = [w + p for w in witnesses for p in picks]
     common = {sum(elements[i] for i in w) for w in witnesses}
     assert len(common) == 1, "window unions must share one sum"
-    return MultiplicityResult(
-        total,
-        common.pop(),
-        tuple(tuple(sorted(w)) for w in witnesses),
-        False,
-        {"windows": window_info, "successful_windows": len(chosen)},
-    )
+    return {
+        "schema": "cubeflags.amplify.v1",
+        "k_max": total,
+        "witness_sum": common.pop(),
+        "witnesses": [sorted(w) for w in witnesses[:128]],
+        "windows": window_info,
+    }
 
 
 # ---------------------------------------------------------------------------

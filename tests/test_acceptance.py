@@ -189,22 +189,22 @@ def test_criterion_08_certificates(capsys):
     ok = True
     details = []
     for name, cert in results.items():
-        basic_ok = all(abs(s) <= 1e-9 for s in cert.basic_slacks.values())
-        nonbasic_ok = cert.nonbasic_min_slack is None or cert.nonbasic_min_slack > 1e-6
-        ok = ok and basic_ok and nonbasic_ok and cert.gap_ok and cert.ok
+        basic_ok = all(abs(s) <= 1e-9 for s in cert["basic_slacks"].values())
+        nonbasic_ok = cert["nonbasic_min_slack"] is None or cert["nonbasic_min_slack"] > 1e-6
+        ok = ok and basic_ok and nonbasic_ok and cert["gap_ok"] and cert["ok"]
         details.append(
             f"{name}: basic max |slack| "
-            f"{max(abs(s) for s in cert.basic_slacks.values()):.1e}, "
-            f"nonbasic min {cert.nonbasic_min_slack:.2e}, gaps {cert.gap_ok}"
+            f"{max(abs(s) for s in cert['basic_slacks'].values()):.1e}, "
+            f"nonbasic min {cert['nonbasic_min_slack']:.2e}, gaps {cert['gap_ok']}"
         )
     ok = ok and elapsed < 120.0
     with capsys.disabled():
         _report(8, ok, "; ".join(details) + f", {elapsed:.1f}s")
     for name, cert in results.items():
-        assert all(abs(s) <= 1e-9 for s in cert.basic_slacks.values()), name
-        assert cert.nonbasic_min_slack > 1e-6, name
-        assert cert.gap_ok, name
-        assert cert.ok, (name, cert.failures)
+        assert all(abs(s) <= 1e-9 for s in cert["basic_slacks"].values()), name
+        assert cert["nonbasic_min_slack"] > 1e-6, name
+        assert cert["gap_ok"], name
+        assert cert["ok"], (name, cert["failures"])
     assert elapsed < 120.0
 
 
@@ -386,16 +386,16 @@ def test_criterion_12_qualitative_phase_behavior(capsys):
     grid = [0.02, 0.05, 0.0898, 0.15, 0.3]
     ests = [simlab.equal_sums_probability(D, c, k, trials, seed) for c in grid]
     monotone_within_ci = all(
-        b.estimate <= a.estimate or b.ci_low <= a.ci_high
+        b["estimate"] <= a["estimate"] or b["ci95"][0] <= a["ci95"][1]
         for a, b in zip(ests, ests[1:])
     )
-    first = ests[0].estimate
-    last = ests[-1].estimate
+    first = ests[0]["estimate"]
+    last = ests[-1]["estimate"]
     ok = monotone_within_ci and first > 0.9 and last < 0.5
     with capsys.disabled():
         _report(
             12, ok,
-            "estimates " + ", ".join(f"c={c}: {e.estimate:.3f}" for c, e in zip(grid, ests))
+            "estimates " + ", ".join(f"c={c}: {e['estimate']:.3f}" for c, e in zip(grid, ests))
             + f"; monotone(CI) {monotone_within_ci}",
         )
     assert monotone_within_ci

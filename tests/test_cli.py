@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cubeflags import flags as flags_mod
-from cubeflags import simlab
+from cubeflags import rho, simlab
 from cubeflags.cli import UsageError, build_parser, main
 from cubeflags.errors import EnumerationLimitError
 from cubeflags.flags import parse_flag_text
@@ -222,6 +222,31 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file_usage_error(capsys):
     code, _, err = run(capsys, "check", "--flag", "file")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--flag", "file", "--file", "{missing}"),
+    ("check", "--flag", "file", "--file", "{dir}"),
+    ("check", "--flag", "binary", "--order", "1", "--out", "{dir}"),
+    ("constants", "--out", "{dir}"),
+    ("simulate", "delta-int", "--X", "1000", "--samples", "3", "--out", "{dir}"),
+], ids=["missing-file", "dir-as-file", "check-dir-as-out", "constants-dir-as-out", "delta-int-dir-as-out"])
+def test_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path, argv):
+    # a directory used to end in an IsADirectoryError traceback
+    argv = [a.format(missing=tmp_path / "missing.flag", dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+def test_os_error_past_the_named_paths_is_not_a_usage_error(monkeypatch):
+    # only opening --file or --out is a usage error; any other OSError is a fault
+    def broken():
+        raise OSError("device lost")
+
+    monkeypatch.setattr(rho, "constants", broken)
+    with pytest.raises(OSError, match="device lost"):
+        main(["constants"])
 
 
 @pytest.mark.parametrize("command", ["check", "measures", "tree"])
@@ -760,6 +785,16 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except UsageError as exc:
             pytest.fail(f"README line `cubeflags {' '.join(argv)}`: {exc}")
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library example must keep up with the names and documents it reads
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_every_public_name_has_a_caller():

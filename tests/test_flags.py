@@ -536,7 +536,7 @@ def test_cube_generator_walk_spans_each_level_in_dim_plus_one_spans(monkeypatch)
     text = " ".join("0" * i + "1" + "0" * (15 - i) for i in range(15)) + "\n"
     spans = tests = 0
     per_level = []
-    real_span, real_contains, real_walk = flags.span, flags.contains, flags._cube_generators
+    real_span, real_contains, real_walk = flags.span, flags.contains, flags._spanned_by_cube_points
 
     def counting_span(*args, **kwargs):
         nonlocal spans
@@ -556,7 +556,7 @@ def test_cube_generator_walk_spans_each_level_in_dim_plus_one_spans(monkeypatch)
 
     monkeypatch.setattr(flags, "span", counting_span)
     monkeypatch.setattr(flags, "contains", counting_contains)
-    monkeypatch.setattr(flags, "_cube_generators", recording_walk)
+    monkeypatch.setattr(flags, "_spanned_by_cube_points", recording_walk)
     assert parse_flag_text(text).dims() == (1, 16)
     assert [dim for dim, _, _ in per_level] == [16]
     assert all(n <= dim + 1 for dim, n, _ in per_level)

@@ -241,30 +241,30 @@ def test_degenerate_flag_raises():
 
 def test_certificate_binary_r1_two_subflags():
     system, cert = certify_system(binary_flag(1))
-    assert cert.ok
-    assert len(cert.ereport.entries) == 2
-    assert abs(cert.basic_slacks[0]) <= TIGHT_BAND
-    assert cert.perturbed_ok
+    assert cert["ok"]
+    assert len(cert["entropy_report"]["entries"]) == 2
+    assert abs(cert["basic_slacks"]["0"]) <= TIGHT_BAND
+    assert cert["perturbed_ok"]
 
 
 def test_certificate_binary_r2():
     system, cert = certify_system(binary_flag(2))
-    assert cert.ok, cert.failures
-    assert set(cert.basic_slacks) == {0, 1}
-    assert all(abs(s) <= TIGHT_BAND for s in cert.basic_slacks.values())
-    assert cert.nonbasic_min_slack > 1e-6
-    assert cert.gap_ok
-    assert cert.invariant_intermediate["ok"]
-    assert cert.perturbed_ok
-    assert "universe" in cert.to_json_dict()
+    assert cert["ok"], cert["failures"]
+    assert set(cert["basic_slacks"]) == {"0", "1"}
+    assert all(abs(s) <= TIGHT_BAND for s in cert["basic_slacks"].values())
+    assert cert["nonbasic_min_slack"] > 1e-6
+    assert cert["gap_ok"]
+    assert cert["invariant_intermediate"]["ok"]
+    assert cert["perturbed_ok"]
+    assert cert["universe"]
 
 
 def test_certificate_mt_r2():
     system, cert = certify_system(mt_flag(2))
-    assert cert.ok, cert.failures
-    assert all(abs(s) <= TIGHT_BAND for s in cert.basic_slacks.values())
-    assert cert.nonbasic_min_slack > 1e-6
-    assert cert.perturbed_ok
+    assert cert["ok"], cert["failures"]
+    assert all(abs(s) <= TIGHT_BAND for s in cert["basic_slacks"].values())
+    assert cert["nonbasic_min_slack"] > 1e-6
+    assert cert["perturbed_ok"]
 
 
 def test_binary_r3_basic_equalities_and_standard_slacks():
@@ -303,26 +303,25 @@ def test_certificate_degenerate_flag_reports_failure():
     flag = parse_flag_text("100 010\n")
     system, cert = certify_system(flag)
     assert system is None
-    assert not cert.ok
-    assert any("optimal parameters" in f for f in cert.failures)
+    assert not cert["ok"]
+    assert any("optimal parameters" in f for f in cert["failures"])
 
 
 def test_certificate_infeasible_perturbation_falls_back():
     # epsilon far above c_{r+1} cannot be applied; the certificate marks it
     # infeasible and substitutes a feasible one rather than failing
     _, cert = certify_system(binary_flag(2), eps_list=(0.9,))
-    assert cert.perturbed[0.9]["infeasible"] is True
-    feasible = [v for v in cert.perturbed.values() if v.get("ok") is not None]
+    assert cert["perturbed"]["0.9"]["infeasible"] is True
+    feasible = [v for v in cert["perturbed"].values() if v.get("ok") is not None]
     assert feasible and all(v["ok"] for v in feasible)
-    assert cert.ok
+    assert cert["ok"]
 
 
 def test_certificate_json_roundtrip():
     import json
 
     _, cert = certify_system(binary_flag(1))
-    doc = cert.to_json_dict()
-    text = json.dumps(doc)
+    text = json.dumps(cert)
     assert json.loads(text)["ok"] is True
 
 
@@ -388,16 +387,17 @@ def test_perturbed_rescore_matches_fresh_check(name):
     flag = CERT_FLAGS[name]()
     eps_list = (1e-3, 1e-4, 1e-5)
     system, cert = certify_system(flag, eps_list=eps_list)
+    entries = check_entropy_condition(system).entries
     subflags = list(enumerate_subflags(flag))
     for eps in eps_list:
         c_tilde = perturb_thresholds(system.thresholds, eps)
         if c_tilde[-1] <= 0.0:
-            assert cert.perturbed[eps]["infeasible"]
+            assert cert["perturbed"][str(eps)]["infeasible"]
             continue
         perturbed = System(flag, c_tilde, system.measures)
         fresh = check_entropy_condition(perturbed)
-        assert score_entries(c_tilde, flag.dims(), cert.ereport.entries) == fresh
-        assert cert.perturbed[eps] == {"min_slack": fresh.min_slack, "ok": fresh.min_slack > 0.0}
+        assert score_entries(c_tilde, flag.dims(), entries) == fresh
+        assert cert["perturbed"][str(eps)] == {"min_slack": fresh.min_slack, "ok": fresh.min_slack > 0.0}
         assert [e.e_value for e in fresh.entries] == [e_value(perturbed, sf) for sf in subflags]
 
 
@@ -422,7 +422,7 @@ def test_certificate_enumerates_once_and_computes_each_entropy_once(
     monkeypatch.setattr(entropy, "subflag_chains", spy_chains)
     monkeypatch.setattr(entropy, "coset_entropy", spy_entropy)
     system, cert = certify_system(flag)
-    assert cert.ok and enumerations == [flag]
+    assert cert["ok"] and enumerations == [flag]
     level_of = {id(mu): j for j, mu in enumerate(system.measures, start=1)}
     calls = [(level_of[id(nu)], W) for nu, W in entropies]
     distinct = {(j, sf.spaces[j]) for sf in enumerate_subflags(flag) for j in range(1, flag.order + 1)}
@@ -501,7 +501,7 @@ def test_mt4_q12_sweep_tests_containment_once_per_pair_of_levels(monkeypatch):
             monkeypatch.setattr(mod, "contains_subspace", spy_contains)
     monkeypatch.setattr(Subflag, "__post_init__", spy_post_init)
     _, cert = certify_system(flag)
-    assert cert.ok and len(cert.ereport.entries) == 120
+    assert cert["ok"] and len(cert["entropy_report"]["entries"]) == 120
     assert len(tested) <= sum(len(a) * len(b) for a, b in zip(universes, universes[1:])) == 168
     assert validated == []
 
@@ -663,7 +663,7 @@ def test_mt4_certificate_evaluates_f_on_the_origin_subtree_only(monkeypatch):
     cell_tree.cache_clear()
     flag = mt_flag(4)
     _, cert = certify_system(flag)
-    assert cert.ok and walks == []
+    assert cert["ok"] and walks == []
     # mu* reads f on Gamma_4 and its descendants: 1 + 3 + 5 + 7 + 9 cells,
     # the level-0 ones being the first layer's `below`
     assert [level for level, _, _ in layers] == [1, 2, 3, 4]

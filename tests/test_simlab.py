@@ -214,7 +214,7 @@ def _census_unique_exact(A):
     witnesses = tuple(
         tuple(i for i in range(len(values)) if int(m) >> i & 1) for m in masks
     )
-    return S.MultiplicityResult(k_max, witness_sum, witnesses, True)
+    return S.MultiplicityResult(k_max, witness_sum, witnesses)
 
 
 def _exact_cases():
@@ -339,7 +339,7 @@ def _counter_multiplicity(A):
     witness_sum = min(s for s, c in counts.items() if c == k_max)
     witnesses = tuple(tuple(i for i in range(len(values)) if mask >> i & 1)
                       for mask, s in enumerate(sums) if s == witness_sum)
-    return S.MultiplicityResult(k_max, witness_sum, witnesses, True)
+    return S.MultiplicityResult(k_max, witness_sum, witnesses)
 
 
 def _needed_length(values):
@@ -385,7 +385,7 @@ def test_dominated_powers_of_two_need_no_walk():
     tracemalloc.start()
     try:
         assert not S.has_k_equal_sums(A, 2)
-        assert S.max_subset_sum_multiplicity(A) == S.MultiplicityResult(1, 0, ((),), True)
+        assert S.max_subset_sum_multiplicity(A) == S.MultiplicityResult(1, 0, ((),))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -564,9 +564,9 @@ def test_samplers_draw_from_the_keys_alone(monkeypatch):
     monkeypatch.setattr(S, "substream", _no_generator)
     monkeypatch.setattr(np.random, "Generator", _no_generator)
     # D = 1e8, c = 0.02, seed 1: trials 0 and 17 take the randomized search
-    assert S.equal_sums_probability(1e8, 0.02, 2, 20, 1).inexact_trials == 2
+    assert S.equal_sums_probability(1e8, 0.02, 2, 20, 1)["inexact_trials"] == 2
     assert [r["trial"] for r in S.equal_sums_rows(1e8, 0.02, 2, 20, 1) if not r["exact"]] == [0, 17]
-    assert S.amplify_demo(2, 10**13, 2, 0.25, seed=76).k_max == 4
+    assert S.amplify_demo(2, 10**13, 2, 0.25, seed=76)["k_max"] == 4
     assert len(list(S.sample_delta_integer(10**9, 20, 5))) == 20
     assert len(list(S.sample_delta_perm(40, 20, 5))) == 20
 
@@ -581,8 +581,8 @@ def test_equal_sums_needs_positive_counts(k, trials, message):
 def test_equal_sums_rows_give_the_estimate():
     D, c, k, trials, seed = 1e5, 0.1, 3, 300, 4
     rows = S.equal_sums_rows(D, c, k, trials, seed)
-    assert _estimate(D, c, k, [(r["k_max"] >= k, r["exact"]) for r in rows]) == S.equal_sums_probability(
-        D, c, k, trials, seed)
+    expected = _estimate(D, c, k, [(r["k_max"] >= k, r["exact"]) for r in rows])
+    assert S.equal_sums_probability(D, c, k, trials, seed).items() >= expected.items()
 
 
 # The per-trial loop the batched estimate replaced: one scalar draw per gap,
@@ -610,10 +610,11 @@ def _scalar_log_set(lo, hi, rng):
 
 
 def _estimate(D, c, k, outcomes):
-    # the estimate from one (success, was_exact) pair per trial
+    # the numbers of the estimate's document from one (success, was_exact) pair per trial
     trials, successes = len(outcomes), sum(ok for ok, _ in outcomes)
-    return S.EqualSumsEstimate(D, c, k, trials, successes, successes / trials, *S.wilson_ci(successes, trials),
-                               sum(not exact for _, exact in outcomes), S._window_bounds(D, c))
+    return {"D": D, "c": c, "k": k, "trials": trials, "successes": successes, "estimate": successes / trials,
+            "ci95": list(S.wilson_ci(successes, trials)), "inexact_trials": sum(not exact for _, exact in outcomes),
+            "window": list(S._window_bounds(D, c))}
 
 
 def _per_trial_outcomes(D, c, k, trials, seed):
@@ -637,7 +638,7 @@ def test_equal_sums_probability_matches_per_trial_loop(D, k):
     for c, seed in ((0.02, 1), (0.02, 2), (0.3, 3)):
         trials = 150
         expected = _estimate(D, c, k, _per_trial_outcomes(D, c, k, trials, seed))
-        assert S.equal_sums_probability(D, c, k, trials, seed) == expected, (c, seed)
+        assert S.equal_sums_probability(D, c, k, trials, seed).items() >= expected.items(), (c, seed)
 
 
 @pytest.mark.parametrize("batch_sums, trial_batch",
@@ -769,7 +770,7 @@ def test_log_set_rows_match_scalar_loop():
 
 def test_equal_sums_probability_near_empty_window():
     est = S.equal_sums_probability(1e6, 0.999, 2, 200, seed=9)
-    assert est.estimate < 0.02
+    assert est["estimate"] < 0.02
 
 
 def _no_k_equal_sums_probability(hi, k):
@@ -807,14 +808,14 @@ def test_equal_sums_probability_matches_the_exact_law(hi, k, law):
     # of k equal sums; z = 4 was fixed before the first run
     assert abs(1 - _no_k_equal_sums_probability(hi, k) - law) < 1e-12
     est = S.equal_sums_probability(hi, 0.1, k, 40000, seed=20261020)
-    assert est.window == (2, hi)
-    assert abs(est.estimate - law) < 4 * math.sqrt(law * (1 - law) / 40000)
+    assert est["window"] == [2, hi]
+    assert abs(est["estimate"] - law) < 4 * math.sqrt(law * (1 - law) / 40000)
 
 
 def test_equal_sums_probability_small_c_smoke():
     est = S.equal_sums_probability(1e6, 0.02, 2, 500, seed=10)
-    assert est.estimate > 0.5
-    assert est.ci_low <= est.estimate <= est.ci_high
+    assert est["estimate"] > 0.5
+    assert est["ci95"][0] <= est["estimate"] <= est["ci95"][1]
 
 
 def test_equal_sums_rows_deterministic():
@@ -826,21 +827,21 @@ def test_equal_sums_rows_deterministic():
 def test_amplify_product_construction():
     # deterministic instance with two successful windows: multiplicity k^2
     res = S.amplify_demo(2, 10**13, 2, 0.25, seed=76)
-    assert res.detail["successful_windows"] == 2
-    assert res.k_max == 4
-    assert len(res.witnesses) == 4
-    assert len(set(res.witnesses)) == 4
+    assert sum(w["success"] for w in res["windows"]) == 2
+    assert res["k_max"] == 4
+    assert len(res["witnesses"]) == 4
+    assert len({tuple(w) for w in res["witnesses"]}) == 4
 
 
 def test_amplify_single_or_no_window():
     res = S.amplify_demo(2, 10**6, 2, 0.5, seed=11)
-    assert res.k_max == 2 ** res.detail["successful_windows"]
+    assert res["k_max"] == 2 ** sum(w["success"] for w in res["windows"])
 
 
 def test_amplify_window_guard_boundary(monkeypatch):
-    nwin = len(S.amplify_demo(2, 10**13, 2, 0.25, seed=76).detail["windows"])
+    nwin = len(S.amplify_demo(2, 10**13, 2, 0.25, seed=76)["windows"])
     monkeypatch.setattr(S, "MAX_AMPLIFY_WINDOWS", nwin)
-    assert len(S.amplify_demo(2, 10**13, 2, 0.25, seed=76).detail["windows"]) == nwin
+    assert len(S.amplify_demo(2, 10**13, 2, 0.25, seed=76)["windows"]) == nwin
     monkeypatch.setattr(S, "MAX_AMPLIFY_WINDOWS", nwin - 1)
     with pytest.raises(CapacityError, match=f"more than {nwin - 1} windows"):
         S.amplify_demo(2, 10**13, 2, 0.25, seed=76)
@@ -849,8 +850,8 @@ def test_amplify_window_guard_boundary(monkeypatch):
 def test_amplify_witness_sums_agree():
     res = S.amplify_demo(2, 10**13, 2, 0.25, seed=76)
     elements = _log_set(1, 10**13, S.substream(76, 0))
-    sums = {sum(elements[i] for i in w) for w in res.witnesses}
-    assert sums == {res.witness_sum}
+    sums = {sum(elements[i] for i in w) for w in res["witnesses"]}
+    assert sums == {res["witness_sum"]}
 
 
 @pytest.mark.parametrize("seed", [0, 76, 20260810, (1 << 32) + 7, (1 << 40) + 3])
@@ -860,7 +861,7 @@ def test_amplify_samples_the_substream(monkeypatch, seed):
     log_set_rows = S._log_set_rows
     monkeypatch.setattr(S, "_log_set_rows", lambda *args: sets.append(log_set_rows(*args)) or sets[-1])
     for D1, D2, trial in ((2, 10**13, 0), (10, 10**6, 3), (2, S.MAX_ELEMENT, 1)):
-        windows = S.amplify_demo(D1, D2, 2, 0.5, seed, trial).detail["windows"]
+        windows = S.amplify_demo(D1, D2, 2, 0.5, seed, trial)["windows"]
         elements, sizes = sets.pop()
         want = _scalar_log_set(D1 - 1, D2, S.substream(seed, trial))
         assert elements[0, :sizes[0]].tolist() == want, (D1, D2, trial)
