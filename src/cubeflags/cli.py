@@ -58,17 +58,15 @@ def _round16(obj):
     return obj
 
 
-def _open_path(path: str, mode: str = "r"):
-    """open(path, mode), a path that cannot be opened (missing, a directory,
-    not permitted) being a usage error."""
+def _open(path: Optional[str], mode: str = "w"):
+    """open(path, mode), or stdout when no path is given.  A path that cannot
+    be opened (missing, a directory, not permitted) is a usage error."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, mode)
     except OSError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _open(out: Optional[str]):
-    return _open_path(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _write(text: str, out: Optional[str]):
@@ -103,7 +101,7 @@ def _build_flag(args) -> flags_mod.Flag:
         return flags_mod.mt_flag(args.order)
     if not args.file:  # --flag file
         raise UsageError("--flag file requires --file PATH")
-    with _open_path(args.file) as fh:
+    with _open(args.file, "r") as fh:
         return flags_mod.parse_flag_text(fh.read())
 
 
