@@ -4,6 +4,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from conftest import reference_bisect
 
 from cubeflags import entropy, optmeas, qlinalg, rho
 from cubeflags import flags as flags_mod
@@ -348,6 +349,14 @@ def _coset_entropy_by_keys(nu, W):
 
 
 @pytest.mark.parametrize("name", CERT_FLAGS)
+def test_flag_roots_equal_bisection(name, bisect_pairs):
+    flag = CERT_FLAGS[name]()
+    solve_flag_rhos(flag)
+    assert len(bisect_pairs) == flag.order - 1
+    assert [p for p in bisect_pairs if p[1] != p[2]] == []
+
+
+@pytest.mark.parametrize("name", CERT_FLAGS)
 def test_coset_entropy_matches_per_point_keys_on_certificate_universes(name):
     flag = CERT_FLAGS[name]()
     universes = subflag_chains(flag)[0]
@@ -552,7 +561,7 @@ def _solve_flag_rhos_by_walks(flag):
             f_next = _f_by_memo_walk(tree, _gamma_by_scan(tree, j + 1), rhos + [x])
             return math.log(f_next) - x * log_fj - d
 
-        x = rho._bisect(phi, 0.0, 1.0, rho.BISECT_WIDTH, f"equation {j}")
+        x = reference_bisect(phi, 0.0, 1.0, rho.BISECT_WIDTH, f"equation {j}")
         rhos.append(x)
         residuals.append(abs(phi(x)))
     return RhoSolution(tuple(rhos), tuple(residuals))

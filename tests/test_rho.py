@@ -1,8 +1,10 @@
+import bisect
 import hashlib
 import math
 import random
 
 import pytest
+from conftest import bisect_outcome, reference_bisect
 
 from cubeflags import rho
 from cubeflags.errors import CapacityError, NumericInstabilityError
@@ -239,7 +241,7 @@ def _oracle_chain(max_j):
         def phi(x):
             return _oracle_chain_row(prev, x, j + 2)[j + 2] - x * prev[j + 1] - 2.0**j
 
-        x = rho._bisect(phi, 0.0, 1.0, rho.BISECT_WIDTH, f"the rho_{j} equation")
+        x = reference_bisect(phi, 0.0, 1.0, rho.BISECT_WIDTH, f"the rho_{j} equation")
         rhos.append(x)
         residuals.append(abs(phi(x)))
         rows.append(_oracle_chain_row(prev, x, j + 3))
@@ -402,6 +404,65 @@ def test_bisect_stops_at_float_resolution():
     # a step with no exact zero: width 0 ends only when no float is between a and b
     x = rho._bisect(lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0, 0.0, "a step")
     assert abs(x - 0.3) <= math.ulp(0.3)
+
+
+def test_bisect_equals_bisection_on_the_chain_limit_and_genotype_roots(bisect_pairs):
+    solve_rho_chain(80)
+    solve_rho_chain_genotype(3)
+    for tol in (1e-15, 1e-12, 0.0):  # on [0.1, 0.9], off the dyadic grid
+        rho_limit.cache_clear()
+        rho_limit(tol)
+    rho_limit.cache_clear()
+    assert len(bisect_pairs) == 80 + 3 + 3
+    assert [p for p in bisect_pairs if p[1] != p[2]] == []
+
+
+def _staircase(rnd):
+    """A seeded monotone step function on [0, 1] that changes sign; one step
+    in three is exactly 0 over a stretch, as phi_1 is near its root."""
+    cuts = sorted(rnd.random() for _ in range(rnd.randint(1, 8)))
+    k = rnd.randrange(len(cuts))  # the last step below zero
+    values = [-(10.0 ** rnd.uniform(-6, 6)) for _ in range(k + 1)]
+    values += [10.0 ** rnd.uniform(-6, 6) for _ in range(len(cuts) - k)]
+    values[:k + 1] = sorted(values[:k + 1])
+    values[k + 1:] = sorted(values[k + 1:])
+    if k + 1 < len(cuts) and rnd.random() < 1 / 3:
+        values[k + 1] = 0.0
+    sign = rnd.choice((1.0, -1.0))
+    return lambda t: sign * values[bisect.bisect_right(cuts, t)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bisect_equals_bisection_on_step_functions(seed):
+    rnd = random.Random(seed)
+    phi = _staircase(rnd)
+    for width in (rho.BISECT_WIDTH, 0.0, 1e-6):
+        for a, b in ((0.0, 1.0), (0.1, 0.9)):
+            args = (phi, a, b, width, f"staircase {seed}")
+            assert bisect_outcome(rho._bisect, *args) == bisect_outcome(reference_bisect, *args)
+
+
+@pytest.mark.parametrize("phi", [lambda t: 1.0, lambda t: 0.0, lambda t: -t, lambda t: 0.5 - t])
+def test_bisect_equals_bisection_on_endpoints_and_errors(phi):
+    args = (phi, 0.0, 1.0, rho.BISECT_WIDTH, "an edge case")
+    assert bisect_outcome(rho._bisect, *args) == bisect_outcome(reference_bisect, *args)
+
+
+def test_chain_roots_take_at_most_14_evaluations_each(monkeypatch):
+    # plain bisection spends 636 evaluations on these 13 roots
+    calls = 0
+    fast = rho._bisect
+
+    def counting(phi, *args):
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return phi(x)
+        return fast(counted, *args)
+
+    monkeypatch.setattr(rho, "_bisect", counting)
+    solve_rho_chain(13)
+    assert calls <= 14 * 13
 
 
 def test_flag_equation_without_sign_change_raises():
