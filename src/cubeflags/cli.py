@@ -105,108 +105,6 @@ def _build_flag(args) -> flags_mod.Flag:
         return flags_mod.parse_flag_text(fh.read())
 
 
-def _add_flag_options(s: argparse.ArgumentParser):
-    s.add_argument("--flag", choices=("binary", "mt", "file"), required=True)
-    s.add_argument("--order", type=int, default=2)
-    s.add_argument("--file", help="flag specification file (with --flag file)")
-    s.add_argument("--out")
-
-
-def build_parser() -> _Parser:
-    p = _Parser(
-        prog="cubeflags",
-        description=(
-            "Constants and certificates for equal subset sums in logarithmic "
-            "random sets and the concentration of divisors."
-        ),
-    )
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored: every computation runs serially")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser(
-        "rho-table",
-        help="solve the chain of tree fixed-point equations; one row per index",
-    )
-    s.add_argument("--max-j", type=int, default=13)
-    s.add_argument("--format", choices=("table", "json", "csv"), default="csv")
-    s.add_argument("--out")
-
-    s = sub.add_parser("rho-limit", help="the limit of the chain, from its scalar equation")
-    s.add_argument("--tol", type=float, default=1e-15)
-    s.add_argument("--json", action="store_true")
-
-    s = sub.add_parser("theta", help="lower-bound exponent of the order-r binary flag")
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--json", action="store_true")
-
-    sub.add_parser("eta", help="divisor-concentration exponent log 2 / log(2/rho)")
-
-    s = sub.add_parser("constants", help="every named constant, as JSON")
-    s.add_argument("--out")
-
-    s = sub.add_parser(
-        "check",
-        help="build the extremal system of a flag and emit its entropy certificate",
-    )
-    _add_flag_options(s)
-    s.add_argument("--perturb", type=float, action="append", default=None,
-                   help="extra threshold perturbation epsilon (repeatable)")
-
-    s = sub.add_parser("measures", help="dump the extremal measure, thresholds, entropies")
-    _add_flag_options(s)
-
-    s = sub.add_parser("tree", help="dump the cell tree (levels, genotypes, members)")
-    _add_flag_options(s)
-
-    sim = sub.add_parser("simulate", help="seeded Monte Carlo experiments")
-    simsub = sim.add_subparsers(dest="experiment", required=True)
-
-    s = simsub.add_parser("equal-sums", help="k-fold equal subset sums in a window of a logarithmic random set")
-    s.add_argument("--D", type=float, default=1e6)
-    s.add_argument("--c", type=float, default=0.1)
-    s.add_argument("--k", type=int, default=2)
-    s.add_argument("--trials", type=int, default=200)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--json", action="store_true")
-    s.add_argument("--out", help="write per-trial census rows as CSV")
-
-    s = simsub.add_parser("amplify", help="stack per-window equal sums into a multiplicative family")
-    s.add_argument("--D1", type=int, default=2)
-    s.add_argument("--D2", type=int, default=10**6)
-    s.add_argument("--k", type=int, default=2)
-    s.add_argument("--alpha", type=float, default=0.5)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--json", action="store_true")
-
-    s = simsub.add_parser("delta-int", help="divisor-window statistic of random integers")
-    s.add_argument("--X", type=int, default=10**9)
-    s.add_argument("--samples", "--trials", dest="samples", type=int, default=100)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
-
-    s = simsub.add_parser("delta-perm", help="divisor-length statistic of random permutations")
-    s.add_argument("--n", type=int, default=100)
-    s.add_argument("--samples", "--trials", dest="samples", type=int, default=100)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
-
-    s = simsub.add_parser("delta-poly", help="divisor-degree statistic of random polynomial factor laws")
-    s.add_argument("--q", type=int, default=2)
-    s.add_argument("--n", type=int, default=2000)
-    s.add_argument("--model", choices=("poisson", "nb"), default="poisson")
-    s.add_argument("--samples", "--trials", dest="samples", type=int, default=100)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--dmin", type=int, default=None)
-    s.add_argument("--dmax", type=int, default=None)
-    s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
-
-    return p
-
-
 def _cmd_rho_table(args) -> int:
     sol, _ = rho.solve_rho_chain(args.max_j)
     rows = [
@@ -292,50 +190,60 @@ def _cmd_tree(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    if args.experiment == "equal-sums":
-        doc = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
-        if args.out:
-            rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
-            _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
-        if args.json:
-            _emit_json(doc, None)
-        else:
-            lo, hi = doc["ci95"]
+def _sim_equal_sums(args) -> int:
+    doc = simlab.equal_sums_probability(args.D, args.c, args.k, args.trials, args.seed)
+    if args.out:
+        rows = simlab.equal_sums_rows(args.D, args.c, args.k, args.trials, args.seed)
+        _emit_rows(rows, ["trial", "set_size", "k_max", "exact"], "csv", args.out)
+    if args.json:
+        _emit_json(doc, None)
+    else:
+        lo, hi = doc["ci95"]
+        print(
+            f"estimate {_fmt(doc['estimate'])}  ci95 [{_fmt(lo)}, {_fmt(hi)}]"
+            f"  successes {doc['successes']}/{doc['trials']}  window {tuple(doc['window'])}"
+        )
+    return 0
+
+
+def _sim_amplify(args) -> int:
+    doc = simlab.amplify_demo(args.D1, args.D2, args.k, args.alpha, args.seed)
+    if args.json:
+        _emit_json(doc, None)
+    else:
+        print(f"multiplicity {doc['k_max']} from {sum(w['success'] for w in doc['windows'])} "
+              f"successful windows; common sum {doc['witness_sum']}")
+    return 0
+
+
+def _sim_delta_int(args) -> int:
+    return _emit_delta(args, "integer", simlab.sample_delta_integer(args.X, args.samples, args.seed))
+
+
+def _sim_delta_perm(args) -> int:
+    return _emit_delta(args, "permutation", simlab.sample_delta_perm(args.n, args.samples, args.seed))
+
+
+def _sim_delta_poly(args) -> int:
+    d_range = None
+    if (args.dmin is None) != (args.dmax is None):
+        missing = "--dmax" if args.dmax is None else "--dmin"
+        raise UsageError(f"--dmin and --dmax go together: {missing} is missing")
+    if args.dmin is not None:
+        d_range = (args.dmin, args.dmax)
+    else:
+        lo, hi = simlab.lemma_degree_range(args.n)
+        if lo > hi:
             print(
-                f"estimate {_fmt(doc['estimate'])}  ci95 [{_fmt(lo)}, {_fmt(hi)}]"
-                f"  successes {doc['successes']}/{doc['trials']}  window {tuple(doc['window'])}"
+                f"note: default degree window [{lo}, {hi}] is empty at n={args.n}; "
+                "pass --dmin/--dmax for a nonvacuous simulation",
+                file=sys.stderr,
             )
-        return 0
-    if args.experiment == "amplify":
-        doc = simlab.amplify_demo(args.D1, args.D2, args.k, args.alpha, args.seed)
-        if args.json:
-            _emit_json(doc, None)
-        else:
-            print(f"multiplicity {doc['k_max']} from {sum(w['success'] for w in doc['windows'])} "
-                  f"successful windows; common sum {doc['witness_sum']}")
-        return 0
-    if args.experiment == "delta-int":
-        kind, samples = "integer", simlab.sample_delta_integer(args.X, args.samples, args.seed)
-    elif args.experiment == "delta-perm":
-        kind, samples = "permutation", simlab.sample_delta_perm(args.n, args.samples, args.seed)
-    else:  # delta-poly
-        d_range = None
-        if (args.dmin is None) != (args.dmax is None):
-            missing = "--dmax" if args.dmax is None else "--dmin"
-            raise UsageError(f"--dmin and --dmax go together: {missing} is missing")
-        if args.dmin is not None:
-            d_range = (args.dmin, args.dmax)
-        else:
-            lo, hi = simlab.lemma_degree_range(args.n)
-            if lo > hi:
-                print(
-                    f"note: default degree window [{lo}, {hi}] is empty at n={args.n}; "
-                    "pass --dmin/--dmax for a nonvacuous simulation",
-                    file=sys.stderr,
-                )
-        kind, samples = "polynomial", simlab.sample_delta_poly(
-            args.q, args.n, args.model, args.samples, args.seed, d_range)
+    samples = simlab.sample_delta_poly(args.q, args.n, args.model, args.samples, args.seed, d_range)
+    return _emit_delta(args, "polynomial", samples)
+
+
+def _emit_delta(args, kind: str, samples) -> int:
     count = total = top = 0  # the summary, folded as the samples go by: the sum is exact
 
     def rows():
@@ -359,24 +267,154 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _cmd_simulate(args) -> int:
+    return _EXPERIMENTS[args.experiment][2](args)
+
+
+# Options of each command, added to its parser only when it is the one run.
+
+
+def _rho_table_options(s: argparse.ArgumentParser):
+    s.add_argument("--max-j", type=int, default=13)
+    s.add_argument("--format", choices=("table", "json", "csv"), default="csv")
+    s.add_argument("--out")
+
+
+def _rho_limit_options(s: argparse.ArgumentParser):
+    s.add_argument("--tol", type=float, default=1e-15)
+    s.add_argument("--json", action="store_true")
+
+
+def _theta_options(s: argparse.ArgumentParser):
+    s.add_argument("--r", type=int, required=True)
+    s.add_argument("--json", action="store_true")
+
+
+def _flag_options(s: argparse.ArgumentParser):
+    s.add_argument("--flag", choices=("binary", "mt", "file"), required=True)
+    s.add_argument("--order", type=int, default=2)
+    s.add_argument("--file", help="flag specification file (with --flag file)")
+    s.add_argument("--out")
+
+
+def _check_options(s: argparse.ArgumentParser):
+    _flag_options(s)
+    s.add_argument("--perturb", type=float, action="append", default=None,
+                   help="extra threshold perturbation epsilon (repeatable)")
+
+
+def _equal_sums_options(s: argparse.ArgumentParser):
+    s.add_argument("--D", type=float, default=1e6)
+    s.add_argument("--c", type=float, default=0.1)
+    s.add_argument("--k", type=int, default=2)
+    s.add_argument("--trials", type=int, default=200)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--json", action="store_true")
+    s.add_argument("--out", help="write per-trial census rows as CSV")
+
+
+def _amplify_options(s: argparse.ArgumentParser):
+    s.add_argument("--D1", type=int, default=2)
+    s.add_argument("--D2", type=int, default=10**6)
+    s.add_argument("--k", type=int, default=2)
+    s.add_argument("--alpha", type=float, default=0.5)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--json", action="store_true")
+
+
+def _delta_options(s: argparse.ArgumentParser):
+    s.add_argument("--samples", "--trials", dest="samples", type=int, default=100)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--json", action="store_true")
+    s.add_argument("--out")
+
+
+def _delta_int_options(s: argparse.ArgumentParser):
+    s.add_argument("--X", type=int, default=10**9)
+    _delta_options(s)
+
+
+def _delta_perm_options(s: argparse.ArgumentParser):
+    s.add_argument("--n", type=int, default=100)
+    _delta_options(s)
+
+
+def _delta_poly_options(s: argparse.ArgumentParser):
+    s.add_argument("--q", type=int, default=2)
+    s.add_argument("--n", type=int, default=2000)
+    s.add_argument("--model", choices=("poisson", "nb"), default="poisson")
+    s.add_argument("--samples", "--trials", dest="samples", type=int, default=100)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--dmin", type=int, default=None)
+    s.add_argument("--dmax", type=int, default=None)
+    s.add_argument("--json", action="store_true")
+    s.add_argument("--out")
+
+
+# name: (help, options, handler).  The options of simulate are the table of
+# its experiments, whose entries take the same form.
+_EXPERIMENTS = {
+    "equal-sums": ("k-fold equal subset sums in a window of a logarithmic random set",
+                   _equal_sums_options, _sim_equal_sums),
+    "amplify": ("stack per-window equal sums into a multiplicative family", _amplify_options, _sim_amplify),
+    "delta-int": ("divisor-window statistic of random integers", _delta_int_options, _sim_delta_int),
+    "delta-perm": ("divisor-length statistic of random permutations", _delta_perm_options, _sim_delta_perm),
+    "delta-poly": ("divisor-degree statistic of random polynomial factor laws", _delta_poly_options,
+                   _sim_delta_poly),
+}
 _COMMANDS = {
-    "rho-table": _cmd_rho_table,
-    "rho-limit": _cmd_rho_limit,
-    "theta": _cmd_theta,
-    "eta": _cmd_eta,
-    "constants": _cmd_constants,
-    "check": _cmd_check,
-    "measures": _cmd_measures,
-    "tree": _cmd_tree,
-    "simulate": _cmd_simulate,
+    "rho-table": ("solve the chain of tree fixed-point equations; one row per index", _rho_table_options,
+                  _cmd_rho_table),
+    "rho-limit": ("the limit of the chain, from its scalar equation", _rho_limit_options, _cmd_rho_limit),
+    "theta": ("lower-bound exponent of the order-r binary flag", _theta_options, _cmd_theta),
+    "eta": ("divisor-concentration exponent log 2 / log(2/rho)", lambda s: None, _cmd_eta),
+    "constants": ("every named constant, as JSON", lambda s: s.add_argument("--out"), _cmd_constants),
+    "check": ("build the extremal system of a flag and emit its entropy certificate", _check_options,
+              _cmd_check),
+    "measures": ("dump the extremal measure, thresholds, entropies", _flag_options, _cmd_measures),
+    "tree": ("dump the cell tree (levels, genotypes, members)", _flag_options, _cmd_tree),
+    "simulate": ("seeded Monte Carlo experiments", _EXPERIMENTS, _cmd_simulate),
 }
 
 
+def _add_commands(sub, table: dict, argv: Optional[Sequence[str]]):
+    """Register every command of the table with its help, and give options
+    (-h included) only to the one that argv names: its first token that is
+    a command, since only --workers N and -h can come before it.  With argv
+    None every command gets its options."""
+    named = None if argv is None else next((t for t in argv if t in table), None)
+    for name, (help_, options, _) in table.items():
+        full = argv is None or name == named
+        s = sub.add_parser(name, help=help_, add_help=full)
+        if not full:
+            continue
+        if isinstance(options, dict):
+            _add_commands(s.add_subparsers(dest="experiment", required=True), options, argv)
+        else:
+            options(s)
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
+    """The parser for argv, with options for the command argv names only;
+    with no argv, the parser of every command."""
+    p = _Parser(
+        prog="cubeflags",
+        description=(
+            "Constants and certificates for equal subset sums in logarithmic "
+            "random sets and the concentration of divisors."
+        ),
+    )
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: every computation runs serially")
+    _add_commands(p.add_subparsers(dest="command", required=True), _COMMANDS, argv)
+    return p
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = build_parser(argv).parse_args(argv)
+        return _COMMANDS[args.command][2](args)
     except CubeflagsError as exc:  # first: DimensionMismatchError is also a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -722,14 +722,19 @@ def test_check_past_the_subflag_cap_exits_2(capsys, monkeypatch):
     assert err == f"error: {EnumerationLimitError(1, 2, 1)}\n"
 
 
-def _long_options(parser, path=()):
-    # {subcommand path: its sorted long options}, for every nested subparser
-    out = {" ".join(path): sorted(o for a in parser._actions for o in a.option_strings if o.startswith("--"))}
+def _parsers(parser, path=()):
+    # (subcommand path, its parser), for the parser and every nested subparser
+    yield path, parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                out.update(_long_options(sub, path + (name,)))
-    return out
+                yield from _parsers(sub, path + (name,))
+
+
+def _long_options(parser):
+    # {subcommand path: its sorted long options}, for every nested subparser
+    return {" ".join(path): sorted(o for a in p._actions for o in a.option_strings if o.startswith("--"))
+            for path, p in _parsers(parser)}
 
 
 def test_option_surface_is_pinned(capsys):
@@ -785,6 +790,51 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except UsageError as exc:
             pytest.fail(f"README line `cubeflags {' '.join(argv)}`: {exc}")
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return str(exc)
+    except SystemExit as exc:  # -h prints the help and exits
+        return exc.code, capsys.readouterr().out
+
+
+def test_parser_for_one_command_parses_as_the_full_parser(capsys):
+    full = build_parser()
+    commands = _readme_commands() + [
+        ["tree", "--flag", "file", "--file", "check"],
+        ["simulate", "equal-sums", "--out", "delta-int"],
+        ["--workers", "1", "check", "--flag", "mt", "--order", "3"],
+        ["-h"], ["theta", "-h"], ["simulate", "-h"], ["simulate", "delta-poly", "--help"],
+        [], ["simulate"], ["frobnicate"], ["theta", "--r", "8", "--bogus"], ["eta", "theta"],
+        ["--workers", "rho-table"],
+    ]
+    for argv in commands:
+        lazy = build_parser(argv)
+        assert _parse_outcome(lazy, argv, capsys) == _parse_outcome(full, argv, capsys), argv
+        assert lazy.format_help() == full.format_help()
+    # each command's help, from the parser built for it
+    for path, parser in _parsers(full):
+        built = dict(_parsers(build_parser(list(path))))
+        assert built[path].format_help() == parser.format_help(), path
+
+
+def test_main_adds_options_for_the_command_it_runs_only(capsys, monkeypatch):
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def spy(self, *names, **kwargs):
+        added.append((self.prog, names))
+        return real(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(["theta", "--r", "8"]) == 0
+    assert capsys.readouterr().out != ""
+    assert added == [("cubeflags", ("-h", "--help")), ("cubeflags", ("--workers",)),
+                     ("cubeflags theta", ("-h", "--help")), ("cubeflags theta", ("--r",)),
+                     ("cubeflags theta", ("--json",))]
 
 
 def test_readme_python_blocks_run(capsys):
