@@ -198,6 +198,13 @@ def _bisect(phi, a: float, b: float, width: float, what: str) -> float:
     the bit, from ~10 evaluations instead of ~50.  When phi(a) and phi(b)
     have one sign, or are both zero, it raises NumericInstabilityError
     naming the equation.
+
+    The shipped chain equations are not monotone in floats within a few
+    ulps of their roots: phi_1 near 0.30648100933045 changes sign back and
+    forth (+, 0, +, -, 0, - over 20 consecutive floats).  So that this
+    matches bisection on those equations rests on the tests that compare it
+    under == with plain bisection (reference_bisect in tests/conftest.py),
+    not on the argument above.
     """
     fa, fb = phi(a), phi(b)
     if _sign(fa) == _sign(fb):

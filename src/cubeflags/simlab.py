@@ -9,26 +9,27 @@ aggregation is restricted to order-independent reductions over trial-indexed
 rows.  Philox word s is a pure function of the key and the counter
 1 + s // 4, so _philox_keys and _philox_words compute the words of a whole
 batch of substreams in numpy, bit for bit, with no Generator built.  The
-equal-sums and amplify sets, the randomized search's masks, the delta-int
-integers (numpy's bounded draws) and the delta-perm uniforms all come from
-them; only delta-poly (negative binomial and Poisson draws) builds a
-Generator per trial, on its key.
+equal-sums and amplify sets, the delta-int integers (numpy's bounded draws)
+and the delta-perm uniforms all come from them; only delta-poly (negative
+binomial and Poisson draws) builds a Generator per trial, on its key.
 
 Subset sums are exact integers end to end: every census holds them as
-int32 when its largest sum is at most 2^31 - 1, else as int64 (the
-randomized search always adds in int64), which is exact for the guarded
-domain (elements <= 2^50, at most 26 of them for the exact censuses, at most
-8191 for the randomized search, so that n * 2^50 < 2^63).  No modular
-hashing is involved, so a reported collision is a real collision.
+int32 when its largest sum is at most 2^31 - 1, else as int64, which is
+exact for the guarded domain (at most 26 elements, each <= 2^50).  No
+modular hashing is involved, so a reported collision is a real collision.
 
 The equal-sums estimate decides its trials in batches of up to TRIAL_BATCH.
 _log_set_rows samples a batch's sets in lockstep, each from its own
-substream, and all exact trials walk their sorted subset sums together
-(_rows_have_k_equal_sums), each only up to its last element that does not
-exceed the sum of those below it (_needed_lengths), writing each level once
-in levels of at most BATCH_SUMS sums (a larger single row runs alone).  Each
-row leaves at its first level with k equal sums or after its last level,
-and the outcomes are those of one trial at a time.
+substream, and all trials walk the sorted subset sums of their smallest
+EXACT_SUBSET_LIMIT elements together (_rows_have_k_equal_sums), each only
+up to its last element that does not exceed the sum of those below it
+(_needed_lengths), writing each level once in levels of at most BATCH_SUMS
+sums (a larger single row runs alone).  Each row leaves at its first level
+with k equal sums or after its last level, and the outcomes are those of
+one trial at a time.  k equal sums of a subset are k equal sums of the set,
+so the outcome of a set of more than EXACT_SUBSET_LIMIT elements is a lower
+bound: a True is exact, and a False misses equal sums that need a larger
+element.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .errors import CapacityError
 
 EXACT_SUBSET_LIMIT = 26
 MAX_ELEMENT = 1 << 50
-RANDOMIZED_SUBSET_LIMIT = ((1 << 63) - 1) // MAX_ELEMENT  # 8191: n * 2^50 < 2^63
 MAX_PERM_N = 400
 MAX_POLY_N = 2000
 MAX_POLY_Q = 1 << 20
@@ -63,7 +63,6 @@ MAX_AMPLIFY_WINDOWS = 10**5
 # take ~100 s; 10^6 equal-sums trials ~13 s at --D 1e6 --c 0.1 and ~135 s at
 # --D 1e8 --c 0.02, and with --out, a census per trial, ~12 min and ~3 h
 MAX_SAMPLES = 10**6
-RANDOMIZED_SAMPLES = 20000
 BATCH_SUMS = 1 << 22  # subset sums per row batch of the equal-sums census: 16 MB as int32, 32 as int64
 MERGE_SCRATCH_SUMS = 1 << 22  # merge buffer the exact census may add to its own, in sums: 16 or 32 MB
 TRIAL_BATCH = 1 << 12  # equal-sums trials sampled and decided together
@@ -182,9 +181,9 @@ def _philox_uniforms(keys: np.ndarray, start: int, m: int) -> np.ndarray:
     return (_philox_words(keys, start, m) >> _U11) * (1.0 / (1 << 53))
 
 
-def _philox_integers(keys: np.ndarray, high: int, start: int, size: int) -> np.ndarray:
-    """(len(keys), size) uint64: integers(0, high, size, np.uint64) of the
-    Generator each key seeds, from word `start` on, for 1 <= high <= 2^63.
+def _philox_integers(keys: np.ndarray, high: int) -> np.ndarray:
+    """(len(keys),) uint64: integers(0, high, dtype=np.uint64), the first
+    draw of the Generator each key seeds, for 1 <= high <= 2^63.
 
     numpy draws by Lemire's method: a w-bit draw u gives u * high >> w, or
     is rejected when the low w bits of u * high are below 2^w mod high.  w is
@@ -192,19 +191,17 @@ def _philox_integers(keys: np.ndarray, high: int, start: int, size: int) -> np.n
     """
     half = high <= 1 << 32
     threshold, high = np.uint64((1 << (32 if half else 64)) % high), np.uint64(high)
-    words = -(-size // 2) if half else size  # enough when no draw is rejected
+    words = 1
     while True:
-        w = _philox_words(keys, start, words)
+        w = _philox_words(keys, 0, words)
         if half:
             m = np.stack([w & _M32, w >> _U32], axis=2).reshape(len(keys), -1) * high
             hi, lo = m >> _U32, m & _M32
         else:
             hi, lo = _mulhilo(high, w)
         ok = lo >= threshold  # all True for a power of two
-        if ok.all():
-            return hi[:, :size]
-        if (np.count_nonzero(ok, axis=1) >= size).all():
-            return np.take_along_axis(hi, np.argsort(~ok, axis=1, kind="stable")[:, :size], axis=1)
+        if ok.any(axis=1).all():  # each row's first accepted draw
+            return hi[np.arange(len(keys)), ok.argmax(axis=1)]
         words *= 2
 
 
@@ -452,31 +449,6 @@ def max_subset_sum_multiplicity(A: Sequence[int]) -> MultiplicityResult:
     return MultiplicityResult(k_max, witness_sum, _witnesses(masks, len(values)))
 
 
-def _randomized_search(values: list[int], samples: int, integers) -> int:
-    """A lower bound on the k_max of max_subset_sum_multiplicity of the
-    checked values: the most of `samples` subsets drawn uniformly at random
-    (deduplicated) that share one sum.  integers(high, size) gives `size`
-    uniform uint64 draws below high, in the order of the Generator's
-    integers(0, high, size)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n = len(values)
-    # each sampled mask is a row of words, low word first: one uint64 draw
-    # per sample up to 62 elements, else one 32-bit draw per word
-    if n <= 62:
-        width, rows = 64, np.sort(integers(1 << n, samples)).reshape(samples, 1)
-    else:
-        width, rows = 32, integers(1 << 32, samples * ((n + 31) // 32)).reshape(samples, -1)
-        rows[:, -1] &= np.uint64((1 << (n - 32 * (rows.shape[1] - 1))) - 1)
-        rows = rows[np.lexsort(rows.T)]
-    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]  # sorted: drop the repeated masks
-    sums = np.zeros(len(rows), dtype=np.int64)
-    for base in range(0, n, 8):  # each byte of the masks indexes its census table
-        w, shift = divmod(base, width)
-        sums += _census_sums(values[base:base + 8])[(rows[:, w] >> np.uint64(shift)) & np.uint64(0xFF)]
-    return int(np.unique(sums, return_counts=True)[1].max())
-
-
 def has_k_equal_sums(A: Sequence[int], k: int) -> bool:
     """Exact decision: do k distinct subsets of A share a sum?
 
@@ -544,25 +516,12 @@ def _trial_batches(D: float, c: float, seed: int, start: int, stop: int):
             for first, keys in _key_batches(seed, start, stop, TRIAL_BATCH))
 
 
-def _randomized_trial(values: list[int], seed: int, trial: int) -> int:
-    """The randomized search of a set too large for the exact census, on its
-    trial's stream past the len(values) + 1 draws that sampled the set."""
-    key = _philox_keys(seed, np.array([trial], dtype=np.uint64))
-    values = _distinct_values(values, RANDOMIZED_SUBSET_LIMIT)
-    return _randomized_search(
-        values, RANDOMIZED_SAMPLES, lambda high, size: _philox_integers(key, high, len(values) + 1, size)[0])
-
-
-def _decide_trials(first: int, elements: np.ndarray, sizes: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Success per trial of a batch: the exact trials in one row walk over
-    the prefixes their sets need, the rest by the randomized search."""
-    success = np.zeros(len(sizes), dtype=bool)
-    exact = np.flatnonzero(sizes <= EXACT_SUBSET_LIMIT)
-    values = elements[exact, :EXACT_SUBSET_LIMIT]
-    success[exact] = _rows_have_k_equal_sums(values, _needed_lengths(values), k)
-    for r in np.flatnonzero(sizes > EXACT_SUBSET_LIMIT).tolist():
-        success[r] = _randomized_trial(elements[r, :sizes[r]].tolist(), seed, first + r) >= k
-    return success
+def _decide_trials(elements: np.ndarray, k: int) -> np.ndarray:
+    """Success per trial of a batch, in one row walk over the prefixes that
+    the smallest EXACT_SUBSET_LIMIT elements of its sets need: exact for the
+    sets of at most that many elements, a lower bound for the rest."""
+    values = elements[:, :EXACT_SUBSET_LIMIT]
+    return _rows_have_k_equal_sums(values, _needed_lengths(values), k)
 
 
 def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -> dict:
@@ -570,8 +529,10 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     A /\\ [D^c, D] has k equal subset sums, with its 95% Wilson interval.
 
     The trials are decided in batches, with the same outcomes as one trial at
-    a time: _log_set_rows samples a batch's sets in lockstep, and its exact
-    trials share one level walk.
+    a time: _log_set_rows samples a batch's sets in lockstep, and all its
+    trials share one level walk (_decide_trials).  A set of more than
+    EXACT_SUBSET_LIMIT elements is decided by its smallest ones, a lower
+    bound; inexact_trials counts those sets.
 
     The estimate is monotone nonincreasing in c up to CI width; no finite-D
     agreement with the asymptotic thresholds is claimed (convergence in D is
@@ -579,8 +540,8 @@ def equal_sums_probability(D: float, c: float, k: int, trials: int, seed: int) -
     """
     _check_counts(k, trials)
     successes = inexact = 0
-    for first, elements, sizes in _trial_batches(D, c, seed, 0, trials):
-        successes += int(np.count_nonzero(_decide_trials(first, elements, sizes, k, seed)))
+    for _, elements, sizes in _trial_batches(D, c, seed, 0, trials):
+        successes += int(np.count_nonzero(_decide_trials(elements, k)))
         inexact += int(np.count_nonzero(sizes > EXACT_SUBSET_LIMIT))
     return {
         "schema": "cubeflags.equalsums.v1",
@@ -602,8 +563,10 @@ def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> Itera
     sampled a batch of trials at a time as they are read.  The arguments are
     checked at the call.
 
-    The rows see the same sets and searches as equal_sums_probability, so
-    counting k_max >= k and exact == 0 over them gives its counts.
+    A row's k_max is that of the smallest EXACT_SUBSET_LIMIT elements of
+    its set (exact == 0 when there are more, a lower bound), the rule of
+    equal_sums_probability, so counting k_max >= k and exact == 0 over the
+    rows gives its counts.
     """
     _check_counts(k, trials)
     batches = _trial_batches(D, c, seed, 0, trials)
@@ -611,9 +574,8 @@ def equal_sums_rows(D: float, c: float, k: int, trials: int, seed: int) -> Itera
     def rows():
         for first, elements, sizes in batches:
             for r, n in enumerate(sizes.tolist()):
-                values, exact = elements[r, :n].tolist(), n <= EXACT_SUBSET_LIMIT
-                k_max = _k_max(values)[0] if exact else _randomized_trial(values, seed, first + r)
-                yield {"trial": first + r, "set_size": n, "k_max": k_max, "exact": int(exact)}
+                k_max = _k_max(elements[r, :min(n, EXACT_SUBSET_LIMIT)].tolist())[0]
+                yield {"trial": first + r, "set_size": n, "k_max": k_max, "exact": int(n <= EXACT_SUBSET_LIMIT)}
     return rows()
 
 
@@ -844,7 +806,7 @@ def sample_delta_integer(X: int, samples: int, seed: int) -> Iterator[DeltaSampl
 
     def draw():
         for _, keys in batches:
-            ns = (_philox_integers(keys, X, 0, 1)[:, 0] + np.uint64(1)).tolist()
+            ns = (_philox_integers(keys, X) + np.uint64(1)).tolist()
             yield from map(delta_integer, ns, _factorize_rows(ns))
     return draw()
 

@@ -125,15 +125,6 @@ def test_witnesses_have_equal_sums():
     assert len(res.witnesses) == res.k_max
 
 
-def test_randomized_lower_bounds_exact():
-    for t in range(60):
-        rng = S.substream(100, t)
-        vals = sorted(set(int(x) for x in rng.integers(1, 500, size=12)))
-        exact = S.max_subset_sum_multiplicity(vals)
-        rand = _randomized(vals, S.substream(101, t), 4000)
-        assert rand <= exact.k_max
-
-
 def test_has_k_equal_sums_matches_census():
     for t in range(80):
         rng = S.substream(55, t)
@@ -143,14 +134,7 @@ def test_has_k_equal_sums_matches_census():
             assert S.has_k_equal_sums(vals, k) == (res.k_max >= k)
 
 
-# Loop references for the census: a Python-int dict walk for
-# has_k_equal_sums and a per-mask bit loop for the randomized search.
-
-
-def _randomized(A, rng, samples):
-    # the randomized search on A's distinct elements, drawing rng.integers
-    values = S._distinct_values(A, S.RANDOMIZED_SUBSET_LIMIT)
-    return S._randomized_search(values, samples, lambda high, size: rng.integers(0, high, size, np.uint64))
+# Loop reference for the census: a Python-int dict walk for has_k_equal_sums.
 
 
 def _dict_walk_has_k_equal_sums(A, k):
@@ -170,27 +154,6 @@ def _dict_walk_has_k_equal_sums(A, k):
             fresh.append(t)
         sums.extend(fresh)
     return False
-
-
-def _bit_loop_randomized(A, rng, samples):
-    values = sorted(set(int(a) for a in A))
-    n = len(values)
-    if n <= 62:
-        masks = [int(m) for m in rng.integers(0, 1 << n, size=samples, dtype=np.uint64)]
-    else:
-        words = (n + 31) // 32
-        draws = rng.integers(0, 1 << 32, size=(samples, words), dtype=np.uint64)
-        masks = []
-        for row in draws:
-            m = 0
-            for w, word in enumerate(row):
-                m |= int(word) << (32 * w)
-            masks.append(m & ((1 << n) - 1))
-    by_sum = {}
-    for m in masks:
-        s = sum(v for i, v in enumerate(values) if m >> i & 1)
-        by_sum.setdefault(s, set()).add(m)
-    return max(len(ms) for ms in by_sum.values())
 
 
 def _random_multiset(t):
@@ -399,37 +362,8 @@ def test_has_k_equal_sums_rejects_elements_outside_exact_domain(A):
         S.has_k_equal_sums(A, 2)
 
 
-def test_randomized_multiplicity_matches_bit_loop():
-    cases = [(_random_multiset(t), 300) for t in range(240)]
-    # 63 and up: 32-bit words, with the top word full (64, 96) or partial
-    for t, n in enumerate((27, 40, 62, 70, 63, 64, 65, 96, 97)):
-        A = S.substream(62, t).integers(1, S.MAX_ELEMENT, size=n, endpoint=True)
-        cases.append(([int(a) for a in A], 2000))
-    cases.append(([3, 5, 8, 11, 13, 16, 19, 24, 27, 30, 35, 40] * 3, 2000))
-    # small elements on the word path: many equal sums, with masks that span words
-    cases += [(list(range(1, n + 1)), 2000) for n in (70, 97)]
-    for i, (A, samples) in enumerate(cases):
-        for draws in (1, samples):
-            got = _randomized(A, S.substream(63, i), draws)
-            assert got == _bit_loop_randomized(A, S.substream(63, i), draws), (i, A)
-
-
-@pytest.mark.parametrize("n", [3, 70])
-def test_randomized_multiplicity_needs_a_sample(n):
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        _randomized(range(1, n + 1), S.substream(0, 0), 0)
-
-
 def _no_draws(*args, **kwargs):
     raise AssertionError("the guard must fire before any sample is drawn")
-
-
-def test_randomized_multiplicity_guards_int64_sums(monkeypatch):
-    # 8192 elements of up to 2^50 can sum to 2^63, past int64
-    assert S.RANDOMIZED_SUBSET_LIMIT == 8191
-    monkeypatch.setattr(S, "_philox_integers", _no_draws)
-    with pytest.raises(CapacityError, match="8192 > 8191"):
-        S._randomized_trial(list(range(1, 8193)), 0, 0)
 
 
 def _conway_guy(n):
@@ -513,7 +447,7 @@ def test_row_batches_memory_bounded(fresh):
         "import numpy as np\n"
         "from cubeflags.simlab import _decide_trials\n"
         f"rows = np.array([[a << 20 for a in {_conway_guy(26)!r}]] * 2, dtype=np.int64)\n"
-        "print(_decide_trials(0, rows, np.array([26, 26]), 2, 0).tolist())\n",
+        "print(_decide_trials(rows, 2).tolist())\n",
         limit_memory=True,
     )
     assert child.code == 0, child.stderr
@@ -538,8 +472,9 @@ def test_exact_equal_sums_command_needs_no_generator(fresh):
 
 
 def test_delta_and_randomized_commands_need_no_generator(fresh):
-    # delta-int, delta-perm, the randomized equal-sums search and amplify all
-    # draw from the Philox keys, so numpy.random is never imported
+    # delta-int, delta-perm, equal-sums at D = 1e8 (13 of whose sets are
+    # larger than the exact census) and amplify all draw from the Philox keys,
+    # so numpy.random is never imported
     seed = ["--seed", "20260810", "--json"]
     commands = [["simulate", "delta-int", "--X", "1125899906842624", "--samples", "200", *seed],
                 ["simulate", "delta-perm", "--n", "400", "--samples", "100", *seed],
@@ -563,7 +498,7 @@ def test_samplers_draw_from_the_keys_alone(monkeypatch):
     # every sampler but delta-poly computes its draws from the Philox keys
     monkeypatch.setattr(S, "substream", _no_generator)
     monkeypatch.setattr(np.random, "Generator", _no_generator)
-    # D = 1e8, c = 0.02, seed 1: trials 0 and 17 take the randomized search
+    # D = 1e8, c = 0.02, seed 1: trials 0 and 17 are larger than the exact census
     assert S.equal_sums_probability(1e8, 0.02, 2, 20, 1)["inexact_trials"] == 2
     assert [r["trial"] for r in S.equal_sums_rows(1e8, 0.02, 2, 20, 1) if not r["exact"]] == [0, 17]
     assert S.amplify_demo(2, 10**13, 2, 0.25, seed=76)["k_max"] == 4
@@ -579,15 +514,17 @@ def test_equal_sums_needs_positive_counts(k, trials, message):
 
 
 def test_equal_sums_rows_give_the_estimate():
-    D, c, k, trials, seed = 1e5, 0.1, 3, 300, 4
-    rows = S.equal_sums_rows(D, c, k, trials, seed)
-    expected = _estimate(D, c, k, [(r["k_max"] >= k, r["exact"]) for r in rows])
-    assert S.equal_sums_probability(D, c, k, trials, seed).items() >= expected.items()
+    # at D = 1e8, c = 0.02 and seed 1, trials 0 and 17 are large sets: their
+    # rows and the estimate both go by the smallest 26 elements
+    for D, c, k, trials, seed in ((1e5, 0.1, 3, 300, 4), (1e8, 0.02, 2, 20, 1)):
+        rows = list(S.equal_sums_rows(D, c, k, trials, seed))
+        expected = _estimate(D, c, k, [(r["k_max"] >= k, r["exact"]) for r in rows])
+        assert S.equal_sums_probability(D, c, k, trials, seed).items() >= expected.items(), D
 
 
-# The per-trial loop the batched estimate replaced: one scalar draw per gap,
-# a sorted-merge level walk per exact trial, and the randomized search
-# continuing the trial's stream after the n + 1 draws that sampled its set.
+# The per-trial loop the batched estimate replaced: one scalar draw per gap
+# and a sorted-merge level walk per trial, over the smallest 26 elements of a
+# larger set.
 
 
 def _level_walk_has_k_equal_sums(A, k):
@@ -623,10 +560,8 @@ def _per_trial_outcomes(D, c, k, trials, seed):
     for t in range(trials):
         rng = S.substream(seed, t)
         A = _scalar_log_set(lo - 1, hi, rng)
-        if len(A) <= S.EXACT_SUBSET_LIMIT:
-            outcomes.append((_level_walk_has_k_equal_sums(A, k), True))
-        else:
-            outcomes.append((_randomized(A, rng, S.RANDOMIZED_SAMPLES) >= k, False))
+        outcomes.append((_level_walk_has_k_equal_sums(A[:S.EXACT_SUBSET_LIMIT], k),
+                         len(A) <= S.EXACT_SUBSET_LIMIT))
     return outcomes
 
 
@@ -652,51 +587,52 @@ def test_equal_sums_batches_match_per_trial_loop(monkeypatch, batch_sums, trial_
     for D, c, k, seed in ((1e6, 0.3, 2, 5), (1e8, 0.02, 3, 6), (1e5, 0.02, 1, 7)):
         got = []
         for first, elements, sizes in S._trial_batches(D, c, seed, 0, 120):
-            success = S._decide_trials(first, elements, sizes, k, seed)
+            success = S._decide_trials(elements, k)
             got += zip(success.tolist(), (sizes <= S.EXACT_SUBSET_LIMIT).tolist())
         assert got == _per_trial_outcomes(D, c, k, 120, seed), (D, c, k)
 
 
-def test_equal_sums_trial_is_one_row_of_the_batch(monkeypatch):
+def test_equal_sums_trial_is_one_row_of_the_batch():
     # D = 1e8, c = 0.02, seed 1: trials 0 and 17 are too large for the exact census
     outcomes = _per_trial_outcomes(1e8, 0.02, 2, 20, 1)
     assert [t for t, (_, exact) in enumerate(outcomes) if not exact] == [0, 17]
     for t, (success, exact) in enumerate(outcomes):  # a batch of one trial
-        first, elements, sizes = next(S._trial_batches(1e8, 0.02, 1, t, t + 1))
-        assert S._decide_trials(first, elements, sizes, 2, 1).tolist() == [success], t
+        _, elements, sizes = next(S._trial_batches(1e8, 0.02, 1, t, t + 1))
+        assert S._decide_trials(elements, 2).tolist() == [success], t
         assert (sizes[0] <= S.EXACT_SUBSET_LIMIT) == exact, t
-    # the search continues each stream after exactly the n + 1 draws of its
-    # set: its masks are the Generator's next integers
-    masks = []
-    monkeypatch.setattr(S, "_randomized_search",
-                        lambda values, samples, integers: masks.append(integers(1 << len(values), samples)))
-    for t in (0, 17):
-        rng = S.substream(1, t)
-        values = _scalar_log_set(1, 10**8, rng)
-        S._randomized_trial(values, 1, t)
-        want = rng.integers(0, 1 << len(values), S.RANDOMIZED_SAMPLES, np.uint64)
-        assert np.array_equal(masks.pop(), want), t
 
 
-@pytest.mark.parametrize("n", range(27, 71))
-def test_randomized_trial_masks_continue_the_stream(monkeypatch, n):
-    # the key's draws past the set's n + 1 are the Generator's integers: 32-bit
-    # halves up to 32 elements, 64-bit words up to 62, 32-bit words beyond
-    high, size = (1 << n, 301) if n <= 62 else (1 << 32, 301 * ((n + 31) // 32))
-    values = [(1 << 40) + i for i in range(n)]
-    sources = []
-    with monkeypatch.context() as m:
-        m.setattr(S, "_randomized_search", lambda values, samples, integers: sources.append(integers))
-        S._randomized_trial(values, 20260810, n)
-    rng = S.substream(20260810, n)
-    rng.random(n + 1)
-    assert np.array_equal(sources[0](high, size), rng.integers(0, high, size, np.uint64))
-    # and the whole search, masks to count, is the Generator's
-    monkeypatch.setattr(S, "RANDOMIZED_SAMPLES", 301)
-    rng = S.substream(20260810, n)
-    rng.random(n + 1)
-    want = _randomized(values, rng, 301)
-    assert S._randomized_trial(values, 20260810, n) == want
+def test_equal_sums_trials_are_monotone_in_D():
+    # at c = 0.02 the window starts at 2 for every D <= 2^50, so a trial's set
+    # at D is a prefix of its set at any larger D, and k equal sums, once
+    # found, stay found as D grows
+    sets, outcomes = [], []
+    for D in (1e6, 1e8, 1e10):
+        assert S._window_bounds(D, 0.02)[0] == 2
+        (_, elements, sizes), = S._trial_batches(D, 0.02, 20260810, 0, 300)
+        sets.append([row[:n].tolist() for row, n in zip(elements, sizes)])
+        outcomes.append(S._decide_trials(elements, 2))
+    for i in (0, 1):
+        assert all(small == large[:len(small)] for small, large in zip(sets[i], sets[i + 1]))
+        lost = np.flatnonzero(outcomes[i] & ~outcomes[i + 1]).tolist()
+        assert not lost, (i, lost)
+    assert outcomes[2].sum() > outcomes[0].sum()
+
+
+def test_large_sets_are_decided_by_their_smallest_26(monkeypatch):
+    # k equal sums among the smallest 26 elements are the set's (True); equal
+    # sums that need the 27th element are not seen (False), so past 26
+    # elements a trial's outcome is a lower bound, and both sets count as inexact
+    hit = [3, 5, 8] + [1 << j for j in range(5, 32)]  # 3 + 5 = 8; 30 elements
+    miss = [1 << j for j in range(1, 27)] + [(1 << 26) + 2]  # 2^26 + 2 = 2^26 + 2^1
+    elements = np.zeros((2, 30), dtype=np.int64)
+    elements[0], elements[1, :27] = hit, miss
+    assert S._decide_trials(elements, 2).tolist() == [True, False]
+    monkeypatch.setattr(S, "_trial_batches", lambda *args: iter([(0, elements, np.array([30, 27]))]))
+    doc = S.equal_sums_probability(1e8, 0.02, 2, 2, 1)
+    assert (doc["successes"], doc["inexact_trials"]) == (1, 2)
+    rows = [(r["set_size"], r["k_max"], r["exact"]) for r in S.equal_sums_rows(1e8, 0.02, 2, 2, 1)]
+    assert rows == [(30, 2, 0), (27, 1, 0)]
 
 
 # The Philox kernel against substream: seeds of one, two and three 32-bit
@@ -998,7 +934,7 @@ def test_sample_delta_integer_redraws_a_rejected_word():
     rejected = np.flatnonzero(low < np.uint64((1 << 64) % REJECTING_X)).tolist()
     assert rejected  # [19549, 50634, 60449, 67767]
     keys = S._philox_keys(20260810, np.array(rejected, dtype=np.uint64))
-    got = (S._philox_integers(keys, REJECTING_X, 0, 1)[:, 0] + np.uint64(1)).tolist()
+    got = (S._philox_integers(keys, REJECTING_X) + np.uint64(1)).tolist()
     assert got == [int(S.substream(20260810, t).integers(1, REJECTING_X + 1)) for t in rejected]
 
 

@@ -44,8 +44,8 @@ COMMANDS = {
     ("monte-carlo", "sums-small-c0.3-w2"): _sums("2", "1e6", "0.3", "2000"),
     ("monte-carlo", "sums-small-c0.02-w1"): _sums("1", "1e6", "0.02", "2000"),
     ("monte-carlo", "sums-small-c0.15-w1"): _sums("1", "1e6", "0.15", "2000"),
-    # 13 of its sets are too large for the exact census: the randomized search
-    # continues each of those trials' streams
+    # 13 of its sets are larger than the exact census: each is decided by its
+    # smallest 26 elements
     ("monte-carlo", "sums-large"): _sums("1", "1e8", "0.02", "500"),
     ("monte-carlo", "delta-int"): (
         "--workers", "1", "simulate", "delta-int", "--X", "1125899906842624", "--samples", "1000",
