@@ -5,11 +5,11 @@ nats) of the distribution that a finitely supported measure nu induces on the
 cosets of a subspace W.  A system couples a flag with descending thresholds
 c_1 >= ... >= c_{r+1} and measures mu_1..mu_r supported on V_i /\\ {0,1}^k;
 its e-value on a subflag weighs coset entropies against dimension increments.
-The checker evaluates the e-value over the subflags, walked as chains of
-indices into the per-level universes (`flags.subflag_chains` tests containment
-once per pair of spaces at consecutive levels), computes each coset entropy
-once per universe space, builds no `Subflag`, and certifies the sign of every
-slack e(V') - e(V).
+The checker walks the subflags as chains of indices into the per-level
+universes (`flags.subflag_chains` tests containment on their point sets),
+computes each coset entropy once per universe space, builds each entry once
+with its e-value and slack e(V') - e(V), and builds no `Subflag`; the
+perturbed re-check scores the stored entropies by the same `e_values`.
 
 Coset grouping is exact, by int64 coset keys under an overflow guard
 (`flags.coset_ids`); only the entropy itself is floating point.
@@ -18,7 +18,7 @@ Coset grouping is exact, by int64 coset keys under an overflow guard
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -190,6 +190,15 @@ class EReport:
         }
 
 
+def e_values(c: Sequence[float], flag_dims: Sequence[int], rows: Sequence[tuple]) -> tuple[float, list[float]]:
+    """At thresholds c: the full flag's e-value, and the e-value of each
+    (dims, entropies) of rows, entropies[j - 1] = H_{mu_j}(V'_j).  The sweep
+    and the perturbed re-check both score by it."""
+    d = flag_dims
+    e_full = math.fsum(c[j - 1] * (d[j] - d[j - 1]) for j in range(1, len(d)))
+    return e_full, [_e_from_entropies(c, dims, entropies) for dims, entropies in rows]
+
+
 def check_entropy_condition(system: System) -> EReport:
     """Evaluate e over the enumerated subflags, which include every basic one.
 
@@ -207,33 +216,22 @@ def check_entropy_condition(system: System) -> EReport:
     basic = {basics[r]: ("full", None)}
     for m in range(r - 1, -1, -1):
         basic[basics[m]] = (f"basic({m})", m)
+    rows = [((1, *(U[u].dim for U, u in zip(universes, chain))),  # dim V'_0 = dim <1>
+             tuple(H[j][u] for j, u in enumerate(chain))) for chain in chains]
+    e_full, values = e_values(system.thresholds, flag.dims(), rows)
     entries = []
-    for idx, chain in enumerate(chains):
-        dims = (1, *(U[u].dim for U, u in zip(universes, chain)))  # dim V'_0 = dim <1>
+    for idx, (chain, (dims, entropies), e) in enumerate(zip(chains, rows, values)):
         label, m = basic.get(chain, ("dims=" + ",".join(map(str, dims)), None))
-        # e_value and slack are filled in by score_entries
-        entries.append(EEntry(idx, label, dims, math.nan, math.nan, chain == basics[r], m,
-                              tuple(H[j][u] for j, u in enumerate(chain))))
-    return score_entries(system.thresholds, flag.dims(), entries)
-
-
-def score_entries(c: Sequence[float], flag_dims: Sequence[int], entries: Sequence[EEntry]) -> EReport:
-    """The report of these entries at thresholds c, from their stored entropies."""
-    d = flag_dims
-    e_full = math.fsum(c[j - 1] * (d[j] - d[j - 1]) for j in range(1, len(d)))
-    scored = []
-    for e in entries:
-        val = _e_from_entropies(c, e.dims, e.entropies)
-        scored.append(replace(e, e_value=val, slack=val - e_full))
-    proper = [e for e in scored if not e.is_full]
+        entries.append(EEntry(idx, label, dims, e, e - e_full, chain == basics[r], m, entropies))
+    proper = [e for e in entries if not e.is_full]
     if proper:
         best = min(proper, key=lambda e: (e.slack, e.id))
         min_slack, argmin = best.slack, best.id
     else:
-        min_slack, argmin = 0.0, scored[0].id if scored else -1
+        min_slack, argmin = 0.0, entries[0].id if entries else -1
     return EReport(
         e_full=e_full,
-        entries=tuple(scored),
+        entries=tuple(entries),
         min_slack=min_slack,
         argmin=argmin,
         tight_ids=tuple(e.id for e in proper if abs(e.slack) <= TIGHT_BAND),

@@ -311,6 +311,25 @@ def _genotype_of_members(members: Sequence[tuple[int, ...]], level: int, r: int)
     return Genotype(level, mask)
 
 
+def _coset_keys(W: Subspace, rows: np.ndarray) -> np.ndarray:
+    """M p for each 0/1 point row p, M = coset_matrix(W), under coset_ids's int64 guard."""
+    k = W.ambient_dim
+    mat = qlinalg.coset_matrix(W)
+    # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
+    if k * max(max(map(max, mat)), -min(map(min, mat))) >= 1 << 62:
+        raise CapacityError("coset key guard: keys overflow int64")
+    return rows @ np.array(mat, dtype=np.int64).T
+
+
+def _first_ids(keys: np.ndarray) -> np.ndarray:
+    """The id of each key row, equal rows sharing one, numbered by first occurrence."""
+    keys = np.ascontiguousarray(keys)
+    first: dict = {}
+    # one opaque row of bytes per key, read back as bytes
+    items = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1).tolist()
+    return np.array([first.setdefault(key, len(first)) for key in items], dtype=np.intp)
+
+
 def coset_ids(W: Subspace, rows: np.ndarray) -> np.ndarray:
     """The W-coset id of each 0/1 point row, the cosets numbered 0, 1, 2, ...
     by first occurrence, so by least member when the rows are sorted.
@@ -318,16 +337,7 @@ def coset_ids(W: Subspace, rows: np.ndarray) -> np.ndarray:
     Two points share a coset iff M p == M q for M = coset_matrix(W); a W
     whose keys M p could overflow int64 is refused with CapacityError.
     """
-    k = W.ambient_dim
-    mat = qlinalg.coset_matrix(W)
-    # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
-    if k * max(abs(x) for row in mat for x in row) >= 1 << 62:
-        raise CapacityError("coset key guard: keys overflow int64")
-    keys = np.ascontiguousarray(rows @ np.array(mat, dtype=np.int64).T)
-    first: dict = {}
-    # one opaque k*8-byte item per point, read back as bytes
-    items = keys.view(np.dtype((np.void, keys.itemsize * k))).reshape(-1).tolist()
-    return np.array([first.setdefault(key, len(first)) for key in items], dtype=np.intp)
+    return _first_ids(_coset_keys(W, rows))
 
 
 def genotype_of(cell: Cell) -> Genotype:
@@ -457,34 +467,49 @@ def basic_subflag(flag: Flag, m: int) -> Subflag:
     return Subflag(flag, spaces)
 
 
-@lru_cache(maxsize=MAX_FLAG_ORDER)
-def level_universe(W: Subspace, cap: int, level: int) -> tuple[Subspace, ...]:
-    """All distinct spans of <1> plus a subset of W /\\ {0,1}^k, sorted.
+class Universe(tuple):
+    """A level universe's spaces; masks[u] is the u-th one's point set over the level space's."""
+    masks: tuple[int, ...]
 
-    Grown by closure: repeatedly extend known spaces by cube points they do
-    not already contain.  The number of distinct spans is usually far below
-    2^{#points}; the cap guards pathological growth.  Cached, so the
-    enumeration and the invariant scan of one certificate share each level's
-    closure; a capped closure raises each time.
+
+@lru_cache(maxsize=MAX_FLAG_ORDER)
+def level_universe(W: Subspace, cap: int, level: int) -> Universe:
+    """All distinct spans of <1> plus a subset of the cube points P of W,
+    sorted, with the point set S(U) of each as a bitmask over P.
+
+    Grown breadth first from <1>.  For a space U, the row of p in P M^T,
+    M = coset_matrix(U), is L times p reduced modulo U, linear with kernel U:
+    it is zero iff p lies in U, and for p, q outside U, U + p = U + q iff
+    their rows are parallel.  Grouping the rows by primitive direction (over
+    their gcd, signed by the first nonzero entry) gives S(U + p) = S(U) |
+    class(p); a universe space is the span of its point set, so `span` runs
+    once per new set, <1> included.  The cap guards pathological growth.
+    Cached: the enumeration and the invariant scan of one certificate share
+    each level's closure; a capped closure raises each time.
     """
     k = W.ambient_dim
     pts = cube_points(W)
-    base = span([ones(k)])
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for U in frontier:
-            for p in pts:
-                if not contains(U, p):
-                    U2 = span(list(U.basis) + [p], k)
-                    if U2 not in seen:
-                        seen.add(U2)
-                        if len(seen) > cap:
-                            raise EnumerationLimitError(level, len(seen), cap)
-                        nxt.append(U2)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda U: (U.dim, U.basis)))
+    rows = np.array(pts, dtype=np.int64)
+    queue = [span([ones(k)])]  # breadth first: it grows as it is walked
+    found = {1 | 1 << (len(pts) - 1): queue[0]}  # <1>: 0 and 1, the least and greatest of P
+    for U in queue:
+        keys = _coset_keys(U, rows)
+        dirs = keys // np.maximum(np.gcd.reduce(keys, axis=1), 1)[:, None]
+        dirs *= np.sign(dirs[np.arange(len(dirs)), (dirs != 0).argmax(axis=1)])[:, None]
+        ids = _first_ids(dirs)  # 0 for the points of U, the origin first; 1, 2, ... for the classes
+        first = np.unique(ids, return_index=True)[1]
+        members = (ids == np.arange(1, len(first))[:, None]) | (ids == 0)  # row c - 1: S(U) | class c
+        for p, bits in zip(first[1:].tolist(), np.packbits(members, axis=1, bitorder="little").tolist()):
+            mask = int.from_bytes(bits, "little")
+            if mask not in found:
+                found[mask] = U2 = span(list(U.basis) + [pts[p]], k)
+                if len(found) > cap:
+                    raise EnumerationLimitError(level, len(found), cap)
+                queue.append(U2)
+    masks = sorted(found, key=lambda m: (found[m].dim, found[m].basis))
+    universe = Universe(found[m] for m in masks)
+    universe.masks = tuple(masks)
+    return universe
 
 
 def subflag_chains(flag: Flag) -> tuple[tuple, list[tuple[int, ...]]]:
@@ -494,15 +519,16 @@ def subflag_chains(flag: Flag) -> tuple[tuple, list[tuple[int, ...]]]:
     Level i's universe is every span of <1> together with cube points of V_i,
     so the chains cover all basic subflags.  The lattice of arbitrary rational
     subspaces is infinite, so any certificate built on these chains must state
-    this universe.  Containment is tested once per pair of spaces at
-    consecutive levels; every universe space contains <1>.  Each level is
-    capped at SUBFLAG_SPACE_CAP spaces, read at the call.
+    this universe.  Each level-i space is in the level-(i+1) universe too, as
+    pts(V_i) <= pts(V_{i+1}), where U <= W iff their masks give S(U) <= S(W).
+    Each level is capped at SUBFLAG_SPACE_CAP spaces, read at the call.
     """
     universes = tuple(level_universe(flag.spaces[i], SUBFLAG_SPACE_CAP, i) for i in range(1, flag.order + 1))
     chains = [(u,) for u in range(len(universes[0]))]
     for lower, upper in zip(universes, universes[1:]):
+        mask_of = dict(zip(upper, upper.masks))
         # above[u]: the ascending indices of the upper spaces that contain lower[u]
-        above = [[w for w, W in enumerate(upper) if contains_subspace(W, U)] for U in lower]
+        above = [[w for w, m in enumerate(upper.masks) if mask_of[U] & ~m == 0] for U in lower]
         chains = [chain + (w,) for chain in chains for w in above[chain[-1]]]
     return universes, chains
 

@@ -38,8 +38,8 @@ from .entropy import (
     System,
     check_entropy_condition,
     coset_entropy,
+    e_values,
     perturb_thresholds,
-    score_entries,
 )
 from .errors import DegenerateParametersError
 from .flags import (
@@ -362,9 +362,10 @@ def certify_system(
             # the shift exceeds c_{r+1}: this epsilon is too coarse here
             perturbed[str(eps)] = {"min_slack": None, "ok": None, "infeasible": True}
             return None
-        rep = score_entries(c_tilde, d, report.entries)
-        ok = rep.min_slack > 0.0
-        perturbed[str(eps)] = {"min_slack": rep.min_slack, "ok": ok}
+        e_full, values = e_values(c_tilde, d, [(e.dims, e.entropies) for e in report.entries if not e.is_full])
+        min_slack = min((e - e_full for e in values), default=0.0)
+        ok = min_slack > 0.0
+        perturbed[str(eps)] = {"min_slack": min_slack, "ok": ok}
         return ok
 
     outcomes = [_run_perturbed(eps) for eps in eps_list]

@@ -11,7 +11,8 @@ from typing import NamedTuple, Optional
 import pytest
 
 from cubeflags import rho
-from cubeflags.errors import NumericInstabilityError
+from cubeflags.errors import EnumerationLimitError, NumericInstabilityError
+from cubeflags.qlinalg import contains, cube_points, ones, span
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -111,3 +112,34 @@ def bisect_pairs(monkeypatch):
 
     monkeypatch.setattr(rho, "_bisect", both)
     return pairs
+
+
+def reference_level_universe(W, cap: int, level: int) -> tuple:
+    """flags.level_universe as it was before it closed by residue classes,
+    kept verbatim (uncached) as its reference: one `contains` per (frontier
+    space, cube point) pair and one `span` per point outside the space.
+
+    All distinct spans of <1> plus a subset of W /\\ {0,1}^k, sorted.
+
+    Grown by closure: repeatedly extend known spaces by cube points they do
+    not already contain.  The number of distinct spans is usually far below
+    2^{#points}; the cap guards pathological growth.
+    """
+    k = W.ambient_dim
+    pts = cube_points(W)
+    base = span([ones(k)])
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for U in frontier:
+            for p in pts:
+                if not contains(U, p):
+                    U2 = span(list(U.basis) + [p], k)
+                    if U2 not in seen:
+                        seen.add(U2)
+                        if len(seen) > cap:
+                            raise EnumerationLimitError(level, len(seen), cap)
+                        nxt.append(U2)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda U: (U.dim, U.basis)))

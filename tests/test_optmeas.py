@@ -4,7 +4,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import reference_bisect
+from conftest import reference_bisect, reference_level_universe
 
 from cubeflags import entropy, optmeas, qlinalg, rho
 from cubeflags import flags as flags_mod
@@ -15,10 +15,10 @@ from cubeflags.entropy import (
     check_entropy_condition,
     coset_entropy,
     e_value,
+    e_values,
     perturb_thresholds,
-    score_entries,
 )
-from cubeflags.errors import CapacityError, DegenerateParametersError
+from cubeflags.errors import CapacityError, DegenerateParametersError, EnumerationLimitError
 from cubeflags.flags import (
     SUBFLAG_SPACE_CAP,
     Flag,
@@ -42,7 +42,7 @@ from cubeflags.optmeas import (
     optimal_measure,
     optimal_parameters,
 )
-from cubeflags.qlinalg import Subspace, ones, span
+from cubeflags.qlinalg import Subspace, contains_subspace, ones, span
 from cubeflags.rho import RhoSolution, gamma_res, solve_flag_rhos, solve_rho_chain, theta
 
 LOG3 = math.log(3.0)
@@ -405,7 +405,8 @@ def test_perturbed_rescore_matches_fresh_check(name):
             continue
         perturbed = System(flag, c_tilde, system.measures)
         fresh = check_entropy_condition(perturbed)
-        assert score_entries(c_tilde, flag.dims(), entries) == fresh
+        e_full, values = e_values(c_tilde, flag.dims(), [(e.dims, e.entropies) for e in entries])
+        assert (e_full, values) == (fresh.e_full, [e.e_value for e in fresh.entries])
         assert cert["perturbed"][str(eps)] == {"min_slack": fresh.min_slack, "ok": fresh.min_slack > 0.0}
         assert [e.e_value for e in fresh.entries] == [e_value(perturbed, sf) for sf in subflags]
 
@@ -513,6 +514,81 @@ def test_mt4_q12_sweep_tests_containment_once_per_pair_of_levels(monkeypatch):
     assert cert["ok"] and len(cert["entropy_report"]["entries"]) == 120
     assert len(tested) <= sum(len(a) * len(b) for a, b in zip(universes, universes[1:])) == 168
     assert validated == []
+
+
+@pytest.mark.parametrize("name", CERT_FLAGS)
+def test_point_set_containment_equals_contains_subspace(name):
+    # the sweep tests U <= W on the point sets of the upper universe; the
+    # chains it builds are the ones contains_subspace gives
+    flag = CERT_FLAGS[name]()
+    universes, chains = subflag_chains(flag)
+    expected = [(u,) for u in range(len(universes[0]))]
+    for lower, upper in zip(universes, universes[1:]):
+        mask_of = dict(zip(upper, upper.masks))
+        for U in lower:
+            assert [mask_of[U] & ~m == 0 for m in upper.masks] == [contains_subspace(W, U) for W in upper]
+        above = [[w for w, W in enumerate(upper) if contains_subspace(W, U)] for U in lower]
+        expected = [chain + (w,) for chain in expected for w in above[chain[-1]]]
+    assert chains == expected
+
+
+def _seeded_flag(seed):
+    # a nested flag in Q^5 .. Q^8: each level adds one or two random 0/1 generators
+    rnd = random.Random(seed)
+    k = rnd.randint(5, 8)
+    gens, lines = [], []
+    for _ in range(rnd.randint(1, 3)):
+        gens += ["".join(rnd.choice("01") for _ in range(k)) for _ in range(rnd.randint(1, 2))]
+        lines.append(" ".join(gens))
+    return parse_flag_text("\n".join(lines) + "\n")
+
+
+def _closure_outcome(closure, W, cap, level):
+    try:
+        return closure(W, cap, level)
+    except EnumerationLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("flag", [*(make() for make in CERT_FLAGS.values()), binary_flag(3),
+                                  *(_seeded_flag(seed) for seed in range(30))],
+                         ids=[*CERT_FLAGS, "binary-3", *(f"seeded-{seed}" for seed in range(30))])
+def test_level_universe_equals_the_per_point_closure(flag):
+    # binary 3's level 3 is the capped case below
+    for i, W in enumerate(flag.spaces[1:3 if flag.kind == "binary" and flag.order == 3 else None], 1):
+        level_universe.cache_clear()
+        universe = level_universe(W, SUBFLAG_SPACE_CAP, i)
+        assert type(universe) is flags_mod.Universe and isinstance(universe, tuple)
+        assert universe == reference_level_universe(W, SUBFLAG_SPACE_CAP, i)
+        pts = cube_points(W)
+        assert list(universe.masks) == [sum(1 << j for j, p in enumerate(pts) if qlinalg.contains(U, p))
+                                        for U in universe]
+
+
+def test_capped_closure_raises_as_the_per_point_closure():
+    W = binary_flag(3).spaces[3]
+    level_universe.cache_clear()
+    got = _closure_outcome(level_universe, W, 2000, 3)
+    assert got == _closure_outcome(reference_level_universe, W, 2000, 3)
+    assert got == "subflag enumeration at level 3 exceeded 2000 candidate spaces (reached 2001)"
+
+
+def test_closure_spans_each_universe_space_once(monkeypatch):
+    # one span per point set: <1> and each new space, not one per (space, point) pair
+    calls = []
+    real_span = flags_mod.span
+
+    def spy_span(*args):
+        calls.append(args)
+        return real_span(*args)
+
+    monkeypatch.setattr(flags_mod, "span", spy_span)
+    for flag in (CERT_FLAGS["mt4_q12"](), binary_flag(3)):
+        for i, W in enumerate(flag.spaces[1:3 if flag.kind == "binary" else None], 1):
+            level_universe.cache_clear()
+            calls.clear()
+            universe = level_universe(W, SUBFLAG_SPACE_CAP, i)
+            assert 0 < len(calls) <= len(universe)
 
 
 def test_measures_json():
