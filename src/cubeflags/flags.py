@@ -312,7 +312,7 @@ def _genotype_of_members(members: Sequence[tuple[int, ...]], level: int, r: int)
 
 
 def _coset_keys(W: Subspace, rows: np.ndarray) -> np.ndarray:
-    """M p for each 0/1 point row p, M = coset_matrix(W), under coset_ids's int64 guard."""
+    """M p for each 0/1 point row p, M = coset_matrix(W); a W whose keys could overflow int64 is refused."""
     k = W.ambient_dim
     mat = qlinalg.coset_matrix(W)
     # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
@@ -468,7 +468,7 @@ def basic_subflag(flag: Flag, m: int) -> Subflag:
 
 
 class Universe(tuple):
-    """A level universe's spaces; masks[u] is the u-th one's point set over the level space's."""
+    """A level universe's spaces; bit j of masks[u] is set iff the j-th cube point of W lies in the u-th."""
     masks: tuple[int, ...]
 
 
