@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error, 2 capacity/guard/numeric-bound error,
-3 certificate failure (check command only).  All floating point output is
+3 certificate failure (check command only), 141 output closed by its reader
+(as a SIGPIPE death; nothing is printed on stderr).  All floating point output is
 printed at 16 significant digits, and every JSON document carries a schema
 field, so identical (command, seed) invocations are byte-identical across
 runs.  Every computation runs serially; --workers is accepted and ignored.
@@ -18,6 +19,7 @@ import contextlib
 import csv
 import gc
 import json
+import os
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -421,6 +423,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed the output (`| head`): end quietly, as a SIGPIPE
+        # death would, with stdout on devnull so the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -312,13 +312,16 @@ def _genotype_of_members(members: Sequence[tuple[int, ...]], level: int, r: int)
 
 
 def _coset_keys(W: Subspace, rows: np.ndarray) -> np.ndarray:
-    """M p for each 0/1 point row p, M = coset_matrix(W); a W whose keys could overflow int64 is refused."""
+    """L p - p[pivots] B for each 0/1 point row p, (L, B) = scaled_basis(W):
+    L times p reduced modulo W, linear in p with kernel W and zero at W's
+    pivots.  A W whose keys could overflow int64 is refused."""
     k = W.ambient_dim
-    mat = qlinalg.coset_matrix(W)
-    # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
-    if k * max(max(map(max, mat)), -min(map(min, mat))) >= 1 << 62:
+    L, basis = qlinalg.scaled_basis(W)
+    # |key_c| <= k * max(L, max|B|) for a 0/1 point p, and int64 must hold it exactly
+    if k * max([L] + [abs(x) for row in basis for x in row]) >= 1 << 62:
         raise CapacityError("coset key guard: keys overflow int64")
-    return rows @ np.array(mat, dtype=np.int64).T
+    B = np.array(basis, dtype=np.int64).reshape(W.dim, k)
+    return L * rows - rows[:, W.pivots] @ B
 
 
 def _first_ids(keys: np.ndarray) -> np.ndarray:
@@ -334,8 +337,8 @@ def coset_ids(W: Subspace, rows: np.ndarray) -> np.ndarray:
     """The W-coset id of each 0/1 point row, the cosets numbered 0, 1, 2, ...
     by first occurrence, so by least member when the rows are sorted.
 
-    Two points share a coset iff M p == M q for M = coset_matrix(W); a W
-    whose keys M p could overflow int64 is refused with CapacityError.
+    Two points share a coset iff their `_coset_keys` rows are equal; a W
+    whose keys could overflow int64 is refused with CapacityError.
     """
     return _first_ids(_coset_keys(W, rows))
 
@@ -477,8 +480,8 @@ def level_universe(W: Subspace, cap: int, level: int) -> Universe:
     """All distinct spans of <1> plus a subset of the cube points P of W,
     sorted, with the point set S(U) of each as a bitmask over P.
 
-    Grown breadth first from <1>.  For a space U, the row of p in P M^T,
-    M = coset_matrix(U), is L times p reduced modulo U, linear with kernel U:
+    Grown breadth first from <1>.  For a space U, the row of p in
+    `_coset_keys(U, P)` is L times p reduced modulo U, linear with kernel U:
     it is zero iff p lies in U, and for p, q outside U, U + p = U + q iff
     their rows are parallel.  Grouping the rows by primitive direction (over
     their gcd, signed by the first nonzero entry) gives S(U + p) = S(U) |

@@ -147,26 +147,17 @@ def coset_key(W: Subspace, v: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-def coset_matrix(W: Subspace) -> list[list[int]]:
-    """Integer k x k matrix M with M v == L * reduce(v) for every v in Q^k.
+def scaled_basis(W: Subspace) -> tuple[int, list[tuple[int, ...]]]:
+    """(L, rows): W's basis rows, each scaled so its leading entry is L, the
+    lcm of the leading entries (L = 1 and no rows for W = {0}).
 
-    reduce(v) is the coset representative of coset_key (v with zeros at W's
-    pivot coordinates) and L the lcm of the basis rows' leading entries.
-    Because the basis rows are mutually reduced, reduce(v) is v minus
-    (v_p / lead) * row for each row with pivot p, which is linear in v; so
-    u and v lie in the same W-coset iff M u == M v.  The rows of M at the
-    pivot coordinates are zero.
+    Because the rows are mutually reduced, L times v reduced modulo W (the
+    coset_key representative, zero at W's pivots) is L v - sum_i v[p_i] rows_i;
+    and a 0/1 sum of rows is a cube point times L iff each entry is 0 or L.
     """
-    k = W.ambient_dim
     leads = [row[p] for row, p in zip(W.basis, W.pivots)]
-    lead_lcm = lcm(*leads)
-    mat = [[0] * c + [lead_lcm] + [0] * (k - 1 - c) for c in range(k)]
-    for row, p, lead in zip(W.basis, W.pivots, leads):
-        scale = lead_lcm // lead
-        for c, x in enumerate(row):
-            if x:
-                mat[c][p] -= scale * x
-    return mat
+    L = lcm(*leads)
+    return L, [tuple(x * (L // lead) for x in row) for row, lead in zip(W.basis, leads)]
 
 
 def contains(W: Subspace, v: Sequence) -> bool:
@@ -208,12 +199,7 @@ def cube_points(W: Subspace) -> list[tuple[int, ...]]:
     k = W.ambient_dim
     if k > CUBE_ENUM_MAX_DIM:
         raise CapacityError(f"cube enumeration guard: ambient dim {k} > {CUBE_ENUM_MAX_DIM}")
-    d = W.dim
-    if d == 0:
-        return [(0,) * k]
-    leads = [row[p] for row, p in zip(W.basis, W.pivots)]
-    lead_lcm = lcm(*leads)
-    scaled = [tuple(x * (lead_lcm // l) for x in row) for row, l in zip(W.basis, leads)]
+    lead_lcm, scaled = scaled_basis(W)
     # Doubling: each row is added once to every partial sum so far, so each
     # candidate costs one row addition.
     sums = [(0,) * k]

@@ -5,14 +5,16 @@ import re
 import resource
 import subprocess
 import sys
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+import numpy as np
 import pytest
 
 from cubeflags import rho
-from cubeflags.errors import EnumerationLimitError, NumericInstabilityError
-from cubeflags.qlinalg import contains, cube_points, ones, span
+from cubeflags.errors import CapacityError, EnumerationLimitError, NumericInstabilityError
+from cubeflags.qlinalg import Subspace, contains, cube_points, ones, span
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -143,3 +145,31 @@ def reference_level_universe(W, cap: int, level: int) -> tuple:
                         nxt.append(U2)
         frontier = nxt
     return tuple(sorted(seen, key=lambda U: (U.dim, U.basis)))
+
+
+def reference_coset_keys(W: Subspace, rows: np.ndarray) -> np.ndarray:
+    """flags._coset_keys as it was before it read the scaled basis, with the
+    qlinalg.coset_matrix it called, kept verbatim as its reference.
+
+    M is the integer k x k matrix with M v == L * reduce(v) for every v in
+    Q^k: reduce(v) is the coset representative of coset_key (v with zeros at
+    W's pivot coordinates) and L the lcm of the basis rows' leading entries.
+    Because the basis rows are mutually reduced, reduce(v) is v minus
+    (v_p / lead) * row for each row with pivot p, which is linear in v; so
+    u and v lie in the same W-coset iff M u == M v.  The rows of M at the
+    pivot coordinates are zero.  The keys are rows @ M^T, and a W with
+    k * max|M| >= 2^62 is refused.
+    """
+    k = W.ambient_dim
+    leads = [row[p] for row, p in zip(W.basis, W.pivots)]
+    lead_lcm = lcm(*leads)
+    mat = [[0] * c + [lead_lcm] + [0] * (k - 1 - c) for c in range(k)]
+    for row, p, lead in zip(W.basis, W.pivots, leads):
+        scale = lead_lcm // lead
+        for c, x in enumerate(row):
+            if x:
+                mat[c][p] -= scale * x
+    # |(M p)_c| <= k * max|M| for a 0/1 point p, and int64 must hold it exactly
+    if k * max(max(map(max, mat)), -min(map(min, mat))) >= 1 << 62:
+        raise CapacityError("coset key guard: keys overflow int64")
+    return rows @ np.array(mat, dtype=np.int64).T

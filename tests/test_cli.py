@@ -4,12 +4,16 @@ import collections
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from conftest import SRC
 
 from cubeflags import flags as flags_mod
 from cubeflags import rho, simlab
@@ -603,6 +607,23 @@ def test_simulate_delta_summary_memory_does_not_grow_with_samples(fresh):
     assert (child.code, child.stderr) == (0, "")
     assert json.loads(child.stdout)["samples"] == 200000
     assert child.peak_rss < 64 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("rho-table", "--max-j", "1021"),
+    ("simulate", "delta-perm", "--n", "10", "--samples", "200000", "--out", "/dev/stdout"),
+])
+def test_closed_stdout_ends_quietly_with_the_sigpipe_code(argv):
+    # a reader that has gone (`| head -1`) is no usage error: nothing on
+    # stderr, and 141, the code a shell gives a SIGPIPE death
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n" + CLI_MAIN, *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize(

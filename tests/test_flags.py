@@ -4,9 +4,11 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import reference_coset_keys
 
-from cubeflags import flags
+from cubeflags import flags, qlinalg
 from cubeflags.errors import CapacityError, InvalidChildError
 from cubeflags.flags import (
     Flag,
@@ -262,6 +264,57 @@ def test_partition_guards_raise_capacity_error():
     assert [c.members for c in cell_tree(fits).levels[1]] == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
     with pytest.raises(CapacityError):
         cell_tree(Flag(2, (v0, Subspace(2, ((1, 1 << 61),))), "custom", True))
+    # the guard on the scaled basis refuses exactly what k * max|M| refused:
+    # the boundary pair above, and neither Q^k nor {0}, where L = 1
+    k = flags.MAX_CELL_AMBIENT_DIM
+    boundary = [Subspace(2, ((1, (1 << 61) - 1),)), Subspace(2, ((1, 1 << 61),))]
+    whole, zero = span([tuple(int(r == c) for c in range(k)) for r in range(k)]), Subspace(k, ())
+    verdicts = []
+    for W in boundary + [whole, zero]:
+        rows = np.array(list(product((0, 1), repeat=W.ambient_dim)), dtype=np.int64)
+        got, ref = _keys_or_refusal(flags._coset_keys, W, rows), _keys_or_refusal(reference_coset_keys, W, rows)
+        assert type(got) is type(ref)
+        verdicts.append(isinstance(got, CapacityError))
+        if not verdicts[-1]:
+            assert got.dtype == ref.dtype and got.shape == ref.shape and (got == ref).all()
+    assert verdicts == [False, True, False, False]
+
+
+def _keys_or_refusal(keys, W, rows):
+    try:
+        return keys(W, rows)
+    except CapacityError as exc:
+        return exc
+
+
+def test_coset_keys_match_the_k_by_k_matrix_product():
+    # the level and universe spaces of the certified flags (binary 3's
+    # level-3 universe, over 1.39M spaces, aside), and seeded random spans
+    # and intersections in Q^1..Q^10, many of dimension 0
+    mt4_q12 = parse_flag_text((Path(__file__).parents[1] / "perfbench" / "mt4_q12.flag").read_text())
+    spaces = []
+    for f in [binary_flag(r) for r in (1, 2, 3)] + [mt_flag(r) for r in (2, 3, 4)] + [mt4_q12]:
+        for i, V in enumerate(f.spaces):
+            spaces.append(V)
+            if i and (f.kind, f.order, i) != ("binary", 3, 3):
+                spaces.extend(flags.level_universe(V, flags.SUBFLAG_SPACE_CAP, i))
+    assert len(spaces) == 148
+    rnd = random.Random(20261022)
+    spans = []
+    for _ in range(3000):
+        k = rnd.randint(1, 10)
+        gens = [tuple(rnd.choice((-3, -1, 0, 1, 2, 5)) for _ in range(k)) for _ in range(rnd.randint(0, k))]
+        spans.append(span(gens, k))
+    by_dim = {}
+    for W in spans:
+        by_dim.setdefault(W.ambient_dim, []).append(W)
+    meets = [qlinalg.subspace_intersect(W, rnd.choice(by_dim[W.ambient_dim])) for W in spans]
+    assert sum(W.dim == 0 for W in meets) > 1000
+    cubes = {k: np.array(list(product((0, 1), repeat=k)), dtype=np.int64) for k in range(1, 17)}
+    for W in spaces + spans + meets:
+        rows = cubes[W.ambient_dim]
+        got, ref = flags._coset_keys(W, rows), reference_coset_keys(W, rows)
+        assert got.dtype == ref.dtype and got.shape == ref.shape and (got == ref).all()
 
 
 # ---------------------------------------------------------------------------

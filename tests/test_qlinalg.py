@@ -9,9 +9,9 @@ from cubeflags.qlinalg import (
     contains,
     contains_subspace,
     coset_key,
-    coset_matrix,
     cube_points,
     ones,
+    scaled_basis,
     span,
     subspace_intersect,
     subspace_sum,
@@ -178,21 +178,28 @@ def test_coset_key_int_path_checks_dimension():
         coset_key(W, (1, 0, 0, 1))
 
 
-def test_coset_matrix_separates_cosets():
-    # M u == M v iff u and v share a coset, i.e. iff their coset keys agree
+def test_scaled_basis_keys_separate_cosets():
+    # L v - sum_i v[p_i] B_i, for the basis rows B_i scaled to the common
+    # lead L, agree for u and v iff u and v share a coset, i.e. iff their
+    # coset keys agree; the key is zero at every pivot
     rnd = random.Random(7)
     for _ in range(200):
         k = rnd.randint(1, 6)
         W = _random_rational_subspace(rnd, k)
-        mat = coset_matrix(W)
+        L, rows = scaled_basis(W)
+        assert all(row[p] == L for row, p in zip(rows, W.pivots))
         u = _random_int_vector(rnd, k)
         w = rnd.choice(W.basis) if W.basis else (0,) * k
-        for v in (_random_int_vector(rnd, k), tuple(a + 3 * b for a, b in zip(u, w))):
-            mu = [sum(m * x for m, x in zip(row, u)) for row in mat]
-            mv = [sum(m * x for m, x in zip(row, v)) for row in mat]
-            assert (mu == mv) == (coset_key(W, u) == coset_key(W, v))
-
-
+        vecs = (u, _random_int_vector(rnd, k), tuple(a + 3 * b for a, b in zip(u, w)))
+        keys = []
+        for v in vecs:
+            key = [L * x for x in v]
+            for row, p in zip(rows, W.pivots):
+                key = [a - v[p] * b for a, b in zip(key, row)]
+            assert all(key[p] == 0 for p in W.pivots)
+            keys.append(key)
+        for v, key in zip(vecs[1:], keys[1:]):
+            assert (key == keys[0]) == (coset_key(W, v) == coset_key(W, u))
 def test_subspace_equality_is_structural():
     W1 = span([(1, 1), (1, 0)])
     W2 = span([(0, 1), (1, 0)])
