@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 capacity/guard/numeric-bound error,
 3 certificate failure (check command only), 141 output closed by its reader
-(as a SIGPIPE death; nothing is printed on stderr).  All floating point output is
-printed at 16 significant digits, and every JSON document carries a schema
-field, so identical (command, seed) invocations are byte-identical across
-runs.  Every computation runs serially; --workers is accepted and ignored.
+(as a SIGPIPE death; nothing is printed on stderr).  All floating point
+output is printed at 16 significant digits, and every JSON document carries
+a schema field, so identical (command, seed) invocations are byte-identical
+across runs.  Every computation runs serially; --workers is accepted and ignored.
 There is no preset file: each command reads only its own options, and the
 size guards (such as the subflag cap, flags.SUBFLAG_SPACE_CAP) are module
 constants, past which a command exits 2.

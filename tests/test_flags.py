@@ -258,14 +258,14 @@ def test_partition_guards_raise_capacity_error():
     k = flags.MAX_CELL_AMBIENT_DIM + 1
     with pytest.raises(CapacityError):
         cell_tree(Flag(k, (span([ones(k)]),), "custom", True))
-    # coset keys must fit int64: k * max|M| < 2^62 for M = coset_matrix(V_i)
+    # coset keys must fit int64: k * max(L, max|B|) < 2^62 for (L, B) = scaled_basis(V_i)
     v0 = span([ones(2)])
     fits = Flag(2, (v0, Subspace(2, ((1, (1 << 61) - 1),))), "custom", True)
     assert [c.members for c in cell_tree(fits).levels[1]] == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
     with pytest.raises(CapacityError):
         cell_tree(Flag(2, (v0, Subspace(2, ((1, 1 << 61),))), "custom", True))
-    # the guard on the scaled basis refuses exactly what k * max|M| refused:
-    # the boundary pair above, and neither Q^k nor {0}, where L = 1
+    # the same verdict as reference_coset_keys (k * max|M| for its k x k M):
+    # refused past the boundary above, never on Q^k or {0}, where L = 1
     k = flags.MAX_CELL_AMBIENT_DIM
     boundary = [Subspace(2, ((1, (1 << 61) - 1),)), Subspace(2, ((1, 1 << 61),))]
     whole, zero = span([tuple(int(r == c) for c in range(k)) for r in range(k)]), Subspace(k, ())

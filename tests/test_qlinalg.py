@@ -200,6 +200,8 @@ def test_scaled_basis_keys_separate_cosets():
             keys.append(key)
         for v, key in zip(vecs[1:], keys[1:]):
             assert (key == keys[0]) == (coset_key(W, v) == coset_key(W, u))
+
+
 def test_subspace_equality_is_structural():
     W1 = span([(1, 1), (1, 0)])
     W2 = span([(0, 1), (1, 0)])
